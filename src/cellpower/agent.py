@@ -38,6 +38,14 @@ class AgentConfig:
                 raise ValueError(f"{name} outside [0, 1]")
         if self.target_update_steps < 1:
             raise ValueError("target_update_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.replay_capacity < self.resolved_train_start():
+            # the buffer would never hold train_start transitions, so no
+            # gradient step would ever be taken
+            raise ValueError(
+                f"replay_capacity ({self.replay_capacity}) must be >= the "
+                f"resolved train_start ({self.resolved_train_start()})")
 
     def epsilon_at(self, step: int) -> float:
         anneal = self.epsilon_anneal_steps

@@ -45,7 +45,8 @@ def _cmd_train(args):
 
 def _cmd_test(args):
     spec = _build_spec(args, checkpoint=args.checkpoint)
-    spec.n_test_samples = args.samples or spec.n_test_samples
+    if args.samples is not None:
+        spec.n_test_samples = args.samples
     report = harness.run_experiment(spec)
     print(report.to_json())
     return 0
@@ -66,7 +67,7 @@ def _cmd_baseline(args):
     spec = _build_spec(args)
     env = harness.build_env(spec)
     seeds = np.random.default_rng(spec.master_seed).integers(
-        0, 2 ** 63 - 1, size=args.samples or 10)
+        0, 2 ** 63 - 1, size=10 if args.samples is None else args.samples)
     out = []
     for seed in (int(s) for s in seeds):
         rng = np.random.default_rng([seed, 0])

@@ -47,6 +47,11 @@ class ExperimentSpec:
     checkpoint: str | None = None    # resume/evaluate instead of fresh training
     checkpoint_interval: int | None = None   # env steps between periodic saves
 
+    def __post_init__(self):
+        if self.max_episode_steps < 1:
+            raise ConfigError(
+                f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
+
 
 SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 AGENT_KEYS = {f.name for f in dataclasses.fields(AgentConfig)}

@@ -63,7 +63,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.num_cells < 1 or self.users_per_cell < 1 or self.num_subbands < 1:
             raise ConfigError("num_cells, users_per_cell and num_subbands must be >= 1")
-        levels = tuple(float(p) for p in self.power_levels)
+        levels = tuple(float(p) for p in np.atleast_1d(self.power_levels))
         object.__setattr__(self, "power_levels", levels)
         if not levels or any(p <= 0 for p in levels):
             raise ConfigError("power levels must be positive")

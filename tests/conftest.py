@@ -79,6 +79,15 @@ def selected_unit_loss(mlp, states, actions, targets, block_size):
     return total / (n * num_cells)
 
 
+def split_flat(flat, mlp):
+    """Views of a buffer in mlp.flat's layout, shaped like W1, b1, W2, b2."""
+    out, start = [], 0
+    for param in mlp.parameters():
+        out.append(flat[start:start + param.size].reshape(param.shape))
+        start += param.size
+    return out
+
+
 def finite_difference_max_error(mlp, states, actions, targets, block_size,
                                 h=1e-5):
     """Max relative error of backprop gradients vs central differences."""
@@ -91,7 +100,9 @@ def finite_difference_max_error(mlp, states, actions, targets, block_size,
     diff = q[rows, cols].reshape(n, num_cells) - targets
     grad_q = np.zeros_like(q)
     np.add.at(grad_q, (rows, cols), (2.0 * diff / diff.size).reshape(-1))
-    grads = backprop(mlp, states, grad_q)
+    z1 = states @ mlp.w1.T + mlp.b1
+    grads = split_flat(backprop(mlp, states, grad_q, z1,
+                                np.empty_like(mlp.flat)), mlp)
 
     worst = 0.0
     for param, grad in zip(mlp.parameters(), grads):
@@ -108,6 +119,44 @@ def finite_difference_max_error(mlp, states, actions, targets, block_size,
             err = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def reference_train_batch(params, acc, states, actions, targets, block_size,
+                          learning_rate, decay, epsilon):
+    """One training step on four separate parameter arrays [W1, b1, W2, b2]
+    and their four accumulators, updated in place: the whole-array forward,
+    a backprop that recomputes z1, and the per-array RMSprop expression.
+    Returns the pre-update loss."""
+    w1, b1, w2, b2 = params
+    q = np.maximum(states @ w1.T + b1, 0.0) @ w2.T + b2
+    n, num_cells = actions.shape
+    rows = np.repeat(np.arange(n), num_cells)
+    cols = (actions + np.arange(num_cells) * block_size).reshape(-1)
+    diff = q[rows, cols].reshape(n, num_cells) - targets
+    loss = float(np.mean(diff ** 2))
+    grad_q = np.zeros_like(q)
+    np.add.at(grad_q, (rows, cols), (2.0 * diff / diff.size).reshape(-1))
+
+    z1 = states @ w1.T + b1
+    h = np.maximum(z1, 0.0)
+    dz1 = (grad_q @ w2) * (z1 > 0.0)
+    grads = [dz1.T @ states, dz1.sum(axis=0), grad_q.T @ h, grad_q.sum(axis=0)]
+    for p, a, g in zip(params, acc, grads):
+        a *= decay
+        a += (1.0 - decay) * g * g
+        p -= learning_rate * g / (np.sqrt(a) + epsilon)
+    return loss
+
+
+def reference_checkpoint_bytes(params, acc, learning_rate, decay, epsilon):
+    """The documented checkpoint format, written field by field."""
+    n_hidden, n_in = params[0].shape
+    n_out = params[2].shape[0]
+    return (b"CPQNET1\n"
+            + np.array([n_in, n_hidden, n_out], dtype="<i8").tobytes()
+            + np.array([learning_rate, decay, epsilon], dtype="<f8").tobytes()
+            + b"".join(np.asarray(a, dtype="<f8").tobytes()
+                       for a in list(params) + list(acc)))
 
 
 @pytest.fixture

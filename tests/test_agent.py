@@ -58,6 +58,20 @@ def test_reference_hyperparameter_defaults():
     assert cfg.discount == 0.99
 
 
+class TestAgentConfigValidation:
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            AgentConfig(batch_size=0)
+
+    @pytest.mark.parametrize("train_start", [100, None])   # None resolves to 1000
+    def test_replay_smaller_than_train_start_rejected(self, train_start):
+        with pytest.raises(ValueError, match="replay_capacity"):
+            AgentConfig(replay_capacity=50, train_start=train_start)
+
+    def test_replay_equal_to_train_start_accepted(self):
+        assert AgentConfig(replay_capacity=100, train_start=100).replay_capacity == 100
+
+
 class TestEpsilonSchedule:
     def test_linear_anneal_then_constant(self):
         cfg = AgentConfig(train_steps=1000, epsilon_start=1.0, epsilon_end=0.1,

@@ -128,6 +128,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_kv_file(path)
 
+    def test_single_power_level(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "scenario = custom\n"
+            "num_cells = 2\nusers_per_cell = 2\nnum_subbands = 2\n"
+            "power_levels = 12.8\nmax_power = 40.0\n")    # 2 x 12.8 W fits
+        spec = spec_from_file(path)
+        assert spec.config.power_levels == (12.8,)
+        assert PowerControlEnv(spec.config).actions.size == 1
+
+    def test_zero_max_episode_steps_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("scenario = scenario1\nmax_episode_steps = 0\n")
+        with pytest.raises(ConfigError, match="max_episode_steps"):
+            spec_from_file(path)
+
     def test_cli_override_beats_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("scenario = scenario1\nmaster_seed = 1\n")
@@ -351,6 +367,27 @@ class TestCli:
                          "--out", str(tmp_path / "eval"), "--samples", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["metadata"]["train_steps"] == 0   # loaded, not retrained
+
+    def test_zero_samples_means_zero(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "scenario = custom\n"
+            "num_cells = 2\nusers_per_cell = 2\nnum_subbands = 2\n"
+            "power_levels = 6.4, 12.8, 19.2\nmax_power = 40.0\n"
+            "train_steps = 0\nn_test_samples = 3\n"
+            "ga_population_size = 8\nga_generations = 5\n")
+        out = tmp_path / "untrained"
+        assert cli_main(["train", "--config", str(cfg_file),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["test", "--config", str(cfg_file),
+                         "--checkpoint", str(out / "qnet.ckpt"),
+                         "--out", str(tmp_path / "eval"), "--samples", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["metadata"]["n_test_samples"] == 0
+        assert cli_main(["baseline", "maxpower", "--config", str(cfg_file),
+                         "--samples", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_errors_exit_nonzero(self, capsys):
         assert cli_main(["test", "--checkpoint", "/nonexistent.ckpt"]) == 1

@@ -3,14 +3,22 @@ import pytest
 
 from cellpower.qnet import (
     MLP,
+    UPDATE_BLOCK,
     CheckpointError,
     RMSprop,
+    backprop,
     load_checkpoint,
     save_checkpoint,
     train_batch,
 )
 
-from conftest import finite_difference_max_error, selected_unit_loss
+from conftest import (
+    finite_difference_max_error,
+    reference_checkpoint_bytes,
+    reference_train_batch,
+    selected_unit_loss,
+    split_flat,
+)
 
 
 class TestInit:
@@ -95,8 +103,10 @@ class TestTrainBatch:
         mlp = MLP(np.array([[1.0]]), np.zeros(1), np.array([[0.7]]), np.zeros(1))
         s, y = 1.7, 0.3
         q = mlp.forward(np.array([s]))[0]
-        from cellpower.qnet import backprop
-        grads = backprop(mlp, np.array([[s]]), np.array([[2.0 * (q - y)]]))
+        x = np.array([[s]])
+        grads = split_flat(backprop(mlp, x, np.array([[2.0 * (q - y)]]),
+                                    x @ mlp.w1.T + mlp.b1,
+                                    np.empty_like(mlp.flat)), mlp)
         assert grads[2][0, 0] == pytest.approx(2.0 * (q - y) * s, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -139,14 +149,58 @@ class TestRmsprop:
     def test_zero_gradient_is_a_no_op(self, rng):
         mlp = MLP.init((4, 6, 3), rng)
         opt = RMSprop(mlp, learning_rate=0.5)
-        opt.acc = [np.abs(rng.normal(size=a.shape)) for a in opt.acc]
+        for a in split_flat(opt.acc, mlp):
+            a[...] = np.abs(rng.normal(size=a.shape))
         before = [p.copy() for p in mlp.parameters()]
-        acc_before = [a.copy() for a in opt.acc]
-        opt.apply(mlp, [np.zeros_like(p) for p in mlp.parameters()])
+        acc_before = [a.copy() for a in split_flat(opt.acc, mlp)]
+        opt.apply(mlp, np.zeros_like(mlp.flat))
         for p, b in zip(mlp.parameters(), before):
             assert np.array_equal(p, b)
-        for a, b in zip(opt.acc, acc_before):   # accumulators only decay
+        for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
             assert np.allclose(a, b * opt.decay)
+
+
+class TestFlatLearnerOracle:
+    """The flat-buffer learner against the four-array reference in conftest:
+    the same arithmetic in the same order, so results must match bit for bit.
+    The network spans more than one RMSprop update block and ends in a
+    partial one."""
+
+    SIZES = (30, 700, 60)       # 63,760 parameters
+    CELLS = 3
+    HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
+
+    def _train_both(self, rng, steps=20, n=8):
+        mlp = MLP.init(self.SIZES, rng)
+        assert UPDATE_BLOCK < mlp.flat.size and mlp.flat.size % UPDATE_BLOCK
+        opt = RMSprop(mlp, **self.HYPER)
+        params = [p.copy() for p in mlp.parameters()]
+        acc = [np.zeros_like(p) for p in params]
+        block = self.SIZES[2] // self.CELLS
+        for _ in range(steps):
+            states = rng.normal(size=(n, self.SIZES[0]))
+            actions = rng.integers(0, block, size=(n, self.CELLS))
+            targets = rng.normal(size=(n, self.CELLS))
+            loss = train_batch(mlp, opt, states, actions, targets, block)
+            ref_loss = reference_train_batch(params, acc, states, actions,
+                                             targets, block, **self.HYPER)
+            assert loss == ref_loss
+        return mlp, opt, params, acc
+
+    def test_parameters_and_accumulators_bitwise_equal(self, rng):
+        mlp, opt, params, acc = self._train_both(rng)
+        for got, want in zip(mlp.parameters(), params):
+            assert np.array_equal(got, want)
+        for got, want in zip(split_flat(opt.acc, mlp), acc):
+            assert np.array_equal(got, want)
+        assert all(np.any(a > 0.0) for a in acc)    # every array was updated
+
+    def test_checkpoint_bytes_match_documented_format(self, tmp_path, rng):
+        mlp, opt, params, acc = self._train_both(rng)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, mlp, opt)
+        assert path.read_bytes() == reference_checkpoint_bytes(
+            params, acc, **self.HYPER)
 
 
 class TestClone:
@@ -186,12 +240,21 @@ class TestCheckpoint:
         assert lopt.learning_rate == opt.learning_rate
         assert lopt.decay == opt.decay
         assert lopt.epsilon == opt.epsilon
-        for a, b in zip(opt.acc, lopt.acc):
-            assert np.array_equal(a, b)
+        assert np.array_equal(opt.acc, lopt.acc)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_corrupt_header_rejected(self, tmp_path, rng):
+        mlp = MLP.init((3, 4, 2), rng)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, mlp, RMSprop(mlp))
+        data = bytearray(path.read_bytes())
+        data[8:16] = np.array([0], dtype="<i8").tobytes()     # input size 0
+        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
