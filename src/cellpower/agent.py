@@ -126,8 +126,14 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
     if opt is None:
         opt = RMSprop(mlp, config.learning_rate, config.rmsprop_decay,
                       config.rmsprop_epsilon)
-    target = mlp.clone()
     train_start = config.resolved_train_start()
+    if buffer.capacity < train_start:
+        # the buffer would never hold train_start transitions, so no
+        # gradient step would ever be taken
+        raise ValueError(
+            f"replay buffer capacity ({buffer.capacity}) must be >= the "
+            f"resolved train_start ({train_start})")
+    target = mlp.clone()
 
     episodes = []
     step = start_step

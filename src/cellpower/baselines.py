@@ -44,13 +44,20 @@ class GAConfig:
             raise ConfigError("tournament_size must be >= 1")
 
 
-def _repair(genes: np.ndarray, levels: np.ndarray, num_subbands: int,
-            max_power: float) -> None:
-    """Decrement the largest gene of any over-budget cell until feasible."""
-    per_cell = genes.reshape(-1, num_subbands)
-    for cell in per_cell:
-        while levels[cell].sum() > max_power + BUDGET_TOL:
-            cell[np.argmax(cell)] -= 1
+def _repair_table(levels: np.ndarray, num_subbands: int,
+                  max_power: float) -> np.ndarray:
+    """Budget repair of every per-cell gene tuple, shape (n_levels^F, F).
+
+    Row r repairs the tuple whose radix-n_levels digits are r (first gene
+    most significant): the largest gene of an over-budget tuple is
+    decremented, first maximum on ties, until the tuple fits the budget.
+    """
+    genes = np.indices((len(levels),) * num_subbands).reshape(num_subbands, -1).T.copy()
+    while True:
+        over = np.flatnonzero(levels[genes].sum(axis=1) > max_power + BUDGET_TOL)
+        if over.size == 0:
+            return genes
+        genes[over, genes[over].argmax(axis=1)] -= 1
 
 
 def ga_optimize(channel: ChannelRealization, topology: Topology,
@@ -59,58 +66,60 @@ def ga_optimize(channel: ChannelRealization, topology: Topology,
     """Evolve K*F level indices toward the throughput maximum.
 
     Tournament selection, single-point crossover, per-gene mutation, budget
-    repair and elitism; returns (power, throughput) of the best individual
-    ever evaluated.
+    repair and elitism, each applied to the whole population at once; the
+    population is scored with one batched `network_utility` call per
+    generation. Returns (power, throughput) of the best individual ever
+    evaluated.
     """
     alpha = snr_gap(config.target_ber)
     levels = np.asarray(config.power_levels)
     n_levels = len(levels)
-    length = config.num_cells * config.num_subbands
+    num_cells, num_subbands = config.num_cells, config.num_subbands
+    length = num_cells * num_subbands
     pop_size = ga_config.population_size
+    n_children = pop_size - ga_config.elite_count
+    table = _repair_table(levels, num_subbands, config.max_power)
+    radix = n_levels ** np.arange(num_subbands - 1, -1, -1)
 
-    def fitness(genes):
-        power = levels[genes.reshape(config.num_cells, config.num_subbands)]
-        return network_utility(power, channel, topology, alpha)
-
-    pop = rng.integers(0, n_levels, size=(pop_size, length))
-    for row in pop:
-        _repair(row, levels, config.num_subbands, config.max_power)
+    def repair(genes):
+        cells = genes.reshape(len(genes), num_cells, num_subbands)
+        return table[cells @ radix].reshape(len(genes), length)
 
     best_genes = None
     best_fit = -math.inf
 
     def evaluate(population):
         nonlocal best_genes, best_fit
-        fits = np.array([fitness(g) for g in population])
+        power = levels[population.reshape(pop_size, num_cells, num_subbands)]
+        fits = network_utility(power, channel, topology, alpha)
         top = int(np.argmax(fits))
         if fits[top] > best_fit:
             best_fit = float(fits[top])
             best_genes = population[top].copy()
         return fits
 
+    pop = repair(rng.integers(0, n_levels, size=(pop_size, length)))
     fits = evaluate(pop)
+    positions = np.arange(length)
     for _ in range(ga_config.generations):
         # stable sort keeps ties deterministic
-        order = np.argsort(-fits, kind="stable")
-        children = [pop[i].copy() for i in order[:ga_config.elite_count]]
-        while len(children) < pop_size:
-            entrants = rng.integers(0, pop_size, size=ga_config.tournament_size)
-            p1 = pop[entrants[np.argmax(fits[entrants])]]
-            entrants = rng.integers(0, pop_size, size=ga_config.tournament_size)
-            p2 = pop[entrants[np.argmax(fits[entrants])]]
-            child = p1.copy()
-            if length >= 2 and rng.random() < ga_config.crossover_prob:
-                cut = int(rng.integers(1, length))
-                child[cut:] = p2[cut:]
-            mask = rng.random(length) < ga_config.mutation_prob
-            if mask.any():
-                child[mask] = rng.integers(0, n_levels, size=int(mask.sum()))
-            _repair(child, levels, config.num_subbands, config.max_power)
-            children.append(child)
-        pop = np.stack(children)
+        elites = pop[np.argsort(-fits, kind="stable")[:ga_config.elite_count]]
+        # the draws come in this fixed order every generation
+        entrants = rng.integers(0, pop_size, size=(2, n_children, ga_config.tournament_size))
+        winners = np.take_along_axis(entrants, fits[entrants].argmax(axis=2)[..., None],
+                                     axis=2)[..., 0]
+        parents, donors = pop[winners[0]], pop[winners[1]]
+        cross = rng.random(n_children) < ga_config.crossover_prob
+        cut = rng.integers(1, max(length, 2), size=n_children)
+        tail = cross[:, None] & (positions >= cut[:, None])
+        children = np.where(tail, donors, parents)
+        mutate = rng.random((n_children, length)) < ga_config.mutation_prob
+        fresh = rng.integers(0, n_levels, size=(n_children, length))
+        children = repair(np.where(mutate, fresh, children))
+        pop = np.concatenate([elites, children])
         fits = evaluate(pop)
 
-    power = levels[best_genes.reshape(config.num_cells, config.num_subbands)]
+    power = levels[best_genes.reshape(num_cells, num_subbands)]
     return power, best_fit
 
 
@@ -118,13 +127,20 @@ class SearchSpaceTooLarge(RuntimeError):
     pass
 
 
+# Joint actions scored per network_utility call in exhaustive search. It
+# bounds the largest temporary to EXHAUSTIVE_CHUNK * (K*U) * K * F float64s.
+EXHAUSTIVE_CHUNK = 1024
+
+
 def exhaustive(channel: ChannelRealization, topology: Topology,
                action_space: ActionSpace, alpha: float,
                cap: int = 10 ** 6):
     """Exact maximizer over all m^K joint discrete actions.
 
-    Ties resolve to the lexicographically smallest joint action. Refuses
-    spaces larger than `cap`.
+    Joint actions are scored in lexicographic chunks (first cell most
+    significant), one batched `network_utility` call per chunk. Ties
+    resolve to the lexicographically smallest joint action. Refuses spaces
+    larger than `cap`.
     """
     m = action_space.size
     k = topology.num_cells
@@ -135,23 +151,15 @@ def exhaustive(channel: ChannelRealization, topology: Topology,
 
     best_util = -math.inf
     best_power = None
-    joint = np.zeros(k, dtype=int)
-    while True:
-        power = action_space.joint_power(joint)
-        util = network_utility(power, channel, topology, alpha)
-        if util > best_util:
-            best_util = util
-            best_power = power
-        # odometer increment in lexicographic order
-        pos = k - 1
-        while pos >= 0:
-            joint[pos] += 1
-            if joint[pos] < m:
-                break
-            joint[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
+    for start in range(0, total, EXHAUSTIVE_CHUNK):
+        index = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
+        joint = np.stack(np.unravel_index(index, (m,) * k), axis=1)     # (B, K)
+        power = action_space.joint_power(joint)                         # (B, K, F)
+        utils = network_utility(power, channel, topology, alpha)
+        top = int(np.argmax(utils))      # first maximum within the chunk
+        if utils[top] > best_util:       # strict: an earlier chunk keeps a tie
+            best_util = utils[top]
+            best_power = power[top]
     return best_power, float(best_util)
 
 

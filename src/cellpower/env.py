@@ -24,6 +24,7 @@ from .netmodel import (
     network_utility,
     serving_sinr,
     snr_gap,
+    utility_from_sinr,
 )
 
 
@@ -136,10 +137,15 @@ class PowerControlEnv:
         ctx = EpisodeContext(topo, channel, power, np.asarray(joint), baseline)
         return ctx, self.encode_state(ctx)
 
-    def encode_state(self, ctx: EpisodeContext) -> np.ndarray:
-        """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit."""
-        s = serving_sinr(ctx.current_power, ctx.channel, ctx.topology)
-        cqi = cqi_quantize_array(s) / 15.0                      # (K*U, F)
+    def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:
+        """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit.
+
+        `sinr` is the serving SINR at ctx.current_power when the caller
+        already has it; otherwise it is computed here.
+        """
+        if sinr is None:
+            sinr = serving_sinr(ctx.current_power, ctx.channel, ctx.topology)
+        cqi = cqi_quantize_array(sinr) / 15.0                   # (K*U, F)
         edge = location_indicator(ctx.topology)[:, None]        # (K*U, 1)
         return np.concatenate([cqi, edge], axis=1).reshape(-1)
 
@@ -155,12 +161,13 @@ class PowerControlEnv:
 
         ctx.current_action = joint
         ctx.current_power = self.actions.joint_power(joint)
-        throughput = network_utility(ctx.current_power, ctx.channel, ctx.topology,
-                                     self.alpha)
+        # one SINR evaluation feeds both the throughput and the CQI state
+        sinr = serving_sinr(ctx.current_power, ctx.channel, ctx.topology)
+        throughput = utility_from_sinr(sinr, ctx.channel, ctx.topology, self.alpha)
         ctx.step_count += 1
         terminal = (throughput <= ctx.previous_throughput
                     or ctx.step_count >= self.max_episode_steps)
         reward = self.terminal_reward if terminal else self.step_reward
         ctx.previous_throughput = throughput
         ctx.terminal = terminal
-        return self.encode_state(ctx), reward, terminal, throughput
+        return self.encode_state(ctx, sinr), reward, terminal, throughput

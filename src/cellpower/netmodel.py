@@ -243,19 +243,24 @@ def sinr(power: np.ndarray, channel: ChannelRealization,
 
 def serving_sinr(power: np.ndarray, channel: ChannelRealization,
                  topology: Topology) -> np.ndarray:
-    """SINR of every user w.r.t. its serving cell, shape (K*U, F)."""
-    received = channel.gain * power[None, :, :]            # (K*U, K, F)
+    """SINR of every user w.r.t. its serving cell.
+
+    `power` is one (K, F) allocation or a batch of shape (..., K, F); the
+    result has shape (..., K*U, F).
+    """
+    received = channel.gain * power[..., None, :, :]        # (..., K*U, K, F)
     users = np.arange(topology.num_users)
-    signal = received[users, topology.association, :].copy()
-    received[users, topology.association, :] = 0.0
-    return signal / (channel.noise_power + received.sum(axis=1))
+    signal = received[..., users, topology.association, :]   # indexing copies
+    received[..., users, topology.association, :] = 0.0
+    return signal / (channel.noise_power + received.sum(axis=-2))
 
 
-def _cell_user_rates(power, channel, topology, alpha):
-    """Achievable rate of each user on each subband, shape (K, U, F), bits/s."""
-    rate = channel.bandwidth_hz * np.log2(1.0 + alpha * serving_sinr(power, channel, topology))
-    return rate.reshape(topology.num_cells, topology.users_per_cell,
-                        channel.num_subbands)
+def _cell_user_rates(sinr, channel, topology, alpha):
+    """Achievable rate of each user on each subband, shape (..., K, U, F),
+    bits/s, from serving SINRs of shape (..., K*U, F)."""
+    rate = channel.bandwidth_hz * np.log2(1.0 + alpha * sinr)
+    return rate.reshape(*sinr.shape[:-2], topology.num_cells,
+                        topology.users_per_cell, channel.num_subbands)
 
 
 def assign_subbands(power: np.ndarray, channel: ChannelRealization,
@@ -264,17 +269,35 @@ def assign_subbands(power: np.ndarray, channel: ChannelRealization,
 
     Returns global user indices, shape (K, F); ties go to the lowest index.
     """
-    rates = _cell_user_rates(power, channel, topology, alpha)
+    rates = _cell_user_rates(serving_sinr(power, channel, topology),
+                             channel, topology, alpha)
     best = rates.argmax(axis=1)                            # (K, F), first max wins
     offsets = (np.arange(topology.num_cells) * topology.users_per_cell)[:, None]
     return best + offsets
 
 
+def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
+                      topology: Topology, alpha: float):
+    """Total throughput in bits/s from serving SINRs of shape (..., K*U, F).
+
+    A (K*U, F) input gives a float; a batch gives an array of shape (...).
+    """
+    best = _cell_user_rates(sinr, channel, topology, alpha).max(axis=-2)
+    # sum each allocation's K*F best rates as one flat row, so that a batch
+    # adds in the same order as a single allocation
+    total = best.reshape(*best.shape[:-2], -1).sum(axis=-1)
+    return float(total) if sinr.ndim == 2 else total
+
+
 def network_utility(power: np.ndarray, channel: ChannelRealization,
-                    topology: Topology, alpha: float) -> float:
-    """Total network throughput in bits/s under the rate-max subband rule."""
-    rates = _cell_user_rates(power, channel, topology, alpha)
-    return float(rates.max(axis=1).sum())
+                    topology: Topology, alpha: float):
+    """Total network throughput in bits/s under the rate-max subband rule.
+
+    A (K, F) allocation gives a float; a batch of shape (..., K, F) gives an
+    array of shape (...), equal to the per-allocation values bit for bit.
+    """
+    return utility_from_sinr(serving_sinr(power, channel, topology),
+                             channel, topology, alpha)
 
 
 # CQI reporting: SINR in dB floored at -10 dB, then 15 uniform bins over

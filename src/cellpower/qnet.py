@@ -201,7 +201,10 @@ def load_checkpoint(path) -> tuple[MLP, RMSprop]:
         if sizes.size != 3 or np.any(sizes < 1):
             raise CheckpointError(f"{path}: corrupt size header {sizes}")
         n_in, n_hidden, n_out = (int(v) for v in sizes)
-        lr, decay, eps = np.fromfile(f, dtype="<f8", count=3)
+        constants = np.fromfile(f, dtype="<f8", count=3)
+        if constants.size != 3:
+            raise CheckpointError(f"{path}: truncated in the optimizer constants")
+        lr, decay, eps = constants
         shapes = [(n_hidden, n_in), (n_hidden,), (n_out, n_hidden), (n_out,)]
         count = sum(math.prod(shape) for shape in shapes)
         buffers = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellpower.netmodel import (
+    BUDGET_TOL,
     ChannelRealization,
     ScenarioConfig,
     Topology,
@@ -49,6 +50,16 @@ def reference_utility(power, channel, topo, alpha, log=math.log2):
                 for u in topo.cell_users(k))
             total += best
     return total
+
+
+def reference_repair(genes, levels, max_power):
+    """GA budget repair of one cell's level indices, as the per-cell loop
+    GA used before its lookup table: decrement the largest gene (first on
+    ties) until the cell fits the budget."""
+    cell = np.array(genes)
+    while levels[cell].sum() > max_power + BUDGET_TOL:
+        cell[np.argmax(cell)] -= 1
+    return cell
 
 
 def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0) -> ChannelRealization:

@@ -71,6 +71,14 @@ class TestAgentConfigValidation:
     def test_replay_equal_to_train_start_accepted(self):
         assert AgentConfig(replay_capacity=100, train_start=100).replay_capacity == 100
 
+    def test_buffer_smaller_than_train_start_rejected_by_train(self, rng):
+        # the buffer is built apart from AgentConfig.replay_capacity
+        env = PowerControlEnv(tiny_config())
+        cfg = AgentConfig(train_steps=300, batch_size=8, train_start=100)
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        with pytest.raises(ValueError, match=r"capacity \(50\).*train_start \(100\)"):
+            ag.train(env, mlp, ReplayBuffer(50), cfg, rng)
+
 
 class TestEpsilonSchedule:
     def test_linear_anneal_then_constant(self):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from cellpower import baselines as baselines_module
 from cellpower.baselines import (
     GAConfig,
     SearchSpaceTooLarge,
+    _repair_table,
     exhaustive,
     ga_optimize,
     max_power_baseline,
@@ -16,7 +18,13 @@ from cellpower.baselines import (
 from cellpower.env import enumerate_actions
 from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility, snr_gap
 
-from conftest import synthetic_channel, synthetic_topology, tiny_config, tiny_instance
+from conftest import (
+    reference_repair,
+    synthetic_channel,
+    synthetic_topology,
+    tiny_config,
+    tiny_instance,
+)
 
 
 def brute_force_best(channel, topo, space, alpha):
@@ -87,6 +95,27 @@ class TestGa:
         assert np.all(power.sum(axis=1) <= 26.0 + 1e-9)
         assert all(float(p) in cfg.power_levels for p in power.reshape(-1))
 
+    @pytest.mark.parametrize("cfg", [tiny_config(max_power=26.0), ScenarioConfig()],
+                             ids=["tiny-26W", "scenario1"])
+    def test_repair_table_matches_loop(self, cfg):
+        levels = np.asarray(cfg.power_levels)
+        table = _repair_table(levels, cfg.num_subbands, cfg.max_power)
+        tuples = list(itertools.product(range(len(levels)), repeat=cfg.num_subbands))
+        assert table.shape == (len(tuples), cfg.num_subbands)
+        repaired = [tuple(row) for row in table]
+        assert repaired == [tuple(reference_repair(t, levels, cfg.max_power))
+                            for t in tuples]
+        assert repaired != tuples      # the budget binds on some tuples
+
+    @pytest.mark.parametrize("max_power", [40.0, 26.0])
+    def test_throughput_is_utility_of_returned_power(self, max_power):
+        cfg, topo, channel, alpha = tiny_instance(seed=9, max_power=max_power)
+        power, util = ga_optimize(channel, topo, cfg,
+                                  GAConfig(population_size=30, generations=20),
+                                  np.random.default_rng(3))
+        assert type(util) is float
+        assert util == network_utility(power, channel, topo, alpha)
+
     def test_bad_ga_config_rejected(self):
         with pytest.raises(ConfigError):
             GAConfig(population_size=1)
@@ -151,6 +180,22 @@ class TestExhaustive:
         channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
         power, util = exhaustive(channel, topo, space, alpha=0.5)
         assert util == 0.0
+        assert np.array_equal(power, [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("chunk", [1, 5, 80])
+    def test_chunk_boundaries_keep_result_and_tie_break(self, monkeypatch, chunk):
+        cfg = tiny_config()
+        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        _, topo, channel, alpha = tiny_instance(seed=7)
+        whole = exhaustive(channel, topo, space, alpha)
+        tie_space = enumerate_actions((1.0, 2.0), 1, 4.0)
+        tie_topo = synthetic_topology(2, 1, [100.0, 100.0])
+        tie_channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
+        monkeypatch.setattr(baselines_module, "EXHAUSTIVE_CHUNK", chunk)
+        power, util = exhaustive(channel, topo, space, alpha)
+        assert util == whole[1]
+        assert np.array_equal(power, whole[0])
+        power, _ = exhaustive(tie_channel, tie_topo, tie_space, alpha=0.5)
         assert np.array_equal(power, [[1.0], [1.0]])
 
 

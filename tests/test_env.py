@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cellpower import env as env_module
+from cellpower import netmodel
 from cellpower.env import (
     ActionSpace,
     EpisodeContext,
@@ -11,7 +13,7 @@ from cellpower.env import (
     actions_to_csv,
     enumerate_actions,
 )
-from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility
+from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility, serving_sinr
 
 from conftest import reference_utility, synthetic_channel, synthetic_topology, tiny_config
 
@@ -188,6 +190,25 @@ class TestStep:
             out1 = env.step(ctx1, a)
             out2 = env.step(ctx2, a)
             assert out1[3] == out2[3]
+
+    def test_one_serving_sinr_per_step(self, rng, monkeypatch):
+        env = PowerControlEnv(tiny_config())
+        ctx, _ = env.reset(rng)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return serving_sinr(*args, **kwargs)
+
+        # count the calls made directly and through network_utility
+        monkeypatch.setattr(env_module, "serving_sinr", counted)
+        monkeypatch.setattr(netmodel, "serving_sinr", counted)
+        state, _, _, throughput = env.step(ctx, [4, 0])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert np.array_equal(state, env.encode_state(ctx))
+        assert throughput == network_utility(ctx.current_power, ctx.channel,
+                                             ctx.topology, env.alpha)
 
     def test_step_cap_forces_terminal(self, rng):
         env = PowerControlEnv(tiny_config(), max_episode_steps=1)

@@ -272,6 +272,22 @@ class TestNetworkUtility:
                     / reference_utility(p2, channel, topo, alpha, log=math.log))
             assert abs(r_log2 - r_ln) < 1e-12
 
+    @pytest.mark.parametrize("num_cells", [5, 15])    # scenario1, scenario3 size
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    def test_batch_equals_per_allocation_loop(self, num_cells, batch):
+        cfg = ScenarioConfig(num_cells=num_cells)
+        rng = np.random.default_rng([num_cells, batch])
+        topo = build_topology(cfg, rng)
+        channel = draw_channel(topo, cfg, rng)
+        alpha = snr_gap(cfg.target_ber)
+        levels = np.asarray(cfg.power_levels)
+        power = levels[rng.integers(0, len(levels), size=(batch, num_cells, cfg.num_subbands))]
+        got = network_utility(power, channel, topo, alpha)
+        assert got.shape == (batch,)
+        loop = [network_utility(p, channel, topo, alpha) for p in power]
+        assert all(type(u) is float for u in loop)
+        assert got.tolist() == loop
+
     def test_invariant_to_user_relabeling_within_cell(self, rng):
         cfg, topo, channel, alpha = tiny_instance(seed=13)
         power = rng.uniform(1.0, 20.0, size=(2, 2))

@@ -267,6 +267,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut", [32, 40, 55])
+    def test_truncated_in_optimizer_constants_rejected(self, tmp_path, rng, cut):
+        # 8-byte magic and 24-byte size header, then three float64 constants
+        mlp = MLP.init((3, 4, 2), rng)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, mlp, RMSprop(mlp))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointError, match="optimizer constants"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         mlp = MLP.init((3, 4, 2), rng)
         path = tmp_path / "net.ckpt"
