@@ -190,6 +190,8 @@ class TestRecord:
     wmmse_throughput: float
     maxpower_throughput: float
     random_throughput: float
+    wmmse_iterations: int = 0
+    wmmse_converged: bool = False
 
 
 def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
@@ -240,5 +242,6 @@ def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
         rand_util = network_utility(rand_power, ctx.channel, ctx.topology, env.alpha)
 
         records.append(TestRecord(sample_seed, dql_throughput, dql_action,
-                                  ga_util, wm.throughput, max_util, rand_util))
+                                  ga_util, wm.throughput, max_util, rand_util,
+                                  wm.iterations, wm.converged))
     return records

@@ -176,93 +176,116 @@ def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
           alpha: float, max_iters: int = 500, tol: float = 1e-10) -> WmmseResult:
     """Weighted-MMSE power control on the scalar per-subband channel.
 
-    The subband-to-user map is frozen at the uniform-power assignment and
-    the SNR gap is folded into the direct gains, so the objective is the
-    network throughput at that fixed assignment. Per-BS budgets are enforced
-    through a bisected multiplier. The objective never decreases across
-    iterations; if the relative change fails to drop below `tol` within
-    max_iters the best iterate is returned with converged=False.
+    The subband-to-user map is frozen at the uniform-power assignment, which
+    leaves one virtual user per cell: on subband f it is the user that cell
+    serves there. The iterations maximize `network_utility` on that virtual
+    channel, and that objective never decreases; the per-BS budgets are
+    enforced through a multiplier solved for all cells at once. If the
+    relative change fails to drop below `tol` within max_iters the best
+    iterate is returned with converged=False. The reported throughput is
+    `network_utility` of the returned power on the real channel, under the
+    rate-max subband rule that scores every other method.
     """
     num_cells = topology.num_cells
     num_subbands = channel.num_subbands
     noise = channel.noise_power
-    bandwidth = channel.bandwidth_hz
 
     uniform = np.full((num_cells, num_subbands), max_power / num_subbands)
     assignment = assign_subbands(uniform, channel, topology, alpha)
 
-    # gain2[j, l, f]: power gain from BS l to the user served on (j, f),
-    # with the SNR gap folded into the direct (j == l) entries.
+    # gain2[j, l, f]: power gain from BS l to the user served on (j, f)
     gain2 = np.empty((num_cells, num_cells, num_subbands))
     for f in range(num_subbands):
         gain2[:, :, f] = channel.gain[assignment[:, f], :, f]
     diag = np.arange(num_cells)
-    gain2[diag, diag, :] *= alpha
-    direct = np.sqrt(gain2[diag, diag, :])                        # (K, F)
-
-    def objective(v):
-        received = gain2 * (v ** 2)[None, :, :]
-        signal = received[diag, diag, :].copy()
-        received[diag, diag, :] = 0.0
-        sinr = signal / (noise + received.sum(axis=1))
-        return float(bandwidth * np.log2(1.0 + sinr).sum())
+    virtual = ChannelRealization(gain2, noise, channel.bandwidth_hz)
+    # user j is served by cell j; positions and distances are never read
+    one_user_per_cell = Topology(topology.bs_positions, topology.bs_positions, diag,
+                                 np.zeros((num_cells, num_cells)), topology.cell_radius)
+    # the updates see the SNR gap folded into the direct (j == l) gains
+    folded = gain2.copy()
+    folded[diag, diag, :] *= alpha
+    direct = np.sqrt(folded[diag, diag, :])                       # (K, F)
 
     v = np.sqrt(uniform)
-    best_v = v.copy()
-    best_obj = objective(v)
+    best_v = v
+    best_obj = network_utility(v ** 2, virtual, one_user_per_cell, alpha)
     prev_obj = best_obj
     history = [best_obj]
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        power_rx = gain2 * (v ** 2)[None, :, :]
+        power_rx = folded * (v ** 2)[None, :, :]
         mmse_rx = direct * v / (noise + power_rx.sum(axis=1))        # (K, F)
         weight = 1.0 / (1.0 - mmse_rx * direct * v)
 
-        # v[k,f] = num / (den + mu_k), mu_k >= 0 bisected onto the budget
         num = weight * mmse_rx * direct
-        den = np.einsum("jf,jkf->kf", weight * mmse_rx ** 2, gain2)
-        for k in range(num_cells):
-            v[k] = _budget_projected(num[k], den[k], max_power)
+        den = np.einsum("jf,jkf->kf", weight * mmse_rx ** 2, folded)
+        v = _solve_budget(num, den, max_power)
 
-        obj = objective(v)
+        obj = network_utility(v ** 2, virtual, one_user_per_cell, alpha)
         history.append(obj)
         if obj > best_obj:
             best_obj = obj
-            best_v = v.copy()
+            best_v = v
         if abs(obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
             converged = True
             break
         prev_obj = obj
 
-    return WmmseResult(best_v ** 2, best_obj, converged, iterations, tuple(history))
+    power = best_v ** 2
+    return WmmseResult(power, network_utility(power, channel, topology, alpha),
+                       converged, iterations, tuple(history))
 
 
-def _budget_projected(num: np.ndarray, den: np.ndarray, max_power: float) -> np.ndarray:
-    """Solve v_f = num_f / (den_f + mu) with the smallest mu >= 0 such that
-    sum(v^2) <= max_power."""
+# Guard on the Newton steps of one budget solve; about five are taken.
+BUDGET_NEWTON_STEPS = 50
+
+
+def _solve_budget(num: np.ndarray, den: np.ndarray, max_power: float) -> np.ndarray:
+    """v[k, f] = num / (den + mu_k) with, for every cell k at once, the
+    smallest mu_k >= 0 such that sum_f v[k, f]^2 <= max_power.
+
+    A cell within budget at mu = 0 keeps mu = 0. The others run Newton's
+    method from mu = 0 on 1 / ||v(mu)|| = 1 / sqrt(max_power), until no
+    step exceeds one ulp of its mu. That function is concave and increasing
+    in mu (the trust-region secular equation of More and Sorensen), so
+    every iterate stays over budget and mu rises monotonically, and a
+    single subband is solved in one step. Newton on sum_f v^2 = max_power
+    directly is monotone too, but far over budget it gains only a factor
+    1.5 per step. Round-off can leave a cell a few ulps over budget at the
+    root; such a cell is shrunk onto the feasible side, so every row of the
+    result satisfies (v ** 2).sum() <= max_power with no tolerance.
+    """
     active = num > 0.0       # num > 0 implies den > 0; a zero stays a zero
-
-    def v_at(mu):
-        out = np.zeros_like(num)
-        out[active] = num[active] / (den[active] + mu)
-        return out
-
-    if np.sum(v_at(0.0) ** 2) <= max_power:
-        return v_at(0.0)
-    lo, hi = 0.0, 1.0
-    while np.sum(v_at(hi) ** 2) > max_power:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.sum(v_at(mid) ** 2) > max_power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
+    num = np.where(active, num, 0.0)
+    den = np.where(active, den, 1.0)
+    mu = np.zeros(len(num))
+    shifted = den                                                  # den + mu
+    for _ in range(BUDGET_NEWTON_STEPS):
+        v = num / shifted
+        square = v ** 2
+        total = square.sum(axis=1)
+        over = total > max_power
+        if not over.any():
+            return v
+        # d(total)/dmu = -2 * slope; cells within budget take no step
+        slope = (square / shifted).sum(axis=1)
+        step = (np.divide(total, slope, out=np.zeros_like(total), where=over)
+                * (np.sqrt(total / max_power) - 1.0))
+        mu += step
+        shifted = den + mu[:, None]
+        if np.all(step <= np.spacing(mu)):
             break
-    return v_at(hi)   # feasible side of the bracket
+    v = num / shifted
+    while True:
+        total = (v ** 2).sum(axis=1)
+        over = total > max_power
+        if not over.any():
+            return v
+        # a factor strictly below 1 shrinks every nonzero entry
+        v[over] *= np.nextafter(np.sqrt(max_power / total[over]), 0.0)[:, None]
 
 
 def max_power_baseline(config: ScenarioConfig, level: float = 12.8) -> np.ndarray:

@@ -70,6 +70,7 @@ def _cmd_baseline(args):
         0, 2 ** 63 - 1, size=10 if args.samples is None else args.samples)
     out = []
     for seed in (int(s) for s in seeds):
+        diagnostics = {}
         rng = np.random.default_rng([seed, 0])
         topo = build_topology(spec.config, rng)
         channel = draw_channel(topo, spec.config, rng)
@@ -77,8 +78,9 @@ def _cmd_baseline(args):
             _, util = baselines.ga_optimize(channel, topo, spec.config, spec.ga,
                                             np.random.default_rng([seed, 1]))
         elif args.name == "wmmse":
-            util = baselines.wmmse(channel, topo, spec.config.max_power,
-                                   env.alpha).throughput
+            res = baselines.wmmse(channel, topo, spec.config.max_power, env.alpha)
+            util = res.throughput
+            diagnostics = {"iterations": res.iterations, "converged": res.converged}
         elif args.name == "maxpower":
             power = baselines.max_power_baseline(spec.config, spec.max_power_level)
             util = network_utility(power, channel, topo, env.alpha)
@@ -90,7 +92,7 @@ def _cmd_baseline(args):
             _, util = baselines.exhaustive(channel, topo, env.actions, env.alpha)
         else:
             raise ValueError(f"unknown baseline {args.name!r}")
-        out.append({"channel_seed": seed, "throughput_bps": util})
+        out.append({"channel_seed": seed, "throughput_bps": util, **diagnostics})
     print(json.dumps(out, indent=2))
     return 0
 

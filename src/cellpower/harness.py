@@ -281,6 +281,8 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "train_steps": 0 if spec.checkpoint else spec.agent.train_steps,
         "gradient_steps": grad_steps,
         "episodes": len(episodes),
+        "wmmse_iterations": [r.wmmse_iterations for r in records],
+        "wmmse_converged": [r.wmmse_converged for r in records],
         "wall_time_s": round(time.time() - t0, 3),
     }
 

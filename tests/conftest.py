@@ -62,6 +62,33 @@ def reference_repair(genes, levels, max_power):
     return cell
 
 
+def reference_budget_projected(num, den, max_power):
+    """WMMSE's per-cell budget multiplier by bisection, as the solver ran it
+    before the vectorized Newton solve: v_f = num_f / (den_f + mu) with the
+    smallest mu >= 0 such that sum(v^2) <= max_power."""
+    active = num > 0.0       # num > 0 implies den > 0; a zero stays a zero
+
+    def v_at(mu):
+        out = np.zeros_like(num)
+        out[active] = num[active] / (den[active] + mu)
+        return out
+
+    if np.sum(v_at(0.0) ** 2) <= max_power:
+        return v_at(0.0)
+    lo, hi = 0.0, 1.0
+    while np.sum(v_at(hi) ** 2) > max_power:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.sum(v_at(mid) ** 2) > max_power:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return v_at(hi)   # feasible side of the bracket
+
+
 def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0) -> ChannelRealization:
     return ChannelRealization(np.asarray(gain, dtype=float), noise_power,
                               bandwidth_hz)

@@ -16,9 +16,18 @@ from cellpower.baselines import (
     wmmse,
 )
 from cellpower.env import enumerate_actions
-from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility, snr_gap
+from cellpower.harness import scenario_preset
+from cellpower.netmodel import (
+    ConfigError,
+    ScenarioConfig,
+    build_topology,
+    draw_channel,
+    network_utility,
+    snr_gap,
+)
 
 from conftest import (
+    reference_budget_projected,
     reference_repair,
     synthetic_channel,
     synthetic_topology,
@@ -243,7 +252,92 @@ class TestWmmse:
         res = wmmse(channel, topo, cfg.max_power, alpha, max_iters=1)
         assert not res.converged
         assert res.iterations == 1
-        assert res.throughput == max(res.objective_history)
+        assert res.throughput == network_utility(res.power, channel, topo, alpha)
+
+    def test_scored_by_network_utility_on_the_real_channel(self):
+        for seed in range(10):
+            cfg, topo, channel, alpha = tiny_instance(seed=60 + seed)
+            res = wmmse(channel, topo, cfg.max_power, alpha)
+            assert res.throughput == network_utility(res.power, channel, topo, alpha)
+            # the rate-max assignment is at least as good as the frozen one
+            assert res.throughput >= max(res.objective_history) * (1.0 - 1e-12)
+            # the frozen assignment is the rate-max one at uniform power
+            uniform = np.full_like(res.power, cfg.max_power / cfg.num_subbands)
+            assert res.objective_history[0] == pytest.approx(
+                network_utility(uniform, channel, topo, alpha), rel=1e-12)
+
+    def test_budget_solve_matches_per_cell_bisection_on_scenario1(self, monkeypatch):
+        cfg = scenario_preset("scenario1")
+        alpha = snr_gap(cfg.target_ber)
+        channels = []
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 0])
+            topo = build_topology(cfg, rng)
+            channels.append((topo, draw_channel(topo, cfg, rng)))
+        fast = [wmmse(ch, topo, cfg.max_power, alpha) for topo, ch in channels]
+
+        def per_cell(num, den, max_power):
+            return np.array([reference_budget_projected(n, d, max_power)
+                             for n, d in zip(num, den)])
+
+        monkeypatch.setattr(baselines_module, "_solve_budget", per_cell)
+        for (topo, ch), res in zip(channels, fast):
+            ref = wmmse(ch, topo, cfg.max_power, alpha)
+            np.testing.assert_allclose(res.power, ref.power, rtol=1e-9, atol=0.0)
+            assert res.iterations == ref.iterations == 500
+            assert np.all(res.power.sum(axis=1) <= cfg.max_power)
+            assert res.throughput == network_utility(res.power, ch, topo, alpha)
+
+
+def budget_inputs(rng, num_cells, num_subbands=3, max_power=40.0):
+    """Random multiplier-solve inputs: cells within budget, just over, and
+    up to 1e8 times over it, with zero num entries (some with den = 0)."""
+    den = rng.uniform(0.05, 2.0, size=(num_cells, num_subbands))
+    scale = rng.choice([0.5, 1.2, 3.0, 1e3, 1e8], size=num_cells)
+    num = (rng.uniform(0.2, 1.0, size=den.shape) * den
+           * math.sqrt(max_power / num_subbands) * scale[:, None])
+    zero = rng.random(den.shape) < 0.2
+    num[zero] = 0.0
+    den[zero & (rng.random(den.shape) < 0.5)] = 0.0
+    return num, den
+
+
+class TestBudgetSolve:
+    @pytest.mark.parametrize("num_cells", [1, 3, 15])
+    def test_matches_per_cell_bisection(self, num_cells):
+        rng = np.random.default_rng(num_cells)
+        max_power = 40.0
+        seen = {"zero": 0, "within": 0, "far_over": 0}
+        for _ in range(40):
+            num, den = budget_inputs(rng, num_cells, max_power=max_power)
+            if num_cells == 15:
+                num[3] = 0.0                     # a cell with nothing to send
+            v = baselines_module._solve_budget(num, den, max_power)
+            ref = np.array([reference_budget_projected(n, d, max_power)
+                            for n, d in zip(num, den)])
+            np.testing.assert_allclose(v, ref, rtol=1e-12, atol=0.0)
+            assert np.all((v ** 2).sum(axis=1) <= max_power)
+            assert np.all(v[num == 0.0] == 0.0)
+            active = num > 0.0
+            unconstrained = np.zeros_like(num)
+            unconstrained[active] = num[active] / den[active]
+            need = (unconstrained ** 2).sum(axis=1)
+            seen["zero"] += int((num == 0.0).sum())
+            seen["within"] += int((need <= max_power).sum())
+            seen["far_over"] += int((need > 1e6 * max_power).sum())
+            # a cell within budget keeps mu = 0
+            within = need <= max_power
+            assert np.array_equal(v[within], unconstrained[within])
+        assert all(count > 0 for count in seen.values())
+
+    def test_single_subband_lands_on_the_budget(self):
+        num = np.array([[3.0], [50.0], [0.0]])
+        den = np.array([[1.0], [0.5], [0.0]])
+        v = baselines_module._solve_budget(num, den, 4.0)
+        assert v[0, 0] == pytest.approx(2.0, rel=1e-15)
+        assert v[1, 0] == pytest.approx(2.0, rel=1e-15)
+        assert v[2, 0] == 0.0
+        assert np.all((v ** 2).sum(axis=1) <= 4.0)
 
 
 class TestMaxPower:

@@ -8,7 +8,7 @@ import pytest
 from cellpower import agent as ag
 from cellpower.agent import AgentConfig
 from cellpower.agent import TestRecord as EvalRecord
-from cellpower.baselines import GAConfig
+from cellpower.baselines import GAConfig, wmmse
 from cellpower.cli import main as cli_main
 from cellpower.env import PowerControlEnv
 from cellpower.harness import (
@@ -176,6 +176,21 @@ class TestRunExperiment:
             open(os.path.join(spec.output_dir, "report.json")).read())
         assert on_disk["mean"]["ga"] == 1.0
 
+    def test_wmmse_diagnostics_per_sample(self, tmp_path):
+        spec = small_spec(tmp_path / "run")
+        run_experiment(spec)
+        meta = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
+        with open(os.path.join(spec.output_dir, "results.csv")) as f:
+            seeds = [int(line.split(",")[1]) for line in f.read().splitlines()[1:]]
+        env = PowerControlEnv(spec.config)
+        assert len(meta["wmmse_iterations"]) == len(meta["wmmse_converged"]) == 3
+        for i, seed in enumerate(seeds):
+            ctx, _ = env.reset(np.random.default_rng([seed, 0]))
+            res = wmmse(ctx.channel, ctx.topology, spec.config.max_power, env.alpha)
+            assert meta["wmmse_iterations"][i] == res.iterations
+            assert meta["wmmse_converged"][i] is res.converged
+
     def test_reference_scenario_dimensions_in_metadata(self, tmp_path):
         spec = small_spec(tmp_path / "run", n_samples=1)
         spec.scenario = "scenario1"
@@ -332,6 +347,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 2
         assert all(p["throughput_bps"] > 0 for p in payload)
+
+    def test_baseline_wmmse_reports_convergence(self, capsys):
+        code = cli_main(["baseline", "wmmse", "--scenario", "scenario1",
+                         "--samples", "2", "--seed", "4"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 2
+        for p in payload:
+            assert p["throughput_bps"] > 0
+            assert 1 <= p["iterations"] <= 500
+            assert p["converged"] in (True, False)
 
     def test_compare_with_config_file(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
