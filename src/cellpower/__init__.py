@@ -7,11 +7,9 @@ from .netmodel import (
     Topology,
     assign_subbands,
     build_topology,
-    cqi_quantize,
     draw_channel,
     location_indicator,
     network_utility,
-    sinr,
     snr_gap,
 )
 from .env import ActionSpace, PowerControlEnv, Transition, enumerate_actions

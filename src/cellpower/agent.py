@@ -36,6 +36,8 @@ class AgentConfig:
         for name in ("epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} outside [0, 1]")
+        if self.train_steps < 0:
+            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
         if self.target_update_steps < 1:
             raise ValueError("target_update_steps must be >= 1")
         if self.batch_size < 1:
@@ -113,14 +115,12 @@ class TrainResult:
 
 def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
           config: AgentConfig, rng: np.random.Generator,
-          opt: RMSprop | None = None, on_step=None,
-          start_step: int = 0) -> TrainResult:
+          opt: RMSprop | None = None, on_step=None) -> TrainResult:
     """Run episodic epsilon-greedy training until config.train_steps env steps.
 
     on_step, if given, is called after every environment step as
     on_step(step, grad_steps, mlp, target); used for interval checkpoints
-    and diagnostics. start_step resumes the global step counter (and with it
-    the epsilon schedule) from a checkpointed run.
+    and diagnostics.
     """
     num_cells = env.config.num_cells
     if opt is None:
@@ -136,7 +136,7 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
     target = mlp.clone()
 
     episodes = []
-    step = start_step
+    step = 0
     grad_steps = 0
     episode = 0
     while step < config.train_steps:
@@ -211,10 +211,16 @@ def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
     return ctx, best_action, best_throughput
 
 
+def sample_seeds(seed: int, n_samples: int) -> list:
+    """Per-sample seeds of a test phase; sample s draws its channel from
+    the generator seeded [s, 0]."""
+    return [int(s) for s in np.random.default_rng(seed).integers(
+        0, 2 ** 63 - 1, size=n_samples)]
+
+
 def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
          ga_config: baselines.GAConfig | None = None,
-         max_power_level: float = 12.8,
-         wmmse_iters: int = 500) -> list:
+         max_power_level: float = 12.8) -> list:
     """Greedy policy vs. GA / WMMSE / max-power / random on shared channels.
 
     Each sample draws a fresh channel from its own recorded seed; every
@@ -222,26 +228,15 @@ def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
     """
     if ga_config is None:
         ga_config = baselines.GAConfig()
-    sample_seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1,
-                                                        size=n_samples)
     records = []
-    for sample_seed in sample_seeds:
-        sample_seed = int(sample_seed)
+    for sample_seed in sample_seeds(seed, n_samples):
         ctx, dql_action, dql_throughput = greedy_rollout(
             env, mlp, np.random.default_rng([sample_seed, 0]))
-
-        _, ga_util = baselines.ga_optimize(
-            ctx.channel, ctx.topology, env.config, ga_config,
-            np.random.default_rng([sample_seed, 1]))
-        wm = baselines.wmmse(ctx.channel, ctx.topology, env.config.max_power,
-                             env.alpha, max_iters=wmmse_iters)
-        max_power = baselines.max_power_baseline(env.config, max_power_level)
-        max_util = network_utility(max_power, ctx.channel, ctx.topology, env.alpha)
-        rand_power = baselines.random_power_baseline(
-            env.actions, env.config.num_cells, np.random.default_rng([sample_seed, 2]))
-        rand_util = network_utility(rand_power, ctx.channel, ctx.topology, env.alpha)
-
+        (ga, _), (wm, wm_diag), (mx, _), (rnd, _) = (
+            baselines.score(name, ctx.channel, ctx.topology, env, sample_seed,
+                            ga_config, max_power_level)
+            for name in ("ga", "wmmse", "maxpower", "random"))
         records.append(TestRecord(sample_seed, dql_throughput, dql_action,
-                                  ga_util, wm.throughput, max_util, rand_util,
-                                  wm.iterations, wm.converged))
+                                  ga, wm, mx, rnd, wm_diag["iterations"],
+                                  wm_diag["converged"]))
     return records

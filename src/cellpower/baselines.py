@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ActionSpace
+from .env import ActionSpace, PowerControlEnv
 from .netmodel import (
     BUDGET_TOL,
     ChannelRealization,
@@ -302,3 +302,38 @@ def random_power_baseline(action_space: ActionSpace, num_cells: int,
     """Independently uniform feasible action per cell."""
     joint = rng.integers(0, action_space.size, size=num_cells)
     return action_space.joint_power(joint)
+
+
+BASELINES = ("ga", "wmmse", "maxpower", "random", "exhaustive")
+
+
+def score(name: str, channel: ChannelRealization, topology: Topology,
+          env: PowerControlEnv, sample_seed: int, ga_config: GAConfig,
+          max_power_level: float) -> tuple[float, dict]:
+    """Throughput in bits/s of reference solver `name` on one frozen
+    channel, and its diagnostics: WMMSE's iteration count and convergence,
+    nothing for the others.
+
+    A test sample with seed s draws its channel from [s, 0]; GA draws from
+    [s, 1] and the random allocation from [s, 2]. Each solver is looked up
+    in this module when called, so a rebound solver is the one that runs.
+    """
+    config, alpha = env.config, env.alpha
+    if name == "ga":
+        _, util = ga_optimize(channel, topology, config, ga_config,
+                              np.random.default_rng([sample_seed, 1]))
+        return util, {}
+    if name == "wmmse":
+        res = wmmse(channel, topology, config.max_power, alpha)
+        return res.throughput, {"iterations": res.iterations,
+                                "converged": res.converged}
+    if name == "exhaustive":
+        return exhaustive(channel, topology, env.actions, alpha)[1], {}
+    if name == "maxpower":
+        power = max_power_baseline(config, max_power_level)
+    elif name == "random":
+        power = random_power_baseline(env.actions, config.num_cells,
+                                      np.random.default_rng([sample_seed, 2]))
+    else:
+        raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
+    return network_utility(power, channel, topology, alpha), {}

@@ -6,9 +6,8 @@ import sys
 
 import numpy as np
 
-from . import baselines, harness
+from . import agent, baselines, harness
 from .env import actions_to_csv
-from .netmodel import build_topology, draw_channel, network_utility
 
 
 def _add_common(p):
@@ -19,79 +18,34 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory")
 
 
-def _build_spec(args, **extra) -> harness.ExperimentSpec:
+def _build_spec(args) -> harness.ExperimentSpec:
     overrides = {"scenario": args.scenario, "master_seed": args.seed,
-                 "output_dir": args.out}
-    overrides.update(extra)
+                 "output_dir": args.out, "checkpoint": args.checkpoint,
+                 "train_steps": args.steps, "n_test_samples": args.samples}
     if args.config:
         return harness.spec_from_file(args.config, **overrides)
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    scenario = overrides.pop("scenario", "scenario1")
-    return harness.ExperimentSpec(scenario=scenario,
-                                  config=harness.scenario_preset(scenario),
-                                  **overrides)
+    return harness.spec_from_values({"scenario": "scenario1", **overrides})
 
 
-def _cmd_train(args):
-    spec = _build_spec(args)
-    if args.steps is not None:
-        spec.agent.train_steps = args.steps
-    # train is a pure training run unless an evaluation size is requested
-    spec.n_test_samples = args.samples if args.samples is not None else 0
-    report = harness.run_experiment(spec)
-    print(report.to_json())
-    return 0
-
-
-def _cmd_test(args):
-    spec = _build_spec(args, checkpoint=args.checkpoint)
-    if args.samples is not None:
-        spec.n_test_samples = args.samples
-    report = harness.run_experiment(spec)
-    print(report.to_json())
-    return 0
-
-
-def _cmd_compare(args):
-    spec = _build_spec(args, checkpoint=args.checkpoint)
-    if args.steps is not None:
-        spec.agent.train_steps = args.steps
-    if args.samples is not None:
-        spec.n_test_samples = args.samples
-    report = harness.run_experiment(spec)
+def _cmd_run(args):
+    """train, test and compare: one run of harness.run_experiment."""
+    report = harness.run_experiment(_build_spec(args))
     print(report.to_json())
     return 0
 
 
 def _cmd_baseline(args):
+    """Score one reference solver on the channels of the test phase."""
     spec = _build_spec(args)
     env = harness.build_env(spec)
-    seeds = np.random.default_rng(spec.master_seed).integers(
-        0, 2 ** 63 - 1, size=10 if args.samples is None else args.samples)
     out = []
-    for seed in (int(s) for s in seeds):
-        diagnostics = {}
-        rng = np.random.default_rng([seed, 0])
-        topo = build_topology(spec.config, rng)
-        channel = draw_channel(topo, spec.config, rng)
-        if args.name == "ga":
-            _, util = baselines.ga_optimize(channel, topo, spec.config, spec.ga,
-                                            np.random.default_rng([seed, 1]))
-        elif args.name == "wmmse":
-            res = baselines.wmmse(channel, topo, spec.config.max_power, env.alpha)
-            util = res.throughput
-            diagnostics = {"iterations": res.iterations, "converged": res.converged}
-        elif args.name == "maxpower":
-            power = baselines.max_power_baseline(spec.config, spec.max_power_level)
-            util = network_utility(power, channel, topo, env.alpha)
-        elif args.name == "random":
-            power = baselines.random_power_baseline(
-                env.actions, spec.config.num_cells, np.random.default_rng([seed, 2]))
-            util = network_utility(power, channel, topo, env.alpha)
-        elif args.name == "exhaustive":
-            _, util = baselines.exhaustive(channel, topo, env.actions, env.alpha)
-        else:
-            raise ValueError(f"unknown baseline {args.name!r}")
+    for seed in agent.sample_seeds(harness.evaluation_seed(spec.master_seed),
+                                   spec.n_test_samples):
+        ctx, _ = env.reset(np.random.default_rng([seed, 0]))
+        util, diagnostics = baselines.score(args.name, ctx.channel, ctx.topology,
+                                            env, seed, spec.ga,
+                                            spec.max_power_level)
         out.append({"channel_seed": seed, "throughput_bps": util, **diagnostics})
     print(json.dumps(out, indent=2))
     return 0
@@ -110,34 +64,38 @@ def main(argv=None) -> int:
         description="Deep-Q downlink power allocation for multi-cell networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every command reads checkpoint, steps and samples; set_defaults fills
+    # in those a command takes no flag for.
     p = sub.add_parser("train", help="train a Q-network and write artifacts")
     _add_common(p)
     p.add_argument("--steps", type=int, default=None, help="training step budget")
-    p.add_argument("--samples", type=int, default=None, help="post-train test samples")
-    p.set_defaults(fn=_cmd_train)
+    p.add_argument("--samples", type=int, default=0,
+                   help="post-train test samples (default 0)")
+    p.set_defaults(fn=_cmd_run, checkpoint=None)
 
     p = sub.add_parser("test", help="evaluate a checkpoint against all baselines")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=_cmd_test)
+    p.set_defaults(fn=_cmd_run, steps=None)
 
     p = sub.add_parser("compare", help="train (or load) then benchmark all methods")
     _add_common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=_cmd_compare)
+    p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("baseline", help="run one reference solver on fresh channels")
-    p.add_argument("name", choices=["ga", "wmmse", "maxpower", "random", "exhaustive"])
+    p = sub.add_parser("baseline",
+                       help="run one reference solver on the test-phase channels")
+    p.add_argument("name", choices=baselines.BASELINES)
     _add_common(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=_cmd_baseline)
+    p.add_argument("--samples", type=int, default=10)
+    p.set_defaults(fn=_cmd_baseline, checkpoint=None, steps=None)
 
     p = sub.add_parser("dump-actions", help="print the feasible action table as CSV")
     _add_common(p)
-    p.set_defaults(fn=_cmd_dump_actions)
+    p.set_defaults(fn=_cmd_dump_actions, checkpoint=None, steps=None, samples=None)
 
     args = parser.parse_args(argv)
     try:

@@ -102,13 +102,12 @@ class PowerControlEnv:
     """
 
     def __init__(self, config: ScenarioConfig, terminal_reward: float = -1.0,
-                 step_reward: float = 1.0, max_episode_steps: int = 500):
+                 max_episode_steps: int = 500):
         self.config = config
         self.alpha = snr_gap(config.target_ber)
         self.actions = enumerate_actions(config.power_levels, config.num_subbands,
                                          config.max_power)
         self.terminal_reward = terminal_reward
-        self.step_reward = step_reward
         self.max_episode_steps = max_episode_steps
 
     @property
@@ -167,7 +166,7 @@ class PowerControlEnv:
         ctx.step_count += 1
         terminal = (throughput <= ctx.previous_throughput
                     or ctx.step_count >= self.max_episode_steps)
-        reward = self.terminal_reward if terminal else self.step_reward
+        reward = self.terminal_reward if terminal else 1.0
         ctx.previous_throughput = throughput
         ctx.terminal = terminal
         return self.encode_state(ctx, sinr), reward, terminal, throughput

@@ -48,6 +48,9 @@ class ExperimentSpec:
     checkpoint_interval: int | None = None   # env steps between periodic saves
 
     def __post_init__(self):
+        if self.n_test_samples < 0:
+            raise ConfigError(
+                f"n_test_samples must be >= 0, got {self.n_test_samples}")
         if self.max_episode_steps < 1:
             raise ConfigError(
                 f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
@@ -91,14 +94,21 @@ def _coerce(value: str):
 
 
 def spec_from_file(path, **cli_overrides) -> ExperimentSpec:
-    """Build an ExperimentSpec from a key/value file plus CLI overrides.
+    """Build an ExperimentSpec from a key/value file plus CLI overrides;
+    an override of None keeps the file's value."""
+    raw = parse_kv_file(path)
+    raw.update({k: v for k, v in cli_overrides.items() if v is not None})
+    return spec_from_values(raw)
+
+
+def spec_from_values(values: dict) -> ExperimentSpec:
+    """Build an ExperimentSpec from flat key/value pairs; string values are
+    coerced as in a config file.
 
     GA keys carry a `ga_` prefix; scenario/agent keys use their field names.
     """
-    raw = parse_kv_file(path)
-    raw.update({k: v for k, v in cli_overrides.items() if v is not None})
     scenario_kv, agent_kv, ga_kv, spec_kv = {}, {}, {}, {}
-    for key, value in raw.items():
+    for key, value in values.items():
         coerced = _coerce(value) if isinstance(value, str) else value
         if key.startswith("ga_"):
             ga_kv[key[3:]] = coerced
@@ -222,6 +232,11 @@ def network_sizes(spec: ExperimentSpec, env: PowerControlEnv) -> tuple[int, int,
     return (env.state_size, hidden, env.num_actions)
 
 
+def evaluation_seed(master_seed: int) -> int:
+    """Seed of the test phase of a run; agent.sample_seeds expands it."""
+    return int(np.random.default_rng([master_seed, 12]).integers(0, 2 ** 63 - 1))
+
+
 def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     """Train (or load), evaluate against all baselines on shared channels,
     and write training_log.csv / results.csv / report.json / checkpoint.
@@ -257,8 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             _write_text(os.path.join(spec.output_dir, "training_log.csv"),
                         training_log_csv(episodes))
 
-    test_seed = int(np.random.default_rng([spec.master_seed, 12]
-                                          ).integers(0, 2 ** 63 - 1))
+    test_seed = evaluation_seed(spec.master_seed)
     if spec.n_test_samples > 0:
         records = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,
                                  ga_config=spec.ga,

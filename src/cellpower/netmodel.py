@@ -28,10 +28,6 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
-
-
 def dbm_per_hz_to_watts(density_dbm_hz: float, bandwidth_hz: float) -> float:
     """Noise power in watts over one subband of the given bandwidth."""
     return 10.0 ** ((density_dbm_hz - 30.0) / 10.0) * bandwidth_hz
@@ -128,9 +124,6 @@ class Topology:
         """Distance of each user to its serving BS, (K*U,)."""
         return self.bs_distance[np.arange(self.num_users), self.association]
 
-    def cell_users(self, k: int) -> range:
-        u = self.users_per_cell
-        return range(k * u, (k + 1) * u)
 
 
 def _hex_spiral(count: int, pitch: float) -> np.ndarray:
@@ -212,35 +205,6 @@ def draw_channel(topology: Topology, config: ScenarioConfig,
     return ChannelRealization(gain, config.noise_power, config.subband_bandwidth_hz)
 
 
-def validate_power(power: np.ndarray, config: ScenarioConfig,
-                   discrete: bool = False) -> None:
-    """Check the per-cell budget (and optionally the discrete level set)."""
-    power = np.asarray(power, dtype=float)
-    if power.shape != (config.num_cells, config.num_subbands):
-        raise ConfigError(f"power allocation shape {power.shape} != "
-                          f"({config.num_cells}, {config.num_subbands})")
-    if np.any(power < 0):
-        raise ConfigError("negative transmit power")
-    totals = power.sum(axis=1)
-    if np.any(totals > config.max_power + BUDGET_TOL):
-        raise ConfigError(f"per-cell budget {config.max_power} W exceeded: {totals}")
-    if discrete:
-        levels = np.asarray(config.power_levels)
-        if not np.all(np.isin(power, levels)):
-            raise ConfigError("allocation uses powers outside the level set")
-
-
-def sinr(power: np.ndarray, channel: ChannelRealization,
-         user: int, cell: int, subband: int) -> float:
-    """SINR of one user served by `cell` on `subband` under allocation `power`."""
-    received = power[:, subband] * channel.gain[user, :, subband]
-    signal = received[cell]
-    # sum interferers directly; total-minus-signal cancels catastrophically
-    # when the serving link dominates
-    received[cell] = 0.0
-    return float(signal / (channel.noise_power + received.sum()))
-
-
 def serving_sinr(power: np.ndarray, channel: ChannelRealization,
                  topology: Topology) -> np.ndarray:
     """SINR of every user w.r.t. its serving cell.
@@ -308,15 +272,8 @@ CQI_LEVELS = 15
 _CQI_BIN_DB = (CQI_MAX_DB - CQI_MIN_DB) / CQI_LEVELS
 
 
-def cqi_quantize(sinr_value: float) -> int:
-    """Quantize one linear SINR to a CQI index in 1..15."""
-    db = 10.0 * math.log10(max(float(sinr_value), 10.0 ** (CQI_MIN_DB / 10.0)))
-    idx = 1 + math.floor((db - CQI_MIN_DB) / _CQI_BIN_DB)
-    return min(max(idx, 1), CQI_LEVELS)
-
-
 def cqi_quantize_array(sinr_values: np.ndarray) -> np.ndarray:
-    """Vectorized cqi_quantize."""
+    """Quantize linear SINRs to CQI indices in 1..15."""
     floored = np.maximum(np.asarray(sinr_values, dtype=float),
                          10.0 ** (CQI_MIN_DB / 10.0))
     db = 10.0 * np.log10(floored)

@@ -40,16 +40,29 @@ def reference_sinr(power, channel, user, cell, subband):
 
 
 def reference_utility(power, channel, topo, alpha, log=math.log2):
-    """Brute-force objective: per (cell, subband), the best user's rate."""
+    """Brute-force objective: per (cell, subband), the best user's rate.
+    Users are cell-major: cell k serves users k*U .. (k+1)*U - 1."""
+    u = topo.users_per_cell
     total = 0.0
     for k in range(topo.num_cells):
         for f in range(channel.num_subbands):
             best = max(
                 channel.bandwidth_hz
-                * log(1.0 + alpha * reference_sinr(power, channel, u, k, f))
-                for u in topo.cell_users(k))
+                * log(1.0 + alpha * reference_sinr(power, channel, user, k, f))
+                for user in range(k * u, (k + 1) * u))
             total += best
     return total
+
+
+def reference_cqi(sinr):
+    """CQI index of one linear SINR from the bin definition: 15 equal bins
+    over [-10 dB, +30 dB], bin i covering [-10 + (i-1) * 40/15, -10 + i *
+    40/15) dB, with everything below the first bin in bin 1 and everything
+    above the last in bin 15."""
+    if sinr <= 0.0:
+        return 1
+    db = 10.0 * math.log10(sinr)
+    return min(max(1 + math.floor((db + 10.0) / (40.0 / 15.0)), 1), 15)
 
 
 def reference_repair(genes, levels, max_power):

@@ -153,6 +153,7 @@ def test_criterion_5_wmmse_monotonicity():
     assert time.time() - t0 < 60.0
 
 
+@pytest.mark.slow
 @criterion("6. desk-scale learning: DQL >= 0.95 GA, > random, >= max-power")
 def test_criterion_6_desk_scale_learning(desk_scale_report):
     assert DESK_TRAIN_STEPS <= 200_000

@@ -59,6 +59,10 @@ def test_reference_hyperparameter_defaults():
 
 
 class TestAgentConfigValidation:
+    def test_negative_train_steps_rejected(self):
+        with pytest.raises(ValueError, match="train_steps"):
+            AgentConfig(train_steps=-5)
+
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             AgentConfig(batch_size=0)

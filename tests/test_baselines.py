@@ -13,9 +13,10 @@ from cellpower.baselines import (
     ga_optimize,
     max_power_baseline,
     random_power_baseline,
+    score,
     wmmse,
 )
-from cellpower.env import enumerate_actions
+from cellpower.env import PowerControlEnv, enumerate_actions
 from cellpower.harness import scenario_preset
 from cellpower.netmodel import (
     ConfigError,
@@ -381,3 +382,37 @@ class TestRandomPower:
         for _ in range(200):
             power = random_power_baseline(space, 2, rng)
             assert np.all(power.sum(axis=1) <= cfg.max_power + 1e-9)
+
+
+class TestScore:
+    """The per-sample scorer: each solver on the given channel, with GA and
+    the random allocation seeded from the sample seed."""
+
+    def setup_method(self):
+        self.env = PowerControlEnv(tiny_config())
+        self.ctx, _ = self.env.reset(np.random.default_rng([77, 0]))
+        self.ga = GAConfig(population_size=8, generations=5)
+
+    def run(self, name):
+        return score(name, self.ctx.channel, self.ctx.topology, self.env, 77,
+                     self.ga, 12.8)
+
+    def test_seed_layout_and_values(self):
+        env, ch, topo = self.env, self.ctx.channel, self.ctx.topology
+        assert self.run("ga") == (ga_optimize(
+            ch, topo, env.config, self.ga, np.random.default_rng([77, 1]))[1], {})
+        rand = random_power_baseline(env.actions, 2, np.random.default_rng([77, 2]))
+        assert self.run("random") == (network_utility(rand, ch, topo, env.alpha), {})
+        mx = max_power_baseline(env.config, 12.8)
+        assert self.run("maxpower") == (network_utility(mx, ch, topo, env.alpha), {})
+        assert self.run("exhaustive") == (
+            exhaustive(ch, topo, env.actions, env.alpha)[1], {})
+
+    def test_wmmse_diagnostics(self):
+        res = wmmse(self.ctx.channel, self.ctx.topology, 40.0, self.env.alpha)
+        assert self.run("wmmse") == (res.throughput, {
+            "iterations": res.iterations, "converged": res.converged})
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown baseline"):
+            self.run("oracle")

@@ -24,7 +24,6 @@ from cellpower.harness import (
 )
 from cellpower.netmodel import ConfigError, ScenarioConfig
 from cellpower.qnet import MLP, RMSprop, save_checkpoint
-from cellpower.replay import ReplayBuffer
 
 from conftest import tiny_config
 
@@ -303,33 +302,41 @@ class TestCheckpointing:
         loaded, _ = load_network(path, expected_sizes=(200, 1440, 720))
         assert loaded.layer_sizes == (200, 1440, 720)
 
-    def test_resume_is_bit_exact(self, tmp_path):
-        env = PowerControlEnv(tiny_config(users_per_cell=2))
-        cfg = AgentConfig(train_steps=60, batch_size=8, train_start=8,
-                          target_update_steps=10, epsilon_anneal_steps=30)
-        rng = np.random.default_rng(3)
-        mlp = MLP.init((env.state_size, 10, env.num_actions), rng)
-        opt = RMSprop(mlp, cfg.learning_rate)
-        buffer = ReplayBuffer(500)
 
-        half = AgentConfig(**{**cfg.__dict__, "train_steps": 30})
-        ag.train(env, mlp, buffer, half, rng, opt=opt)
-        path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, mlp, opt)
-        rng_state = rng.bit_generator.state
-        buffer_copy = ReplayBuffer(500)
-        buffer_copy._storage = list(buffer._storage)
-        buffer_copy._cursor = buffer._cursor
+TINY_CFG = ("scenario = custom\n"
+            "num_cells = 2\nusers_per_cell = 2\nnum_subbands = 2\n"
+            "power_levels = 6.4, 12.8, 19.2\nmax_power = 40.0\n"
+            "train_steps = 0\nn_test_samples = 3\n"
+            "ga_population_size = 8\nga_generations = 5\n")
 
-        ag.train(env, mlp, buffer, cfg, rng, opt=opt, start_step=30)
-        finished = [p.copy() for p in mlp.parameters()]
 
-        resumed, ropt = load_network(path)
-        rng2 = np.random.default_rng(3)
-        rng2.bit_generator.state = rng_state
-        ag.train(env, resumed, buffer_copy, cfg, rng2, opt=ropt, start_step=30)
-        for a, b in zip(finished, resumed.parameters()):
-            assert np.array_equal(a, b)
+class TestNegativeSizes:
+    def test_negative_samples_rejected_by_spec(self):
+        with pytest.raises(ConfigError, match="n_test_samples"):
+            ExperimentSpec(n_test_samples=-1)
+
+    def test_negative_samples_in_config_file_rejected(self, tmp_path):
+        cfg_file = tmp_path / "neg.cfg"
+        cfg_file.write_text(TINY_CFG.replace("n_test_samples = 3",
+                                             "n_test_samples = -3"))
+        with pytest.raises(ConfigError, match="n_test_samples"):
+            spec_from_file(cfg_file)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["compare", "--samples", "-1"], "n_test_samples"),
+        (["compare", "--steps", "-5"], "train_steps"),
+        (["train", "--steps", "-5"], "train_steps"),
+        (["train", "--samples", "-1"], "n_test_samples"),
+        (["baseline", "maxpower", "--samples", "-1"], "n_test_samples"),
+    ])
+    def test_cli_names_the_key(self, capsys, tmp_path, argv, key):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG)
+        code = cli_main(argv + ["--config", str(cfg_file),
+                                "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -419,3 +426,42 @@ class TestCli:
         assert cli_main(["test", "--checkpoint", "/nonexistent.ckpt"]) == 1
         assert "error:" in capsys.readouterr().err
         assert cli_main(["compare", "--config", "/nonexistent.cfg"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--checkpoint", "x"],
+        ["test", "--checkpoint", "x", "--steps", "5"],
+        ["test"],
+    ])
+    def test_flags_outside_a_command_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+
+    def test_train_defaults_to_zero_test_samples(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG)
+        out = tmp_path / "trained"
+        assert cli_main(["train", "--config", str(cfg_file),
+                         "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["n_test_samples"] == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["n_test_samples"] == 0
+        assert (out / "results.csv").read_text().count("\n") == 1   # header only
+
+    def test_baseline_scores_the_test_phase_channels(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG)
+        out = tmp_path / "cmp"
+        assert cli_main(["compare", "--config", str(cfg_file), "--seed", "3",
+                         "--samples", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in
+                (out / "results.csv").read_text().strip().split("\n")]
+        header, rows = rows[0], rows[1:]
+        for name in ("ga", "wmmse", "maxpower", "random"):
+            assert cli_main(["baseline", name, "--config", str(cfg_file),
+                             "--seed", "3", "--samples", "4"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            col = header.index(f"{name}_bps")
+            assert [(str(p["channel_seed"]), repr(p["throughput_bps"]))
+                    for p in payload] == [(r[1], r[col]) for r in rows]
