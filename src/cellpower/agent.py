@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .env import PowerControlEnv, Transition
+from .env import PowerControlEnv
 from .netmodel import network_utility
 from .qnet import MLP, RMSprop, train_batch
 from .replay import ReplayBuffer
@@ -48,6 +48,11 @@ class AgentConfig:
             raise ValueError(
                 f"replay_capacity ({self.replay_capacity}) must be >= the "
                 f"resolved train_start ({self.resolved_train_start()})")
+        if 0 < self.train_steps < self.resolved_train_start():
+            # training would end before its first gradient step
+            raise ValueError(
+                f"train_steps ({self.train_steps}) must be 0 (no training) or "
+                f">= the resolved train_start ({self.resolved_train_start()})")
 
     def epsilon_at(self, step: int) -> float:
         anneal = self.epsilon_anneal_steps
@@ -79,19 +84,16 @@ def select_joint_action(q_values: np.ndarray, epsilon: float, num_cells: int,
     return choice
 
 
-def bellman_targets(target_net: MLP, transitions, discount: float,
+def bellman_targets(target_net: MLP, rewards: np.ndarray, next_states: np.ndarray,
+                    terminals: np.ndarray, discount: float,
                     num_cells: int) -> np.ndarray:
     """Per-cell targets y_k = r (terminal) or r + gamma * max over the cell's
     block of target-network values at the next state."""
-    rewards = np.array([t.reward for t in transitions])
-    next_states = np.stack([t.next_state for t in transitions])
     q_next = target_net.forward(next_states)
-    n = len(transitions)
     block = q_next.shape[1] // num_cells
-    block_max = q_next.reshape(n, num_cells, block).max(axis=2)
+    block_max = q_next.reshape(len(rewards), num_cells, block).max(axis=2)
     y = rewards[:, None] + discount * block_max
-    terminal = np.array([t.terminal for t in transitions])
-    y[terminal] = rewards[terminal, None]
+    y[terminals] = rewards[terminals, None]
     return y
 
 
@@ -149,18 +151,17 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
             eps = config.epsilon_at(step)
             action = select_joint_action(mlp.forward(state), eps, num_cells, rng)
             next_state, reward, terminal, throughput = env.step(ctx, action)
-            buffer.push(Transition(state, tuple(int(a) for a in action),
-                                   reward, next_state, terminal))
+            buffer.push(state, action, reward, next_state, terminal)
             state = next_state
             step += 1
             ep_len += 1
             ep_peak = max(ep_peak, throughput)
 
             if len(buffer) >= train_start and step % config.train_every == 0:
-                batch = buffer.sample(config.batch_size, rng)
-                targets = bellman_targets(target, batch, config.discount, num_cells)
-                states = np.stack([t.state for t in batch])
-                actions = np.array([t.joint_action for t in batch])
+                states, actions, rewards, next_states, terminals = buffer.sample(
+                    config.batch_size, rng)
+                targets = bellman_targets(target, rewards, next_states, terminals,
+                                          config.discount, num_cells)
                 try:
                     loss = train_batch(mlp, opt, states, actions, targets,
                                        env.actions.size)
@@ -181,15 +182,16 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
     return TrainResult(mlp, opt, episodes, grad_steps)
 
 
+# The compared methods: the greedy policy, then the reference solvers that
+# baselines.score runs, in the column order of results.csv.
+METHODS = ("dql", "ga", "wmmse", "maxpower", "random")
+
+
 @dataclass
 class TestRecord:
     channel_seed: int
-    dql_throughput: float
     dql_action: tuple
-    ga_throughput: float
-    wmmse_throughput: float
-    maxpower_throughput: float
-    random_throughput: float
+    throughput: dict               # method in METHODS -> bits/s
     wmmse_iterations: int = 0
     wmmse_converged: bool = False
 
@@ -232,11 +234,12 @@ def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
     for sample_seed in sample_seeds(seed, n_samples):
         ctx, dql_action, dql_throughput = greedy_rollout(
             env, mlp, np.random.default_rng([sample_seed, 0]))
-        (ga, _), (wm, wm_diag), (mx, _), (rnd, _) = (
-            baselines.score(name, ctx.channel, ctx.topology, env, sample_seed,
-                            ga_config, max_power_level)
-            for name in ("ga", "wmmse", "maxpower", "random"))
-        records.append(TestRecord(sample_seed, dql_throughput, dql_action,
-                                  ga, wm, mx, rnd, wm_diag["iterations"],
-                                  wm_diag["converged"]))
+        throughput, diagnostics = {"dql": dql_throughput}, {}
+        for name in METHODS[1:]:
+            throughput[name], diagnostics[name] = baselines.score(
+                name, ctx.channel, ctx.topology, env, sample_seed, ga_config,
+                max_power_level)
+        wm = diagnostics["wmmse"]
+        records.append(TestRecord(sample_seed, dql_action, throughput,
+                                  wm["iterations"], wm["converged"]))
     return records

@@ -10,14 +10,6 @@ from . import agent, baselines, harness
 from .env import actions_to_csv
 
 
-def _add_common(p):
-    p.add_argument("--scenario", default=None,
-                   help="scenario1 | scenario2 | scenario3 | custom")
-    p.add_argument("--config", default=None, help="key/value config file")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--out", default=None, help="output directory")
-
-
 def _build_spec(args) -> harness.ExperimentSpec:
     overrides = {"scenario": args.scenario, "master_seed": args.seed,
                  "output_dir": args.out, "checkpoint": args.checkpoint,
@@ -64,38 +56,48 @@ def main(argv=None) -> int:
         description="Deep-Q downlink power allocation for multi-cell networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Every command reads checkpoint, steps and samples; set_defaults fills
-    # in those a command takes no flag for.
-    p = sub.add_parser("train", help="train a Q-network and write artifacts")
-    _add_common(p)
+    # Flag groups; each command takes only the groups it uses.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", default=None,
+                        help="scenario1 | scenario2 | scenario3 | custom")
+    common.add_argument("--config", default=None, help="key/value config file")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="master seed")
+    run = argparse.ArgumentParser(add_help=False, parents=[common, seeded])
+    run.add_argument("--out", default=None, help="output directory")
+
+    # _build_spec reads seed, out, checkpoint, steps and samples; set_defaults
+    # fills in those a command takes no flag for.
+    p = sub.add_parser("train", parents=[run],
+                       help="train a Q-network and write artifacts")
     p.add_argument("--steps", type=int, default=None, help="training step budget")
     p.add_argument("--samples", type=int, default=0,
                    help="post-train test samples (default 0)")
     p.set_defaults(fn=_cmd_run, checkpoint=None)
 
-    p = sub.add_parser("test", help="evaluate a checkpoint against all baselines")
-    _add_common(p)
+    p = sub.add_parser("test", parents=[run],
+                       help="evaluate a checkpoint against all baselines")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=_cmd_run, steps=None)
 
-    p = sub.add_parser("compare", help="train (or load) then benchmark all methods")
-    _add_common(p)
+    p = sub.add_parser("compare", parents=[run],
+                       help="train (or load) then benchmark all methods")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("baseline",
+    p = sub.add_parser("baseline", parents=[common, seeded],
                        help="run one reference solver on the test-phase channels")
     p.add_argument("name", choices=baselines.BASELINES)
-    _add_common(p)
     p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(fn=_cmd_baseline, checkpoint=None, steps=None)
+    p.set_defaults(fn=_cmd_baseline, out=None, checkpoint=None, steps=None)
 
-    p = sub.add_parser("dump-actions", help="print the feasible action table as CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_dump_actions, checkpoint=None, steps=None, samples=None)
+    p = sub.add_parser("dump-actions", parents=[common],
+                       help="print the feasible action table as CSV")
+    p.set_defaults(fn=_cmd_dump_actions, seed=None, out=None, checkpoint=None,
+                   steps=None, samples=None)
 
     args = parser.parse_args(argv)
     try:

@@ -73,15 +73,6 @@ def actions_to_csv(space: ActionSpace) -> str:
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    joint_action: tuple
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
-@dataclass
 class EpisodeContext:
     """Mutable per-episode state; channel and topology stay frozen."""
 

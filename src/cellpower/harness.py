@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agent as agent_mod
-from .agent import AgentConfig
+from .agent import METHODS, AgentConfig
 from .baselines import GAConfig
 from .env import PowerControlEnv, actions_to_csv
 from .netmodel import ConfigError, ScenarioConfig
@@ -152,26 +152,20 @@ class ComparisonReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-METHODS = ("dql", "ga", "wmmse", "maxpower", "random")
-
-
 def normalized_throughput(records: list) -> ComparisonReport:
     if not records:
         raise ValueError("no test records")
     per_sample = {m: [] for m in METHODS}
     excluded = 0
     for rec in records:
-        if rec.ga_throughput <= 0.0:
+        ga = rec.throughput["ga"]
+        if ga <= 0.0:
             warnings.warn(f"record with channel seed {rec.channel_seed} has "
                           "non-positive GA throughput; excluded")
             excluded += 1
             continue
-        ga = rec.ga_throughput
-        per_sample["dql"].append(rec.dql_throughput / ga)
-        per_sample["ga"].append(1.0)
-        per_sample["wmmse"].append(rec.wmmse_throughput / ga)
-        per_sample["maxpower"].append(rec.maxpower_throughput / ga)
-        per_sample["random"].append(rec.random_throughput / ga)
+        for m in METHODS:
+            per_sample[m].append(rec.throughput[m] / ga)
     mean = {m: float(np.mean(v)) if v else float("nan")
             for m, v in per_sample.items()}
     return ComparisonReport(per_sample, mean, excluded)
@@ -198,18 +192,18 @@ def training_log_csv(episodes: list) -> str:
 
 
 def results_csv(records: list) -> str:
-    rows = ["sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,"
-            "maxpower_bps,random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm"]
+    normalized = [m for m in METHODS if m != "ga"]
+    rows = [",".join(["sample", "channel_seed", "dql_action"]
+                     + [f"{m}_bps" for m in METHODS]
+                     + [f"{m}_norm" for m in normalized])]
     for i, r in enumerate(records):
-        ga = r.ga_throughput
-        norm = [v / ga if ga > 0 else float("nan")
-                for v in (r.dql_throughput, r.wmmse_throughput,
-                          r.maxpower_throughput, r.random_throughput)]
+        ga = r.throughput["ga"]
+        norm = [r.throughput[m] / ga if ga > 0 else float("nan")
+                for m in normalized]
         action = "|".join(str(a) for a in r.dql_action)
-        vals = [repr(v) for v in (r.dql_throughput, ga, r.wmmse_throughput,
-                                  r.maxpower_throughput, r.random_throughput)]
-        rows.append(f"{i},{r.channel_seed},{action}," + ",".join(vals) + ","
-                    + ",".join(repr(v) for v in norm))
+        rows.append(",".join([str(i), str(r.channel_seed), action]
+                             + [repr(r.throughput[m]) for m in METHODS]
+                             + [repr(v) for v in norm]))
     return "\n".join(rows) + "\n"
 
 

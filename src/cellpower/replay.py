@@ -4,34 +4,42 @@ import numpy as np
 
 
 class ReplayBuffer:
+    """Ring of five row-aligned arrays, allocated by the first push (which
+    fixes the widths) with np.empty, so a row costs memory once written.
+    Push i writes row i % capacity, overwriting the oldest once full."""
+
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage = []
-        self._cursor = 0
+        self.pushes = 0
+        self.state = self.action = self.reward = None
+        self.next_state = self.terminal = None
 
     def __len__(self):
-        return len(self._storage)
+        return min(self.pushes, self.capacity)
 
-    def push(self, transition) -> None:
-        """Append; once full, overwrite the oldest entry."""
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
-        self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, state, action, reward, next_state, terminal) -> None:
+        c = self.capacity
+        if self.state is None:
+            self.state = np.empty((c, len(state)))
+            self.action = np.empty((c, len(action)), dtype=int)
+            self.reward = np.empty(c)
+            self.next_state = np.empty((c, len(next_state)))
+            self.terminal = np.empty(c, dtype=bool)
+        i = self.pushes % c
+        self.state[i] = state
+        self.action[i] = action
+        self.reward[i] = reward
+        self.next_state[i] = next_state
+        self.terminal[i] = terminal
+        self.pushes += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list:
-        """batch_size transitions drawn uniformly with replacement."""
-        if batch_size > len(self._storage):
-            raise ValueError(
-                f"buffer holds {len(self._storage)} < batch size {batch_size}")
-        idx = rng.integers(0, len(self._storage), size=batch_size)
-        return [self._storage[i] for i in idx]
-
-    def snapshot(self) -> list:
-        """Current contents, oldest first."""
-        if len(self._storage) < self.capacity:
-            return list(self._storage)
-        return self._storage[self._cursor:] + self._storage[:self._cursor]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
+        """(states, actions, rewards, next_states, terminals) of batch_size
+        rows drawn uniformly with replacement."""
+        if batch_size > len(self):
+            raise ValueError(f"buffer holds {len(self)} < batch size {batch_size}")
+        idx = rng.integers(0, len(self), size=batch_size)
+        return (self.state[idx], self.action[idx], self.reward[idx],
+                self.next_state[idx], self.terminal[idx])

@@ -224,23 +224,38 @@ def test_criterion_9_episode_semantics():
 
 @criterion("10. replay model-equivalence (1e5 ops) and stable target hashes (1e4 steps)")
 def test_criterion_10_replay_and_target():
-    # replay: mirror a naive list model through 1e5 mixed push/sample ops
+    # replay: mirror a naive list model through 1e5 mixed push/sample ops;
+    # push number i is written into every field of its row
+    def push_numbers(rows):
+        states, actions, rewards, next_states, terminals = rows
+        assert np.array_equal(states[:, 0], rewards)
+        assert np.array_equal(actions[:, 0], rewards)
+        assert np.array_equal(next_states[:, 0], rewards + 0.5)
+        assert np.array_equal(terminals, rewards % 2 == 1)
+        return [int(r) for r in rewards]
+
+    def stored(buf):
+        n = len(buf)
+        return sorted(push_numbers((buf.state[:n], buf.action[:n], buf.reward[:n],
+                                    buf.next_state[:n], buf.terminal[:n])))
+
     rng = np.random.default_rng(17)
     buf = ReplayBuffer(37)
     mirror = []
     counter = 0
     for _ in range(100_000):
         if len(buf) == 0 or rng.random() < 0.6:
-            buf.push(counter)
+            buf.push(np.full(2, float(counter)), (counter,), float(counter),
+                     np.full(2, counter + 0.5), counter % 2 == 1)
             mirror.append(counter)
             counter += 1
         else:
             batch = buf.sample(int(rng.integers(1, min(len(buf), 8) + 1)), rng)
             recent = set(mirror[-37:])
-            assert all(item in recent for item in batch)
+            assert all(item in recent for item in push_numbers(batch))
         if counter % 997 == 0:
-            assert buf.snapshot() == mirror[-37:]
-    assert buf.snapshot() == mirror[-37:]
+            assert stored(buf) == mirror[-37:]
+    assert stored(buf) == mirror[-37:]
 
     # target network: hash constant between clone instants over 1e4 steps
     env = PowerControlEnv(tiny_config(num_cells=1, users_per_cell=1,

@@ -6,7 +6,7 @@ import pytest
 from cellpower import agent as ag
 from cellpower.agent import AgentConfig, bellman_targets, select_joint_action
 from cellpower.baselines import GAConfig, exhaustive
-from cellpower.env import PowerControlEnv, Transition
+from cellpower.env import PowerControlEnv
 from cellpower.netmodel import network_utility
 from cellpower.qnet import MLP
 from cellpower.replay import ReplayBuffer
@@ -63,6 +63,14 @@ class TestAgentConfigValidation:
         with pytest.raises(ValueError, match="train_steps"):
             AgentConfig(train_steps=-5)
 
+    @pytest.mark.parametrize("train_start", [100, None])   # None resolves to 1000
+    def test_train_steps_below_train_start_rejected(self, train_start):
+        # training would end before its first gradient step
+        with pytest.raises(ValueError, match=r"train_steps \(5\).*train_start"):
+            AgentConfig(train_steps=5, train_start=train_start)
+        assert AgentConfig(train_steps=0, train_start=train_start).train_steps == 0
+        assert AgentConfig(train_steps=1000, train_start=train_start).train_steps == 1000
+
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             AgentConfig(batch_size=0)
@@ -100,33 +108,31 @@ class TestEpsilonSchedule:
 
 
 class TestBellmanTargets:
-    def _transitions(self, rng, net, n=6, num_cells=2, terminal_mask=None):
+    def _batch(self, rng, net, n=6, terminal_mask=None):
+        """(rewards, next_states, terminals) of n random transitions."""
         in_size = net.layer_sizes[0]
-        out = []
-        for i in range(n):
-            term = terminal_mask[i] if terminal_mask is not None else bool(rng.random() < 0.5)
-            out.append(Transition(rng.random(in_size), (0, 1),
-                                  float(rng.choice([-1.0, 1.0])),
-                                  rng.random(in_size), term))
-        return out
+        terminals = (np.array(terminal_mask) if terminal_mask is not None
+                     else rng.random(n) < 0.5)
+        return rng.choice([-1.0, 1.0], size=n), rng.random((n, in_size)), terminals
 
     def test_zero_discount_terminal_batch_equals_rewards(self, rng):
         net = MLP.init((4, 6, 8), rng)
-        batch = self._transitions(rng, net, terminal_mask=[True] * 6)
-        y = bellman_targets(net, batch, 0.0, 2)
-        for i, t in enumerate(batch):
-            assert np.all(y[i] == t.reward)
+        rewards, next_states, terminals = self._batch(rng, net,
+                                                      terminal_mask=[True] * 6)
+        y = bellman_targets(net, rewards, next_states, terminals, 0.0, 2)
+        for i, r in enumerate(rewards):
+            assert np.all(y[i] == r)
 
     def test_matches_naive_recomputation(self, rng):
         net = MLP.init((4, 6, 8), rng)
-        batch = self._transitions(rng, net)
+        rewards, next_states, terminals = self._batch(rng, net)
         gamma = 0.97
-        y = bellman_targets(net, batch, gamma, 2)
-        for i, t in enumerate(batch):
-            q = net.forward(t.next_state)
+        y = bellman_targets(net, rewards, next_states, terminals, gamma, 2)
+        for i in range(len(rewards)):
+            q = net.forward(next_states[i])
             for k in range(2):
-                expected = t.reward if t.terminal else (
-                    t.reward + gamma * max(q[4 * k: 4 * (k + 1)]))
+                expected = rewards[i] if terminals[i] else (
+                    rewards[i] + gamma * max(q[4 * k: 4 * (k + 1)]))
                 assert abs(y[i, k] - expected) < 1e-12
 
 
@@ -158,7 +164,7 @@ class TestTraining:
                 ctx, state = env.reset(rng)
             action = rng.integers(0, env.actions.size, size=1)
             nxt, r, term, _ = env.step(ctx, action)
-            buffer.push(Transition(state, tuple(action), r, nxt, term))
+            buffer.push(state, action, r, nxt, term)
             state = nxt
         result = ag.train(env, mlp, buffer, cfg, rng)
         assert result.gradient_steps == 50
@@ -227,7 +233,7 @@ class TestTestProtocol:
                         ga_config=GAConfig(population_size=8, generations=5),
                         max_power_level=8.0)
         assert [r.channel_seed for r in again] == [r.channel_seed for r in records]
-        assert [r.dql_throughput for r in again] == [r.dql_throughput for r in records]
+        assert [r.throughput for r in again] == [r.throughput for r in records]
 
     def test_length_one_episode_falls_back_to_initial_allocation(self, rng):
         env = PowerControlEnv(tiny_config())
@@ -242,7 +248,7 @@ class TestTestProtocol:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
             expected = network_utility(ctx.current_power, ctx.channel,
                                        ctx.topology, env.alpha)
-            assert rec.dql_throughput == pytest.approx(expected, rel=1e-12)
+            assert rec.throughput["dql"] == pytest.approx(expected, rel=1e-12)
 
     def test_trained_single_cell_matches_ga_and_exhaustive(self):
         env = single_link_env()
@@ -258,8 +264,8 @@ class TestTestProtocol:
         for rec in records:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
             _, best = exhaustive(ctx.channel, ctx.topology, env.actions, env.alpha)
-            assert rec.dql_throughput == pytest.approx(best, rel=1e-12)
-            assert rec.ga_throughput == pytest.approx(best, rel=1e-12)
+            assert rec.throughput["dql"] == pytest.approx(best, rel=1e-12)
+            assert rec.throughput["ga"] == pytest.approx(best, rel=1e-12)
 
     def test_all_throughputs_non_negative(self, rng):
         env = single_link_env()
@@ -267,6 +273,5 @@ class TestTestProtocol:
         for rec in ag.test(env, mlp, 3, seed=17,
                            ga_config=GAConfig(population_size=8, generations=4),
                            max_power_level=8.0):
-            for v in (rec.dql_throughput, rec.ga_throughput, rec.wmmse_throughput,
-                      rec.maxpower_throughput, rec.random_throughput):
-                assert v >= 0.0
+            assert list(rec.throughput) == list(ag.METHODS)
+            assert all(v >= 0.0 for v in rec.throughput.values())

@@ -18,6 +18,7 @@ from cellpower.harness import (
     load_network,
     normalized_throughput,
     parse_kv_file,
+    results_csv,
     run_experiment,
     scenario_preset,
     spec_from_file,
@@ -29,7 +30,7 @@ from conftest import tiny_config
 
 
 def record(dql=1.0, ga=1.0, wm=1.0, mx=1.0, rnd=1.0, seed=0):
-    return EvalRecord(seed, dql, (0,), ga, wm, mx, rnd)
+    return EvalRecord(seed, (0,), dict(zip(ag.METHODS, (dql, ga, wm, mx, rnd))))
 
 
 def small_spec(out_dir, train_steps=0, n_samples=3, seed=5) -> ExperimentSpec:
@@ -67,6 +68,13 @@ class TestNormalizedThroughput:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             normalized_throughput([])
+
+    def test_results_csv_columns(self):
+        text = results_csv([record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9)])
+        assert text.split("\n") == [
+            "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
+            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm",
+            "0,9,0,2.0,4.0,3.0,1.0,1.0,0.5,0.75,0.25,0.25", ""]
 
 
 class TestPresets:
@@ -277,11 +285,11 @@ class TestPerSampleFairness:
             topo = build_topology(spec.config, rng)
             channel = draw_channel(topo, spec.config, rng)
             maxp = max_power_baseline(spec.config, spec.max_power_level)
-            assert rec.maxpower_throughput == pytest.approx(
+            assert rec.throughput["maxpower"] == pytest.approx(
                 network_utility(maxp, channel, topo, env.alpha), rel=1e-12)
             rand = random_power_baseline(env.actions, 2,
                                          np.random.default_rng([rec.channel_seed, 2]))
-            assert rec.random_throughput == pytest.approx(
+            assert rec.throughput["random"] == pytest.approx(
                 network_utility(rand, channel, topo, env.alpha), rel=1e-12)
 
     def test_report_means_are_arithmetic_means(self):
@@ -328,12 +336,14 @@ class TestNegativeSizes:
         (["train", "--steps", "-5"], "train_steps"),
         (["train", "--samples", "-1"], "n_test_samples"),
         (["baseline", "maxpower", "--samples", "-1"], "n_test_samples"),
+        (["train", "--steps", "5"], "train_start"),     # below the default 1000
     ])
     def test_cli_names_the_key(self, capsys, tmp_path, argv, key):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(TINY_CFG)
-        code = cli_main(argv + ["--config", str(cfg_file),
-                                "--out", str(tmp_path / "out")])
+        writes = argv[0] != "baseline"     # baseline takes no --out
+        out = ["--out", str(tmp_path / "out")] if writes else []
+        code = cli_main(argv + ["--config", str(cfg_file)] + out)
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -431,6 +441,8 @@ class TestCli:
         ["train", "--checkpoint", "x"],
         ["test", "--checkpoint", "x", "--steps", "5"],
         ["test"],
+        ["baseline", "maxpower", "--out", "x"],
+        ["dump-actions", "--seed", "3"],
     ])
     def test_flags_outside_a_command_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
