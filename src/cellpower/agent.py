@@ -42,6 +42,8 @@ class AgentConfig:
             raise ValueError("target_update_steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.hidden_size is not None and self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if self.replay_capacity < self.resolved_train_start():
             # the buffer would never hold train_start transitions, so no
             # gradient step would ever be taken
@@ -109,16 +111,15 @@ class EpisodeLog:
 
 @dataclass
 class TrainResult:
-    network: MLP
-    optimizer: RMSprop
     episodes: list
     gradient_steps: int
 
 
-def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
-          config: AgentConfig, rng: np.random.Generator,
-          opt: RMSprop | None = None, on_step=None) -> TrainResult:
-    """Run episodic epsilon-greedy training until config.train_steps env steps.
+def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
+          rng: np.random.Generator, opt: RMSprop | None = None,
+          on_step=None) -> TrainResult:
+    """Run episodic epsilon-greedy training until config.train_steps env
+    steps, replaying from a ring of config.replay_capacity transitions.
 
     on_step, if given, is called after every environment step as
     on_step(step, grad_steps, mlp, target); used for interval checkpoints
@@ -129,12 +130,7 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
         opt = RMSprop(mlp, config.learning_rate, config.rmsprop_decay,
                       config.rmsprop_epsilon)
     train_start = config.resolved_train_start()
-    if buffer.capacity < train_start:
-        # the buffer would never hold train_start transitions, so no
-        # gradient step would ever be taken
-        raise ValueError(
-            f"replay buffer capacity ({buffer.capacity}) must be >= the "
-            f"resolved train_start ({train_start})")
+    buffer = ReplayBuffer(config.replay_capacity)
     target = mlp.clone()
 
     episodes = []
@@ -179,7 +175,7 @@ def train(env: PowerControlEnv, mlp: MLP, buffer: ReplayBuffer,
         mean_loss = float(np.mean(ep_losses)) if ep_losses else float("nan")
         episodes.append(EpisodeLog(step, episode, config.epsilon_at(step),
                                    mean_loss, ep_len, ep_peak))
-    return TrainResult(mlp, opt, episodes, grad_steps)
+    return TrainResult(episodes, grad_steps)
 
 
 # The compared methods: the greedy policy, then the reference solvers that
@@ -201,8 +197,7 @@ def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
     throughput (the initial random allocation if the first action fails)."""
     ctx, state = env.reset(rng)
     best_action = tuple(int(a) for a in ctx.current_action)
-    best_throughput = network_utility(ctx.current_power, ctx.channel,
-                                      ctx.topology, env.alpha)
+    best_throughput = network_utility(ctx.current_power, ctx.channel, env.alpha)
     while not ctx.terminal:
         action = select_joint_action(mlp.forward(state), 0.0,
                                      env.config.num_cells, None)
@@ -237,8 +232,7 @@ def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
         throughput, diagnostics = {"dql": dql_throughput}, {}
         for name in METHODS[1:]:
             throughput[name], diagnostics[name] = baselines.score(
-                name, ctx.channel, ctx.topology, env, sample_seed, ga_config,
-                max_power_level)
+                name, ctx.channel, env, sample_seed, ga_config, max_power_level)
         wm = diagnostics["wmmse"]
         records.append(TestRecord(sample_seed, dql_action, throughput,
                                   wm["iterations"], wm["converged"]))

@@ -16,7 +16,6 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     ScenarioConfig,
-    Topology,
     assign_subbands,
     network_utility,
     snr_gap,
@@ -60,9 +59,8 @@ def _repair_table(levels: np.ndarray, num_subbands: int,
         genes[over, genes[over].argmax(axis=1)] -= 1
 
 
-def ga_optimize(channel: ChannelRealization, topology: Topology,
-                config: ScenarioConfig, ga_config: GAConfig,
-                rng: np.random.Generator):
+def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
+                ga_config: GAConfig, rng: np.random.Generator):
     """Evolve K*F level indices toward the throughput maximum.
 
     Tournament selection, single-point crossover, per-gene mutation, budget
@@ -91,7 +89,7 @@ def ga_optimize(channel: ChannelRealization, topology: Topology,
     def evaluate(population):
         nonlocal best_genes, best_fit
         power = levels[population.reshape(pop_size, num_cells, num_subbands)]
-        fits = network_utility(power, channel, topology, alpha)
+        fits = network_utility(power, channel, alpha)
         top = int(np.argmax(fits))
         if fits[top] > best_fit:
             best_fit = float(fits[top])
@@ -132,9 +130,8 @@ class SearchSpaceTooLarge(RuntimeError):
 EXHAUSTIVE_CHUNK = 1024
 
 
-def exhaustive(channel: ChannelRealization, topology: Topology,
-               action_space: ActionSpace, alpha: float,
-               cap: int = 10 ** 6):
+def exhaustive(channel: ChannelRealization, action_space: ActionSpace,
+               alpha: float, cap: int = 10 ** 6):
     """Exact maximizer over all m^K joint discrete actions.
 
     Joint actions are scored in lexicographic chunks (first cell most
@@ -143,7 +140,7 @@ def exhaustive(channel: ChannelRealization, topology: Topology,
     larger than `cap`.
     """
     m = action_space.size
-    k = topology.num_cells
+    k = channel.num_cells
     total = m ** k
     if total > cap:
         raise SearchSpaceTooLarge(
@@ -155,7 +152,7 @@ def exhaustive(channel: ChannelRealization, topology: Topology,
         index = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
         joint = np.stack(np.unravel_index(index, (m,) * k), axis=1)     # (B, K)
         power = action_space.joint_power(joint)                         # (B, K, F)
-        utils = network_utility(power, channel, topology, alpha)
+        utils = network_utility(power, channel, alpha)
         top = int(np.argmax(utils))      # first maximum within the chunk
         if utils[top] > best_util:       # strict: an earlier chunk keeps a tie
             best_util = utils[top]
@@ -172,26 +169,27 @@ class WmmseResult:
     objective_history: tuple  # objective before iterating, then one entry per iteration
 
 
-def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
-          alpha: float, max_iters: int = 500, tol: float = 1e-10) -> WmmseResult:
+def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
+          max_iters: int = 500, tol: float = 1e-10) -> WmmseResult:
     """Weighted-MMSE power control on the scalar per-subband channel.
 
     The subband-to-user map is frozen at the uniform-power assignment, which
     leaves one virtual user per cell: on subband f it is the user that cell
     serves there. The iterations maximize `network_utility` on that virtual
-    channel, and that objective never decreases; the per-BS budgets are
-    enforced through a multiplier solved for all cells at once. If the
-    relative change fails to drop below `tol` within max_iters the best
-    iterate is returned with converged=False. The reported throughput is
-    `network_utility` of the returned power on the real channel, under the
-    rate-max subband rule that scores every other method.
+    channel, whose (K, K, F) gain array gives each cell one user, and that
+    objective never decreases; the per-BS budgets are enforced through a
+    multiplier solved for all cells at once. If the relative change fails
+    to drop below `tol` within max_iters the best iterate is returned with
+    converged=False. The reported throughput is `network_utility` of the
+    returned power on the real channel, under the rate-max subband rule that
+    scores every other method.
     """
-    num_cells = topology.num_cells
+    num_cells = channel.num_cells
     num_subbands = channel.num_subbands
     noise = channel.noise_power
 
     uniform = np.full((num_cells, num_subbands), max_power / num_subbands)
-    assignment = assign_subbands(uniform, channel, topology, alpha)
+    assignment = assign_subbands(uniform, channel, alpha)
 
     # gain2[j, l, f]: power gain from BS l to the user served on (j, f)
     gain2 = np.empty((num_cells, num_cells, num_subbands))
@@ -199,9 +197,6 @@ def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
         gain2[:, :, f] = channel.gain[assignment[:, f], :, f]
     diag = np.arange(num_cells)
     virtual = ChannelRealization(gain2, noise, channel.bandwidth_hz)
-    # user j is served by cell j; positions and distances are never read
-    one_user_per_cell = Topology(topology.bs_positions, topology.bs_positions, diag,
-                                 np.zeros((num_cells, num_cells)), topology.cell_radius)
     # the updates see the SNR gap folded into the direct (j == l) gains
     folded = gain2.copy()
     folded[diag, diag, :] *= alpha
@@ -209,7 +204,7 @@ def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
 
     v = np.sqrt(uniform)
     best_v = v
-    best_obj = network_utility(v ** 2, virtual, one_user_per_cell, alpha)
+    best_obj = network_utility(v ** 2, virtual, alpha)
     prev_obj = best_obj
     history = [best_obj]
     converged = False
@@ -224,7 +219,7 @@ def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
         den = np.einsum("jf,jkf->kf", weight * mmse_rx ** 2, folded)
         v = _solve_budget(num, den, max_power)
 
-        obj = network_utility(v ** 2, virtual, one_user_per_cell, alpha)
+        obj = network_utility(v ** 2, virtual, alpha)
         history.append(obj)
         if obj > best_obj:
             best_obj = obj
@@ -235,7 +230,7 @@ def wmmse(channel: ChannelRealization, topology: Topology, max_power: float,
         prev_obj = obj
 
     power = best_v ** 2
-    return WmmseResult(power, network_utility(power, channel, topology, alpha),
+    return WmmseResult(power, network_utility(power, channel, alpha),
                        converged, iterations, tuple(history))
 
 
@@ -292,8 +287,8 @@ def max_power_baseline(config: ScenarioConfig, level: float = 12.8) -> np.ndarra
     """Fixed per-subband power for every cell; rejects budget violations."""
     if level * config.num_subbands > config.max_power + BUDGET_TOL:
         raise ConfigError(
-            f"{level} W on {config.num_subbands} subbands exceeds the "
-            f"{config.max_power} W budget")
+            f"max_power_level {level} W on {config.num_subbands} subbands "
+            f"exceeds the {config.max_power} W budget")
     return np.full((config.num_cells, config.num_subbands), float(level))
 
 
@@ -307,8 +302,8 @@ def random_power_baseline(action_space: ActionSpace, num_cells: int,
 BASELINES = ("ga", "wmmse", "maxpower", "random", "exhaustive")
 
 
-def score(name: str, channel: ChannelRealization, topology: Topology,
-          env: PowerControlEnv, sample_seed: int, ga_config: GAConfig,
+def score(name: str, channel: ChannelRealization, env: PowerControlEnv,
+          sample_seed: int, ga_config: GAConfig,
           max_power_level: float) -> tuple[float, dict]:
     """Throughput in bits/s of reference solver `name` on one frozen
     channel, and its diagnostics: WMMSE's iteration count and convergence,
@@ -320,15 +315,15 @@ def score(name: str, channel: ChannelRealization, topology: Topology,
     """
     config, alpha = env.config, env.alpha
     if name == "ga":
-        _, util = ga_optimize(channel, topology, config, ga_config,
+        _, util = ga_optimize(channel, config, ga_config,
                               np.random.default_rng([sample_seed, 1]))
         return util, {}
     if name == "wmmse":
-        res = wmmse(channel, topology, config.max_power, alpha)
+        res = wmmse(channel, config.max_power, alpha)
         return res.throughput, {"iterations": res.iterations,
                                 "converged": res.converged}
     if name == "exhaustive":
-        return exhaustive(channel, topology, env.actions, alpha)[1], {}
+        return exhaustive(channel, env.actions, alpha)[1], {}
     if name == "maxpower":
         power = max_power_baseline(config, max_power_level)
     elif name == "random":
@@ -336,4 +331,4 @@ def score(name: str, channel: ChannelRealization, topology: Topology,
                                       np.random.default_rng([sample_seed, 2]))
     else:
         raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
-    return network_utility(power, channel, topology, alpha), {}
+    return network_utility(power, channel, alpha), {}

@@ -35,9 +35,8 @@ def _cmd_baseline(args):
     for seed in agent.sample_seeds(harness.evaluation_seed(spec.master_seed),
                                    spec.n_test_samples):
         ctx, _ = env.reset(np.random.default_rng([seed, 0]))
-        util, diagnostics = baselines.score(args.name, ctx.channel, ctx.topology,
-                                            env, seed, spec.ga,
-                                            spec.max_power_level)
+        util, diagnostics = baselines.score(args.name, ctx.channel, env, seed,
+                                            spec.ga, spec.max_power_level)
         out.append({"channel_seed": seed, "throughput_bps": util, **diagnostics})
     print(json.dumps(out, indent=2))
     return 0

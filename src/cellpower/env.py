@@ -32,8 +32,7 @@ from .netmodel import (
 class ActionSpace:
     """Budget-feasible per-cell power vectors in a fixed deterministic order."""
 
-    level_indices: np.ndarray   # (m, F) int, lexicographic
-    powers: np.ndarray          # (m, F) W
+    powers: np.ndarray          # (m, F) W, rows in lexicographic level order
 
     @property
     def size(self) -> int:
@@ -57,8 +56,7 @@ def enumerate_actions(power_levels, num_subbands: int, max_power: float) -> Acti
             kept.append(combo)
     if not kept:
         raise ConfigError("no feasible power combination under the budget")
-    idx = np.array(kept, dtype=int)
-    return ActionSpace(idx, levels[idx])
+    return ActionSpace(levels[np.array(kept, dtype=int)])
 
 
 def actions_to_csv(space: ActionSpace) -> str:
@@ -123,7 +121,7 @@ class PowerControlEnv:
         power = self.actions.joint_power(joint)
         # index 0 is the all-lowest-level combination, feasible by config invariant
         min_power = self.actions.joint_power(np.zeros(self.config.num_cells, dtype=int))
-        baseline = network_utility(min_power, channel, topo, self.alpha)
+        baseline = network_utility(min_power, channel, self.alpha)
         ctx = EpisodeContext(topo, channel, power, np.asarray(joint), baseline)
         return ctx, self.encode_state(ctx)
 
@@ -134,7 +132,7 @@ class PowerControlEnv:
         already has it; otherwise it is computed here.
         """
         if sinr is None:
-            sinr = serving_sinr(ctx.current_power, ctx.channel, ctx.topology)
+            sinr = serving_sinr(ctx.current_power, ctx.channel)
         cqi = cqi_quantize_array(sinr) / 15.0                   # (K*U, F)
         edge = location_indicator(ctx.topology)[:, None]        # (K*U, 1)
         return np.concatenate([cqi, edge], axis=1).reshape(-1)
@@ -152,8 +150,8 @@ class PowerControlEnv:
         ctx.current_action = joint
         ctx.current_power = self.actions.joint_power(joint)
         # one SINR evaluation feeds both the throughput and the CQI state
-        sinr = serving_sinr(ctx.current_power, ctx.channel, ctx.topology)
-        throughput = utility_from_sinr(sinr, ctx.channel, ctx.topology, self.alpha)
+        sinr = serving_sinr(ctx.current_power, ctx.channel)
+        throughput = utility_from_sinr(sinr, ctx.channel, self.alpha)
         ctx.step_count += 1
         terminal = (throughput <= ctx.previous_throughput
                     or ctx.step_count >= self.max_episode_steps)

@@ -13,11 +13,10 @@ import numpy as np
 
 from . import agent as agent_mod
 from .agent import METHODS, AgentConfig
-from .baselines import GAConfig
+from .baselines import GAConfig, max_power_baseline
 from .env import PowerControlEnv, actions_to_csv
 from .netmodel import ConfigError, ScenarioConfig
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint
-from .replay import ReplayBuffer
 
 # The three evaluation presets differ only in cell count.
 SCENARIO_CELLS = {"scenario1": 5, "scenario2": 10, "scenario3": 15}
@@ -54,6 +53,9 @@ class ExperimentSpec:
         if self.max_episode_steps < 1:
             raise ConfigError(
                 f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
+        if self.n_test_samples > 0:
+            # fail before training rather than at the first test sample
+            max_power_baseline(self.config, self.max_power_level)
 
 
 SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -251,14 +253,13 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         opt = RMSprop(mlp, spec.agent.learning_rate, spec.agent.rmsprop_decay,
                       spec.agent.rmsprop_epsilon)
         if spec.agent.train_steps > 0:
-            buffer = ReplayBuffer(spec.agent.replay_capacity)
             on_step = None
             if spec.checkpoint_interval:
                 def on_step(step, gs, net, target, _opt=opt):
                     if step % spec.checkpoint_interval == 0:
                         save_checkpoint(os.path.join(
                             spec.output_dir, f"qnet_step{step}.ckpt"), net, _opt)
-            result = agent_mod.train(env, mlp, buffer, spec.agent,
+            result = agent_mod.train(env, mlp, spec.agent,
                                      np.random.default_rng([spec.master_seed, 11]),
                                      opt=opt, on_step=on_step)
             episodes = result.episodes

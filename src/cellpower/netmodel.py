@@ -54,7 +54,6 @@ class ScenarioConfig:
     pathloss_exp_db_per_decade: float = 37.6
     shadowing_sigma: float = 8.0
     min_user_distance: float = 35.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.num_cells < 1 or self.users_per_cell < 1 or self.num_subbands < 1:
@@ -97,13 +96,11 @@ class Topology:
     """One drop of base stations and users.
 
     Users are indexed globally in cell-major order: the users of cell k are
-    the global indices k*U .. (k+1)*U - 1, and that is also their serving
-    association.
+    the global indices k*U .. (k+1)*U - 1, and cell k serves them.
     """
 
     bs_positions: np.ndarray     # (K, 2) m
     user_positions: np.ndarray   # (K*U, 2) m
-    association: np.ndarray      # (K*U,) serving cell per user
     bs_distance: np.ndarray      # (K*U, K) user-to-BS distances, m
     cell_radius: float
 
@@ -122,8 +119,8 @@ class Topology:
     @property
     def serving_distance(self) -> np.ndarray:
         """Distance of each user to its serving BS, (K*U,)."""
-        return self.bs_distance[np.arange(self.num_users), self.association]
-
+        users = np.arange(self.num_users)
+        return self.bs_distance[users, users // self.users_per_cell]
 
 
 def _hex_spiral(count: int, pitch: float) -> np.ndarray:
@@ -164,9 +161,8 @@ def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> Topology
             users[i] = bs[k] + radius * np.array([math.cos(angle), math.sin(angle)])
             i += 1
 
-    association = np.repeat(np.arange(config.num_cells), config.users_per_cell)
     dist = np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
-    return Topology(bs, users, association, dist, config.cell_radius)
+    return Topology(bs, users, dist, config.cell_radius)
 
 
 @dataclass(frozen=True)
@@ -175,12 +171,22 @@ class ChannelRealization:
 
     gain[u, k, f] is the linear power gain from BS k to user u on subband f;
     noise_power is the per-subband receiver noise in watts and bandwidth_hz
-    the subband width used when converting SINR to rate.
+    the subband width used when converting SINR to rate. Users are
+    cell-major, so the shape fixes the serving map: cell u // U serves
+    user u.
     """
 
     gain: np.ndarray       # (K*U, K, F) linear
     noise_power: float     # W per subband
     bandwidth_hz: float
+
+    @property
+    def num_cells(self) -> int:
+        return self.gain.shape[1]
+
+    @property
+    def users_per_cell(self) -> int:
+        return self.gain.shape[0] // self.gain.shape[1]
 
     @property
     def num_subbands(self) -> int:
@@ -205,48 +211,47 @@ def draw_channel(topology: Topology, config: ScenarioConfig,
     return ChannelRealization(gain, config.noise_power, config.subband_bandwidth_hz)
 
 
-def serving_sinr(power: np.ndarray, channel: ChannelRealization,
-                 topology: Topology) -> np.ndarray:
+def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """SINR of every user w.r.t. its serving cell.
 
     `power` is one (K, F) allocation or a batch of shape (..., K, F); the
     result has shape (..., K*U, F).
     """
     received = channel.gain * power[..., None, :, :]        # (..., K*U, K, F)
-    users = np.arange(topology.num_users)
-    signal = received[..., users, topology.association, :]   # indexing copies
-    received[..., users, topology.association, :] = 0.0
+    users = np.arange(channel.gain.shape[0])
+    serving = users // channel.users_per_cell
+    signal = received[..., users, serving, :]                # indexing copies
+    received[..., users, serving, :] = 0.0
     return signal / (channel.noise_power + received.sum(axis=-2))
 
 
-def _cell_user_rates(sinr, channel, topology, alpha):
+def _cell_user_rates(sinr, channel, alpha):
     """Achievable rate of each user on each subband, shape (..., K, U, F),
     bits/s, from serving SINRs of shape (..., K*U, F)."""
     rate = channel.bandwidth_hz * np.log2(1.0 + alpha * sinr)
-    return rate.reshape(*sinr.shape[:-2], topology.num_cells,
-                        topology.users_per_cell, channel.num_subbands)
+    return rate.reshape(*sinr.shape[:-2], channel.num_cells,
+                        channel.users_per_cell, channel.num_subbands)
 
 
 def assign_subbands(power: np.ndarray, channel: ChannelRealization,
-                    topology: Topology, alpha: float) -> np.ndarray:
+                    alpha: float) -> np.ndarray:
     """Give each (cell, subband) to its own rate-maximizing user.
 
     Returns global user indices, shape (K, F); ties go to the lowest index.
     """
-    rates = _cell_user_rates(serving_sinr(power, channel, topology),
-                             channel, topology, alpha)
+    rates = _cell_user_rates(serving_sinr(power, channel), channel, alpha)
     best = rates.argmax(axis=1)                            # (K, F), first max wins
-    offsets = (np.arange(topology.num_cells) * topology.users_per_cell)[:, None]
+    offsets = (np.arange(channel.num_cells) * channel.users_per_cell)[:, None]
     return best + offsets
 
 
 def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
-                      topology: Topology, alpha: float):
+                      alpha: float):
     """Total throughput in bits/s from serving SINRs of shape (..., K*U, F).
 
     A (K*U, F) input gives a float; a batch gives an array of shape (...).
     """
-    best = _cell_user_rates(sinr, channel, topology, alpha).max(axis=-2)
+    best = _cell_user_rates(sinr, channel, alpha).max(axis=-2)
     # sum each allocation's K*F best rates as one flat row, so that a batch
     # adds in the same order as a single allocation
     total = best.reshape(*best.shape[:-2], -1).sum(axis=-1)
@@ -254,14 +259,13 @@ def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
 
 
 def network_utility(power: np.ndarray, channel: ChannelRealization,
-                    topology: Topology, alpha: float):
+                    alpha: float):
     """Total network throughput in bits/s under the rate-max subband rule.
 
     A (K, F) allocation gives a float; a batch of shape (..., K, F) gives an
     array of shape (...), equal to the per-allocation values bit for bit.
     """
-    return utility_from_sinr(serving_sinr(power, channel, topology),
-                             channel, topology, alpha)
+    return utility_from_sinr(serving_sinr(power, channel), channel, alpha)
 
 
 # CQI reporting: SINR in dB floored at -10 dB, then 15 uniform bins over

@@ -74,9 +74,6 @@ class MLP:
     def layer_sizes(self) -> tuple[int, int, int]:
         return (self.w1.shape[1], self.w1.shape[0], self.w2.shape[0])
 
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def forward(self, state: np.ndarray) -> np.ndarray:
         """Action values; accepts one state (in,) or a batch (n, in)."""
         x = np.asarray(state, dtype=np.float64)

@@ -26,9 +26,8 @@ def tiny_config(**overrides) -> ScenarioConfig:
 def tiny_instance(seed=0, **overrides):
     cfg = tiny_config(**overrides)
     rng = np.random.default_rng(seed)
-    topo = build_topology(cfg, rng)
-    channel = draw_channel(topo, cfg, rng)
-    return cfg, topo, channel, snr_gap(cfg.target_ber)
+    channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+    return cfg, channel, snr_gap(cfg.target_ber)
 
 
 def reference_sinr(power, channel, user, cell, subband):
@@ -39,12 +38,14 @@ def reference_sinr(power, channel, user, cell, subband):
     return signal / (channel.noise_power + interference)
 
 
-def reference_utility(power, channel, topo, alpha, log=math.log2):
+def reference_utility(power, channel, alpha, log=math.log2):
     """Brute-force objective: per (cell, subband), the best user's rate.
-    Users are cell-major: cell k serves users k*U .. (k+1)*U - 1."""
-    u = topo.users_per_cell
+    Users are cell-major: of the K*U rows of the gain table, cell k serves
+    users k*U .. (k+1)*U - 1."""
+    num_users, num_cells = channel.gain.shape[:2]
+    u = num_users // num_cells
     total = 0.0
-    for k in range(topo.num_cells):
+    for k in range(num_cells):
         for f in range(channel.num_subbands):
             best = max(
                 channel.bandwidth_hz
@@ -109,13 +110,13 @@ def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0) -> ChannelRealiza
 
 def synthetic_topology(num_cells, users_per_cell, serving_distance,
                        cell_radius=500.0) -> Topology:
-    """Topology with prescribed serving distances; positions are placeholders."""
+    """Topology with prescribed serving distances; positions are placeholders.
+    Users are cell-major: cell k serves users k*U .. (k+1)*U - 1."""
     n = num_cells * users_per_cell
-    association = np.repeat(np.arange(num_cells), users_per_cell)
     dist = np.full((n, num_cells), cell_radius, dtype=float)
-    dist[np.arange(n), association] = np.asarray(serving_distance, dtype=float)
-    return Topology(np.zeros((num_cells, 2)), np.zeros((n, 2)), association,
-                    dist, cell_radius)
+    users = np.arange(n)
+    dist[users, users // users_per_cell] = np.asarray(serving_distance, dtype=float)
+    return Topology(np.zeros((num_cells, 2)), np.zeros((n, 2)), dist, cell_radius)
 
 
 def selected_unit_loss(mlp, states, actions, targets, block_size):
@@ -133,7 +134,7 @@ def selected_unit_loss(mlp, states, actions, targets, block_size):
 def split_flat(flat, mlp):
     """Views of a buffer in mlp.flat's layout, shaped like W1, b1, W2, b2."""
     out, start = [], 0
-    for param in mlp.parameters():
+    for param in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
         out.append(flat[start:start + param.size].reshape(param.shape))
         start += param.size
     return out
@@ -156,7 +157,7 @@ def finite_difference_max_error(mlp, states, actions, targets, block_size,
                                 np.empty_like(mlp.flat)), mlp)
 
     worst = 0.0
-    for param, grad in zip(mlp.parameters(), grads):
+    for param, grad in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), grads):
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

@@ -62,7 +62,7 @@ def desk_scale_report():
     env = PowerControlEnv(DESK_CONFIG)
     rng = np.random.default_rng(DESK_SEED)
     mlp = MLP.init((env.state_size, DESK_AGENT.hidden_size, env.num_actions), rng)
-    ag.train(env, mlp, ReplayBuffer(DESK_AGENT.replay_capacity), DESK_AGENT, rng)
+    ag.train(env, mlp, DESK_AGENT, rng)
     records = ag.test(env, mlp, 100, seed=DESK_TEST_SEED, ga_config=DESK_GA,
                       max_power_level=12.8)
     return normalized_throughput(records)
@@ -124,8 +124,8 @@ def test_criterion_4_ga_vs_exhaustive():
         topo = cp.build_topology(cfg, rng)
         channel = cp.draw_channel(topo, cfg, rng)
         alpha = cp.snr_gap(cfg.target_ber)
-        _, best = exhaustive(channel, topo, space, alpha)
-        _, got = ga_optimize(channel, topo, cfg, ga_cfg,
+        _, best = exhaustive(channel, space, alpha)
+        _, got = ga_optimize(channel, cfg, ga_cfg,
                              np.random.default_rng([2000, seed]))
         assert got <= best + 1e-6 * best
         if abs(got - best) <= 1e-9 * best:
@@ -145,7 +145,7 @@ def test_criterion_5_wmmse_monotonicity():
         rng = np.random.default_rng([3000, seed])
         topo = cp.build_topology(cfg, rng)
         channel = cp.draw_channel(topo, cfg, rng)
-        res = wmmse(channel, topo, cfg.max_power, alpha)
+        res = wmmse(channel, cfg.max_power, alpha)
         hist = res.objective_history
         for a, b in zip(hist, hist[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -178,10 +178,10 @@ def test_criterion_7_base_invariance():
         alpha = cp.snr_gap(cfg.target_ber)
         p1 = rng.uniform(0.0, 20.0, size=(2, 2))
         p2 = rng.uniform(1.0, 20.0, size=(2, 2))
-        ratio_log2 = (network_utility(p1, channel, topo, alpha)
-                      / network_utility(p2, channel, topo, alpha))
-        ratio_ln = (reference_utility(p1, channel, topo, alpha, log=math.log)
-                    / reference_utility(p2, channel, topo, alpha, log=math.log))
+        ratio_log2 = (network_utility(p1, channel, alpha)
+                      / network_utility(p2, channel, alpha))
+        ratio_ln = (reference_utility(p1, channel, alpha, log=math.log)
+                    / reference_utility(p2, channel, alpha, log=math.log))
         assert abs(ratio_log2 - ratio_ln) < 1e-12
 
 
@@ -263,18 +263,16 @@ def test_criterion_10_replay_and_target():
                                       max_power=10.0))
     period = 100
     cfg = ag.AgentConfig(train_steps=10_000, batch_size=16, train_start=64,
-                         target_update_steps=period, epsilon_anneal_steps=1000)
+                         target_update_steps=period, epsilon_anneal_steps=1000,
+                         replay_capacity=20_000)
     rng = np.random.default_rng(19)
     mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
 
     def digest(net):
-        h = hashlib.sha256()
-        for p in net.parameters():
-            h.update(p.tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(net.flat.tobytes()).hexdigest()
 
     trace = []
-    ag.train(env, mlp, ReplayBuffer(20_000), cfg, rng,
+    ag.train(env, mlp, cfg, rng,
              on_step=lambda step, gs, net, target: trace.append(
                  (gs, digest(target))))
     assert trace[-1][0] >= 9000

@@ -9,7 +9,6 @@ from cellpower.baselines import GAConfig, exhaustive
 from cellpower.env import PowerControlEnv
 from cellpower.netmodel import network_utility
 from cellpower.qnet import MLP
-from cellpower.replay import ReplayBuffer
 
 from conftest import tiny_config
 
@@ -83,13 +82,12 @@ class TestAgentConfigValidation:
     def test_replay_equal_to_train_start_accepted(self):
         assert AgentConfig(replay_capacity=100, train_start=100).replay_capacity == 100
 
-    def test_buffer_smaller_than_train_start_rejected_by_train(self, rng):
-        # the buffer is built apart from AgentConfig.replay_capacity
-        env = PowerControlEnv(tiny_config())
-        cfg = AgentConfig(train_steps=300, batch_size=8, train_start=100)
-        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        with pytest.raises(ValueError, match=r"capacity \(50\).*train_start \(100\)"):
-            ag.train(env, mlp, ReplayBuffer(50), cfg, rng)
+    @pytest.mark.parametrize("hidden_size", [0, -4])
+    def test_non_positive_hidden_size_rejected(self, hidden_size):
+        with pytest.raises(ValueError, match=f"hidden_size must be >= 1, got {hidden_size}"):
+            AgentConfig(hidden_size=hidden_size)
+        assert AgentConfig(hidden_size=None).hidden_size is None
+        assert AgentConfig(hidden_size=1).hidden_size == 1
 
 
 class TestEpsilonSchedule:
@@ -145,7 +143,7 @@ class TestTraining:
                           learning_rate=0.001, discount=0.5)
         rng = np.random.default_rng(5)
         mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
-        ag.train(env, mlp, ReplayBuffer(4000), cfg, rng)
+        ag.train(env, mlp, cfg, rng)
         for seed in range(5):
             _, state = env.reset(np.random.default_rng(seed))
             action = select_joint_action(mlp.forward(state), 0.0, 1, None)
@@ -156,18 +154,10 @@ class TestTraining:
         cfg = AgentConfig(train_steps=50, batch_size=8, train_start=8,
                           target_update_steps=10)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        buffer = ReplayBuffer(100)
-        # prefill beyond the training gate so every step trains
-        ctx, state = env.reset(rng)
-        for _ in range(10):
-            if ctx.terminal:
-                ctx, state = env.reset(rng)
-            action = rng.integers(0, env.actions.size, size=1)
-            nxt, r, term, _ = env.step(ctx, action)
-            buffer.push(state, action, r, nxt, term)
-            state = nxt
-        result = ag.train(env, mlp, buffer, cfg, rng)
-        assert result.gradient_steps == 50
+        result = ag.train(env, mlp, cfg, rng)
+        # the first gradient step comes at the env step that fills the buffer
+        # to train_start, and every later env step takes one more
+        assert result.gradient_steps == cfg.train_steps - cfg.train_start + 1
 
     def test_target_network_changes_only_at_clone_instants(self, rng):
         env = single_link_env()
@@ -177,13 +167,10 @@ class TestTraining:
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
 
         def digest(net):
-            h = hashlib.sha256()
-            for p in net.parameters():
-                h.update(p.tobytes())
-            return h.hexdigest()
+            return hashlib.sha256(net.flat.tobytes()).hexdigest()
 
         seen = []
-        ag.train(env, mlp, ReplayBuffer(1000), cfg, rng,
+        ag.train(env, mlp, cfg, rng,
                  on_step=lambda step, gs, net, target: seen.append(
                      (gs, digest(target))))
         for (g0, h0), (g1, h1) in zip(seen, seen[1:]):
@@ -201,11 +188,10 @@ class TestTraining:
 
         def on_step(step, gs, net, target):
             if gs > 0:
-                checks.append(all(np.array_equal(a, b) for a, b in
-                                  zip(net.parameters(), target.parameters())))
+                checks.append(np.array_equal(net.flat, target.flat))
 
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        ag.train(env, mlp, ReplayBuffer(1000), cfg, rng, on_step=on_step)
+        ag.train(env, mlp, cfg, rng, on_step=on_step)
         assert checks and all(checks)
 
     def test_training_log_shape(self, rng):
@@ -213,7 +199,7 @@ class TestTraining:
         cfg = AgentConfig(train_steps=200, batch_size=8, train_start=8,
                           target_update_steps=20)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        result = ag.train(env, mlp, ReplayBuffer(1000), cfg, rng)
+        result = ag.train(env, mlp, cfg, rng)
         assert sum(e.length for e in result.episodes) == 200
         assert [e.episode for e in result.episodes] == list(
             range(1, len(result.episodes) + 1))
@@ -246,8 +232,7 @@ class TestTestProtocol:
                           max_power_level=12.8)
         for rec in records:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
-            expected = network_utility(ctx.current_power, ctx.channel,
-                                       ctx.topology, env.alpha)
+            expected = network_utility(ctx.current_power, ctx.channel, env.alpha)
             assert rec.throughput["dql"] == pytest.approx(expected, rel=1e-12)
 
     def test_trained_single_cell_matches_ga_and_exhaustive(self):
@@ -257,13 +242,13 @@ class TestTestProtocol:
                           learning_rate=0.001, discount=0.5)
         rng = np.random.default_rng(5)
         mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
-        ag.train(env, mlp, ReplayBuffer(4000), cfg, rng)
+        ag.train(env, mlp, cfg, rng)
         records = ag.test(env, mlp, 5, seed=31,
                           ga_config=GAConfig(population_size=10, generations=10),
                           max_power_level=8.0)
         for rec in records:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
-            _, best = exhaustive(ctx.channel, ctx.topology, env.actions, env.alpha)
+            _, best = exhaustive(ctx.channel, env.actions, env.alpha)
             assert rec.throughput["dql"] == pytest.approx(best, rel=1e-12)
             assert rec.throughput["ga"] == pytest.approx(best, rel=1e-12)
 

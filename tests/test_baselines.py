@@ -31,17 +31,16 @@ from conftest import (
     reference_budget_projected,
     reference_repair,
     synthetic_channel,
-    synthetic_topology,
     tiny_config,
     tiny_instance,
 )
 
 
-def brute_force_best(channel, topo, space, alpha):
+def brute_force_best(channel, space, alpha):
     best = -math.inf
     best_joint = None
-    for joint in itertools.product(range(space.size), repeat=topo.num_cells):
-        util = network_utility(space.joint_power(joint), channel, topo, alpha)
+    for joint in itertools.product(range(space.size), repeat=channel.gain.shape[1]):
+        util = network_utility(space.joint_power(joint), channel, alpha)
         if util > best:
             best = util
             best_joint = joint
@@ -51,23 +50,23 @@ def brute_force_best(channel, topo, space, alpha):
 class TestGa:
     def test_single_feasible_action(self):
         cfg = tiny_config(power_levels=(1.0,), max_power=3.0)
-        _, topo, channel, alpha = tiny_instance(seed=1, power_levels=(1.0,),
-                                                max_power=3.0)
-        power, util = ga_optimize(channel, topo, cfg,
+        _, channel, alpha = tiny_instance(seed=1, power_levels=(1.0,),
+                                          max_power=3.0)
+        power, util = ga_optimize(channel, cfg,
                                   GAConfig(population_size=4, generations=3),
                                   np.random.default_rng(0))
         assert np.array_equal(power, np.ones((2, 2)))
         assert util == pytest.approx(
-            network_utility(np.ones((2, 2)), channel, topo, alpha), rel=1e-12)
+            network_utility(np.ones((2, 2)), channel, alpha), rel=1e-12)
 
     def test_finds_exhaustive_optimum_on_small_instances(self):
         cfg = tiny_config()
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         hits = 0
         for seed in range(20):
-            _, topo, channel, alpha = tiny_instance(seed=seed)
-            _, best = brute_force_best(channel, topo, space, alpha)
-            _, got = ga_optimize(channel, topo, cfg,
+            _, channel, alpha = tiny_instance(seed=seed)
+            _, best = brute_force_best(channel, space, alpha)
+            _, got = ga_optimize(channel, cfg,
                                  GAConfig(population_size=40, generations=40),
                                  np.random.default_rng(seed))
             assert got <= best + 1e-6
@@ -79,27 +78,27 @@ class TestGa:
 
     def test_deterministic_given_seed(self):
         cfg = tiny_config()
-        _, topo, channel, _ = tiny_instance(seed=3)
+        _, channel, _ = tiny_instance(seed=3)
         ga_cfg = GAConfig(population_size=20, generations=15)
-        p1, u1 = ga_optimize(channel, topo, cfg, ga_cfg, np.random.default_rng(7))
-        p2, u2 = ga_optimize(channel, topo, cfg, ga_cfg, np.random.default_rng(7))
+        p1, u1 = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
+        p2, u2 = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
         assert u1 == u2
         assert np.array_equal(p1, p2)
 
     def test_never_worse_than_its_initial_population(self):
         # generations=0 returns the best of the (identically drawn) initial pop
         cfg = tiny_config()
-        _, topo, channel, _ = tiny_instance(seed=4)
+        _, channel, _ = tiny_instance(seed=4)
         base = GAConfig(population_size=25, generations=0)
         full = GAConfig(population_size=25, generations=30)
-        _, u0 = ga_optimize(channel, topo, cfg, base, np.random.default_rng(11))
-        _, u1 = ga_optimize(channel, topo, cfg, full, np.random.default_rng(11))
+        _, u0 = ga_optimize(channel, cfg, base, np.random.default_rng(11))
+        _, u1 = ga_optimize(channel, cfg, full, np.random.default_rng(11))
         assert u1 >= u0
 
     def test_output_respects_budget_and_levels(self):
         cfg = tiny_config(max_power=26.0)   # forces the repair path
-        _, topo, channel, _ = tiny_instance(seed=5, max_power=26.0)
-        power, _ = ga_optimize(channel, topo, cfg,
+        _, channel, _ = tiny_instance(seed=5, max_power=26.0)
+        power, _ = ga_optimize(channel, cfg,
                                GAConfig(population_size=20, generations=10),
                                np.random.default_rng(2))
         assert np.all(power.sum(axis=1) <= 26.0 + 1e-9)
@@ -119,12 +118,12 @@ class TestGa:
 
     @pytest.mark.parametrize("max_power", [40.0, 26.0])
     def test_throughput_is_utility_of_returned_power(self, max_power):
-        cfg, topo, channel, alpha = tiny_instance(seed=9, max_power=max_power)
-        power, util = ga_optimize(channel, topo, cfg,
+        cfg, channel, alpha = tiny_instance(seed=9, max_power=max_power)
+        power, util = ga_optimize(channel, cfg,
                                   GAConfig(population_size=30, generations=20),
                                   np.random.default_rng(3))
         assert type(util) is float
-        assert util == network_utility(power, channel, topo, alpha)
+        assert util == network_utility(power, channel, alpha)
 
     def test_bad_ga_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -139,9 +138,9 @@ class TestExhaustive:
     def test_single_cell_is_best_action_scan(self):
         cfg = tiny_config(num_cells=1)
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, topo, channel, alpha = tiny_instance(seed=6, num_cells=1)
-        _, best = exhaustive(channel, topo, space, alpha)
-        direct = max(network_utility(space.joint_power([i]), channel, topo, alpha)
+        _, channel, alpha = tiny_instance(seed=6, num_cells=1)
+        _, best = exhaustive(channel, space, alpha)
+        direct = max(network_utility(space.joint_power([i]), channel, alpha)
                      for i in range(space.size))
         assert best == pytest.approx(direct, rel=1e-12)
 
@@ -149,9 +148,9 @@ class TestExhaustive:
         cfg = tiny_config()
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         assert space.size == 9
-        _, topo, channel, alpha = tiny_instance(seed=7)
-        _, best = exhaustive(channel, topo, space, alpha)
-        _, expected = brute_force_best(channel, topo, space, alpha)   # 81 scans
+        _, channel, alpha = tiny_instance(seed=7)
+        _, best = exhaustive(channel, space, alpha)
+        _, expected = brute_force_best(channel, space, alpha)   # 81 scans
         assert best == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_other_solvers(self):
@@ -159,15 +158,15 @@ class TestExhaustive:
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         sums = {"exhaustive": 0.0, "ga": 0.0, "random": 0.0}
         for seed in range(10):
-            _, topo, channel, alpha = tiny_instance(seed=seed)
-            _, best = exhaustive(channel, topo, space, alpha)
-            _, ga = ga_optimize(channel, topo, cfg,
+            _, channel, alpha = tiny_instance(seed=seed)
+            _, best = exhaustive(channel, space, alpha)
+            _, ga = ga_optimize(channel, cfg,
                                 GAConfig(population_size=20, generations=10),
                                 np.random.default_rng(seed))
             rand = network_utility(
                 random_power_baseline(space, 2, np.random.default_rng(seed)),
-                channel, topo, alpha)
-            maxp = network_utility(max_power_baseline(cfg), channel, topo, alpha)
+                channel, alpha)
+            maxp = network_utility(max_power_baseline(cfg), channel, alpha)
             assert best >= ga - 1e-9
             assert best >= rand - 1e-9
             assert best >= maxp - 1e-9
@@ -179,16 +178,15 @@ class TestExhaustive:
     def test_cap_enforced(self):
         cfg = tiny_config()
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, topo, channel, alpha = tiny_instance(seed=8)
+        _, channel, alpha = tiny_instance(seed=8)
         with pytest.raises(SearchSpaceTooLarge):
-            exhaustive(channel, topo, space, alpha, cap=80)
+            exhaustive(channel, space, alpha, cap=80)
 
     def test_tie_break_is_lexicographically_smallest(self):
         # all-zero gains make every joint action score zero
         space = enumerate_actions((1.0, 2.0), 1, 4.0)
-        topo = synthetic_topology(2, 1, [100.0, 100.0])
         channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
-        power, util = exhaustive(channel, topo, space, alpha=0.5)
+        power, util = exhaustive(channel, space, alpha=0.5)
         assert util == 0.0
         assert np.array_equal(power, [[1.0], [1.0]])
 
@@ -196,16 +194,15 @@ class TestExhaustive:
     def test_chunk_boundaries_keep_result_and_tie_break(self, monkeypatch, chunk):
         cfg = tiny_config()
         space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, topo, channel, alpha = tiny_instance(seed=7)
-        whole = exhaustive(channel, topo, space, alpha)
+        _, channel, alpha = tiny_instance(seed=7)
+        whole = exhaustive(channel, space, alpha)
         tie_space = enumerate_actions((1.0, 2.0), 1, 4.0)
-        tie_topo = synthetic_topology(2, 1, [100.0, 100.0])
         tie_channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
         monkeypatch.setattr(baselines_module, "EXHAUSTIVE_CHUNK", chunk)
-        power, util = exhaustive(channel, topo, space, alpha)
+        power, util = exhaustive(channel, space, alpha)
         assert util == whole[1]
         assert np.array_equal(power, whole[0])
-        power, _ = exhaustive(tie_channel, tie_topo, tie_space, alpha=0.5)
+        power, _ = exhaustive(tie_channel, tie_space, alpha=0.5)
         assert np.array_equal(power, [[1.0], [1.0]])
 
 
@@ -213,15 +210,14 @@ class TestWmmse:
     def test_single_link_uses_full_budget(self):
         gain = np.full((1, 1, 1), 5.0)
         ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0)
-        topo = synthetic_topology(1, 1, [100.0])
-        res = wmmse(ch, topo, max_power=7.0, alpha=0.5)
+        res = wmmse(ch, max_power=7.0, alpha=0.5)
         assert res.converged
         assert res.power[0, 0] == pytest.approx(7.0, rel=1e-6)
 
     def test_objective_monotone_and_budget_respected(self):
         for seed in range(10):
-            cfg, topo, channel, alpha = tiny_instance(seed=40 + seed)
-            res = wmmse(channel, topo, cfg.max_power, alpha)
+            cfg, channel, alpha = tiny_instance(seed=40 + seed)
+            res = wmmse(channel, cfg.max_power, alpha)
             hist = res.objective_history
             for a, b in zip(hist, hist[1:]):
                 assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -236,8 +232,7 @@ class TestWmmse:
         gains[1, 1] = rng.uniform(0.5, 2.0, size=2)
         noise, alpha, pmax, bandwidth = 1.0, 0.7, 10.0, 1.0
         ch = synthetic_channel(gains, noise_power=noise, bandwidth_hz=bandwidth)
-        topo = synthetic_topology(2, 1, [100.0, 100.0])
-        res = wmmse(ch, topo, pmax, alpha)
+        res = wmmse(ch, pmax, alpha)
 
         def cell_best(g):
             grid = np.linspace(0.0, pmax, 4001)
@@ -249,23 +244,23 @@ class TestWmmse:
         assert res.throughput == pytest.approx(expected, rel=0.01)
 
     def test_non_convergence_flag(self):
-        cfg, topo, channel, alpha = tiny_instance(seed=16)
-        res = wmmse(channel, topo, cfg.max_power, alpha, max_iters=1)
+        cfg, channel, alpha = tiny_instance(seed=16)
+        res = wmmse(channel, cfg.max_power, alpha, max_iters=1)
         assert not res.converged
         assert res.iterations == 1
-        assert res.throughput == network_utility(res.power, channel, topo, alpha)
+        assert res.throughput == network_utility(res.power, channel, alpha)
 
     def test_scored_by_network_utility_on_the_real_channel(self):
         for seed in range(10):
-            cfg, topo, channel, alpha = tiny_instance(seed=60 + seed)
-            res = wmmse(channel, topo, cfg.max_power, alpha)
-            assert res.throughput == network_utility(res.power, channel, topo, alpha)
+            cfg, channel, alpha = tiny_instance(seed=60 + seed)
+            res = wmmse(channel, cfg.max_power, alpha)
+            assert res.throughput == network_utility(res.power, channel, alpha)
             # the rate-max assignment is at least as good as the frozen one
             assert res.throughput >= max(res.objective_history) * (1.0 - 1e-12)
             # the frozen assignment is the rate-max one at uniform power
             uniform = np.full_like(res.power, cfg.max_power / cfg.num_subbands)
             assert res.objective_history[0] == pytest.approx(
-                network_utility(uniform, channel, topo, alpha), rel=1e-12)
+                network_utility(uniform, channel, alpha), rel=1e-12)
 
     def test_budget_solve_matches_per_cell_bisection_on_scenario1(self, monkeypatch):
         cfg = scenario_preset("scenario1")
@@ -273,21 +268,20 @@ class TestWmmse:
         channels = []
         for seed in range(5):
             rng = np.random.default_rng([seed, 0])
-            topo = build_topology(cfg, rng)
-            channels.append((topo, draw_channel(topo, cfg, rng)))
-        fast = [wmmse(ch, topo, cfg.max_power, alpha) for topo, ch in channels]
+            channels.append(draw_channel(build_topology(cfg, rng), cfg, rng))
+        fast = [wmmse(ch, cfg.max_power, alpha) for ch in channels]
 
         def per_cell(num, den, max_power):
             return np.array([reference_budget_projected(n, d, max_power)
                              for n, d in zip(num, den)])
 
         monkeypatch.setattr(baselines_module, "_solve_budget", per_cell)
-        for (topo, ch), res in zip(channels, fast):
-            ref = wmmse(ch, topo, cfg.max_power, alpha)
+        for ch, res in zip(channels, fast):
+            ref = wmmse(ch, cfg.max_power, alpha)
             np.testing.assert_allclose(res.power, ref.power, rtol=1e-9, atol=0.0)
             assert res.iterations == ref.iterations == 500
             assert np.all(res.power.sum(axis=1) <= cfg.max_power)
-            assert res.throughput == network_utility(res.power, ch, topo, alpha)
+            assert res.throughput == network_utility(res.power, ch, alpha)
 
 
 def budget_inputs(rng, num_cells, num_subbands=3, max_power=40.0):
@@ -394,22 +388,21 @@ class TestScore:
         self.ga = GAConfig(population_size=8, generations=5)
 
     def run(self, name):
-        return score(name, self.ctx.channel, self.ctx.topology, self.env, 77,
-                     self.ga, 12.8)
+        return score(name, self.ctx.channel, self.env, 77, self.ga, 12.8)
 
     def test_seed_layout_and_values(self):
-        env, ch, topo = self.env, self.ctx.channel, self.ctx.topology
+        env, ch = self.env, self.ctx.channel
         assert self.run("ga") == (ga_optimize(
-            ch, topo, env.config, self.ga, np.random.default_rng([77, 1]))[1], {})
+            ch, env.config, self.ga, np.random.default_rng([77, 1]))[1], {})
         rand = random_power_baseline(env.actions, 2, np.random.default_rng([77, 2]))
-        assert self.run("random") == (network_utility(rand, ch, topo, env.alpha), {})
+        assert self.run("random") == (network_utility(rand, ch, env.alpha), {})
         mx = max_power_baseline(env.config, 12.8)
-        assert self.run("maxpower") == (network_utility(mx, ch, topo, env.alpha), {})
+        assert self.run("maxpower") == (network_utility(mx, ch, env.alpha), {})
         assert self.run("exhaustive") == (
-            exhaustive(ch, topo, env.actions, env.alpha)[1], {})
+            exhaustive(ch, env.actions, env.alpha)[1], {})
 
     def test_wmmse_diagnostics(self):
-        res = wmmse(self.ctx.channel, self.ctx.topology, 40.0, self.env.alpha)
+        res = wmmse(self.ctx.channel, 40.0, self.env.alpha)
         assert self.run("wmmse") == (res.throughput, {
             "iterations": res.iterations, "converged": res.converged})
 

@@ -45,7 +45,8 @@ class TestEnumerateActions:
 
     def test_lexicographic_and_unique(self):
         space = enumerate_actions((6.4, 9.6, 12.8, 16.0, 19.2), 3, 40.0)
-        rows = [tuple(r) for r in space.level_indices]
+        # levels increase, so power rows sort as their level indices do
+        rows = [tuple(r) for r in space.powers]
         assert rows == sorted(rows)
         assert len(set(rows)) == len(rows)
 
@@ -99,7 +100,7 @@ class TestReset:
         env = PowerControlEnv(tiny_config())
         ctx, _ = env.reset(rng)
         min_power = np.full((2, 2), 6.4)
-        expected = reference_utility(min_power, ctx.channel, ctx.topology, env.alpha)
+        expected = reference_utility(min_power, ctx.channel, env.alpha)
         assert ctx.previous_throughput == pytest.approx(expected, rel=1e-12)
 
     def test_initial_action_is_feasible(self, rng):
@@ -146,7 +147,7 @@ class TestStep:
         ctx, _ = env.reset(rng)
         ctx.current_power = np.array([[1.0]])
         ctx.previous_throughput = network_utility(ctx.current_power, ctx.channel,
-                                                  ctx.topology, env.alpha)
+                                                  env.alpha)
         # single cell: rate is monotone in power, so the top level improves
         _, reward, terminal, _ = env.step(ctx, [1])
         assert reward == 1.0
@@ -208,7 +209,7 @@ class TestStep:
         monkeypatch.undo()
         assert np.array_equal(state, env.encode_state(ctx))
         assert throughput == network_utility(ctx.current_power, ctx.channel,
-                                             ctx.topology, env.alpha)
+                                             env.alpha)
 
     def test_step_cap_forces_terminal(self, rng):
         env = PowerControlEnv(tiny_config(), max_episode_steps=1)

@@ -129,6 +129,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             spec_from_file(path)
 
+    def test_rng_seed_is_not_a_key(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("scenario = scenario1\nrng_seed = 5\n")
+        with pytest.raises(ConfigError, match="unknown config key 'rng_seed'"):
+            spec_from_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("just words\n")
@@ -194,7 +200,7 @@ class TestRunExperiment:
         assert len(meta["wmmse_iterations"]) == len(meta["wmmse_converged"]) == 3
         for i, seed in enumerate(seeds):
             ctx, _ = env.reset(np.random.default_rng([seed, 0]))
-            res = wmmse(ctx.channel, ctx.topology, spec.config.max_power, env.alpha)
+            res = wmmse(ctx.channel, spec.config.max_power, env.alpha)
             assert meta["wmmse_iterations"][i] == res.iterations
             assert meta["wmmse_converged"][i] is res.converged
 
@@ -247,8 +253,7 @@ class TestRunExperiment:
         def random_rollout(rng):
             from cellpower.netmodel import network_utility
             ctx, _ = env.reset(rng)
-            best = network_utility(ctx.current_power, ctx.channel, ctx.topology,
-                                   env.alpha)
+            best = network_utility(ctx.current_power, ctx.channel, env.alpha)
             while not ctx.terminal:
                 action = rng.integers(0, env.actions.size, size=2)
                 _, _, terminal, thr = env.step(ctx, action)
@@ -261,8 +266,8 @@ class TestRunExperiment:
         ratios = []
         for s in (int(v) for v in seeds):
             ctx, best = random_rollout(np.random.default_rng([s, 0]))
-            _, ga_util = ga_optimize(ctx.channel, ctx.topology, spec.config,
-                                     spec.ga, np.random.default_rng([s, 1]))
+            _, ga_util = ga_optimize(ctx.channel, spec.config, spec.ga,
+                                     np.random.default_rng([s, 1]))
             ratios.append(best / ga_util)
         assert abs(report.mean["dql"] - float(np.mean(ratios))) < 0.05
 
@@ -286,11 +291,11 @@ class TestPerSampleFairness:
             channel = draw_channel(topo, spec.config, rng)
             maxp = max_power_baseline(spec.config, spec.max_power_level)
             assert rec.throughput["maxpower"] == pytest.approx(
-                network_utility(maxp, channel, topo, env.alpha), rel=1e-12)
+                network_utility(maxp, channel, env.alpha), rel=1e-12)
             rand = random_power_baseline(env.actions, 2,
                                          np.random.default_rng([rec.channel_seed, 2]))
             assert rec.throughput["random"] == pytest.approx(
-                network_utility(rand, channel, topo, env.alpha), rel=1e-12)
+                network_utility(rand, channel, env.alpha), rel=1e-12)
 
     def test_report_means_are_arithmetic_means(self):
         recs = [record(dql=0.5, seed=0), record(dql=0.7, seed=1),
@@ -347,6 +352,29 @@ class TestNegativeSizes:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("hidden_size = 0", "hidden_size"),
+        ("hidden_size = -4", "hidden_size"),
+        ("max_power_level = 25.0", "max_power_level"),   # 2 x 25 W > 40 W
+    ])
+    def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
+                                                      line, key):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG + line + "\n")
+        code = cli_main(["compare", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_max_power_level_checked_only_with_test_samples(self):
+        # the fixed-power baseline runs only in the test phase
+        with pytest.raises(ConfigError, match="max_power_level 25.0 W"):
+            ExperimentSpec(config=tiny_config(), max_power_level=25.0)
+        spec = ExperimentSpec(config=tiny_config(), max_power_level=25.0,
+                              n_test_samples=0)
+        assert spec.max_power_level == 25.0
 
 
 class TestCli:

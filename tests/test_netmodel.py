@@ -99,10 +99,15 @@ class TestTopology:
         assert np.all(topo.serving_distance >= cfg.min_user_distance)
         assert np.all(topo.serving_distance <= cfg.cell_radius)
 
-    def test_association_is_cell_major(self, rng):
+    def test_users_are_cell_major(self, rng):
+        # user u is dropped in, and measured against, the disk of cell u // U
         cfg = tiny_config()
         topo = build_topology(cfg, rng)
-        assert list(topo.association) == [0, 0, 0, 1, 1, 1]
+        for u in range(cfg.num_users):
+            k = u // cfg.users_per_cell
+            d = np.linalg.norm(topo.user_positions[u] - topo.bs_positions[k])
+            assert cfg.min_user_distance <= d <= cfg.cell_radius
+            assert topo.serving_distance[u] == pytest.approx(d, rel=1e-12)
 
     def test_same_seed_same_drop(self):
         cfg = tiny_config()
@@ -125,8 +130,10 @@ class TestChannel:
         assert abs(mean - 1.0) < 0.02
 
     def test_gain_dimensions_and_noise(self, rng):
-        cfg, topo, channel, _ = tiny_instance()
+        cfg, channel, _ = tiny_instance()
         assert channel.gain.shape == (6, 2, 2)
+        assert (channel.num_cells, channel.users_per_cell,
+                channel.num_subbands) == (2, 3, 2)
         assert np.all(channel.gain > 0)
         assert channel.noise_power == pytest.approx(cfg.noise_power)
 
@@ -137,8 +144,7 @@ class TestChannel:
 class TestSinr:
     def test_single_cell_unit_case(self):
         ch = synthetic_channel(np.ones((1, 1, 1)), noise_power=1.0)
-        topo = synthetic_topology(1, 1, [100.0])
-        assert serving_sinr(np.array([[1.0]]), ch, topo)[0, 0] == pytest.approx(1.0)
+        assert serving_sinr(np.array([[1.0]]), ch)[0, 0] == pytest.approx(1.0)
 
     def test_hand_arithmetic_with_interferer(self):
         # user 0 is served by cell 0 and hears cell 1; user 1 is cell 1's
@@ -146,65 +152,63 @@ class TestSinr:
         gain[0, 0, 0] = 0.5
         gain[0, 1, 0] = 0.9
         ch = synthetic_channel(gain, noise_power=0.1)
-        topo = synthetic_topology(2, 1, [100.0, 100.0])
         power = np.array([[2.0], [1.0]])
-        assert serving_sinr(power, ch, topo)[0, 0] == pytest.approx(1.0)
+        assert serving_sinr(power, ch)[0, 0] == pytest.approx(1.0)
 
     def test_zero_power_zero_sinr(self):
         ch = synthetic_channel(np.ones((2, 2, 1)), noise_power=1.0)
-        topo = synthetic_topology(2, 1, [100.0, 100.0])
         power = np.array([[0.0], [5.0]])
-        assert serving_sinr(power, ch, topo)[0, 0] == 0.0
+        assert serving_sinr(power, ch)[0, 0] == 0.0
 
     def test_matches_reference_on_random_instance(self, rng):
-        cfg, topo, channel, _ = tiny_instance(seed=5)
+        cfg, channel, _ = tiny_instance(seed=5)
         power = rng.uniform(0.0, 20.0, size=(2, 2))
-        s = serving_sinr(power, channel, topo)
-        for u in range(topo.num_users):
-            k = topo.association[u]
+        s = serving_sinr(power, channel)
+        for u in range(6):
+            k = u // 3       # cell-major: 3 users per cell
             for f in range(2):
                 assert s[u, f] == pytest.approx(
                     reference_sinr(power, channel, u, k, f), rel=1e-12)
 
     def test_vectorized_serving_sinr_matches_scalar(self, rng):
         # a batch of allocations gives the SINRs of each one alone
-        cfg, topo, channel, _ = tiny_instance(seed=6)
+        cfg, channel, _ = tiny_instance(seed=6)
         power = rng.uniform(0.0, 20.0, size=(4, 2, 2))
-        s = serving_sinr(power, channel, topo)
-        assert s.shape == (4, topo.num_users, 2)
+        s = serving_sinr(power, channel)
+        assert s.shape == (4, 6, 2)
         for b in range(4):
-            single = serving_sinr(power[b], channel, topo)
-            for u in range(topo.num_users):
+            single = serving_sinr(power[b], channel)
+            for u in range(6):
                 for f in range(2):
                     assert s[b, u, f] == pytest.approx(single[u, f], rel=1e-12)
 
     def test_monotone_in_own_and_interferer_power(self, rng):
         # user 0 is served by cell 0
-        cfg, topo, channel, _ = tiny_instance(seed=7)
+        cfg, channel, _ = tiny_instance(seed=7)
         power = rng.uniform(1.0, 10.0, size=(2, 2))
-        base = serving_sinr(power, channel, topo)[0, 0]
+        base = serving_sinr(power, channel)[0, 0]
         up = power.copy()
         up[0, 0] *= 1.5
-        assert serving_sinr(up, channel, topo)[0, 0] >= base
+        assert serving_sinr(up, channel)[0, 0] >= base
         worse = power.copy()
         worse[1, 0] *= 1.5
-        assert serving_sinr(worse, channel, topo)[0, 0] <= base
+        assert serving_sinr(worse, channel)[0, 0] <= base
 
     def test_scaling_power_and_noise_together(self, rng):
-        cfg, topo, channel, _ = tiny_instance(seed=8)
+        cfg, channel, _ = tiny_instance(seed=8)
         power = rng.uniform(1.0, 10.0, size=(2, 2))
         scaled = synthetic_channel(channel.gain, channel.noise_power * 7.0,
                                    channel.bandwidth_hz)
-        s1 = serving_sinr(power, channel, topo)
-        s2 = serving_sinr(power * 7.0, scaled, topo)
+        s1 = serving_sinr(power, channel)
+        s2 = serving_sinr(power * 7.0, scaled)
         assert np.allclose(s1, s2, rtol=1e-12)
 
 
 class TestAssignment:
     def test_single_user_cells(self, rng):
-        cfg, topo, channel, alpha = tiny_instance(seed=9, users_per_cell=1)
+        cfg, channel, alpha = tiny_instance(seed=9, users_per_cell=1)
         power = np.full((2, 2), 10.0)
-        a = assign_subbands(power, channel, topo, alpha)
+        a = assign_subbands(power, channel, alpha)
         assert np.array_equal(a, [[0, 0], [1, 1]])
 
     def test_stronger_gain_wins_without_interference(self):
@@ -212,14 +216,13 @@ class TestAssignment:
         gain[0, 0, 0] = 1.0
         gain[1, 0, 0] = 2.0
         ch = synthetic_channel(gain, noise_power=1.0)
-        topo = synthetic_topology(1, 2, [100.0, 100.0])
-        a = assign_subbands(np.array([[1.0]]), ch, topo, alpha=1.0)
+        a = assign_subbands(np.array([[1.0]]), ch, alpha=1.0)
         assert a[0, 0] == 1
 
     def test_matches_per_subband_brute_force(self, rng):
-        cfg, topo, channel, alpha = tiny_instance(seed=10)
+        cfg, channel, alpha = tiny_instance(seed=10)
         power = rng.uniform(0.0, 20.0, size=(2, 2))
-        a = assign_subbands(power, channel, topo, alpha)
+        a = assign_subbands(power, channel, alpha)
         for k in range(2):
             for f in range(2):
                 rates = {u: math.log2(1 + alpha * reference_sinr(power, channel, u, k, f))
@@ -227,10 +230,10 @@ class TestAssignment:
                 assert rates[a[k, f]] == max(rates.values())
 
     def test_assigned_user_dominates_cellmates(self, rng):
-        cfg, topo, channel, alpha = tiny_instance(seed=11, users_per_cell=4)
+        cfg, channel, alpha = tiny_instance(seed=11, users_per_cell=4)
         power = rng.uniform(0.0, 20.0, size=(2, 2))
-        a = assign_subbands(power, channel, topo, alpha)
-        s = serving_sinr(power, channel, topo)
+        a = assign_subbands(power, channel, alpha)
+        s = serving_sinr(power, channel)
         for k in range(2):
             for f in range(2):
                 for u in range(4 * k, 4 * (k + 1)):
@@ -239,35 +242,34 @@ class TestAssignment:
 
 class TestNetworkUtility:
     def test_zero_power_zero_utility(self):
-        cfg, topo, channel, alpha = tiny_instance(seed=12)
-        assert network_utility(np.zeros((2, 2)), channel, topo, alpha) == 0.0
+        cfg, channel, alpha = tiny_instance(seed=12)
+        assert network_utility(np.zeros((2, 2)), channel, alpha) == 0.0
 
     def test_unit_log_argument_gives_bandwidth(self):
         # alpha * SINR = 1  ->  utility = B * log2(2) = B
         alpha = 0.5
         gain = np.ones((1, 1, 1)) * 2.0
         ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=123.0)
-        topo = synthetic_topology(1, 1, [100.0])
-        assert network_utility(np.array([[1.0]]), ch, topo, alpha) == pytest.approx(123.0)
+        assert network_utility(np.array([[1.0]]), ch, alpha) == pytest.approx(123.0)
 
     def test_matches_brute_force(self, rng):
         for seed in range(5):
-            cfg, topo, channel, alpha = tiny_instance(seed=seed)
+            cfg, channel, alpha = tiny_instance(seed=seed)
             power = rng.uniform(0.0, 20.0, size=(2, 2))
-            expected = reference_utility(power, channel, topo, alpha)
-            assert network_utility(power, channel, topo, alpha) == pytest.approx(
+            expected = reference_utility(power, channel, alpha)
+            assert network_utility(power, channel, alpha) == pytest.approx(
                 expected, rel=1e-12)
 
     def test_ratio_invariant_to_log_base(self, rng):
         # switching log2 -> ln scales every term by one constant
         for seed in range(20):
-            cfg, topo, channel, alpha = tiny_instance(seed=100 + seed)
+            cfg, channel, alpha = tiny_instance(seed=100 + seed)
             p1 = rng.uniform(0.0, 20.0, size=(2, 2))
             p2 = rng.uniform(0.0, 20.0, size=(2, 2))
-            r_log2 = (reference_utility(p1, channel, topo, alpha, log=math.log2)
-                      / reference_utility(p2, channel, topo, alpha, log=math.log2))
-            r_ln = (reference_utility(p1, channel, topo, alpha, log=math.log)
-                    / reference_utility(p2, channel, topo, alpha, log=math.log))
+            r_log2 = (reference_utility(p1, channel, alpha, log=math.log2)
+                      / reference_utility(p2, channel, alpha, log=math.log2))
+            r_ln = (reference_utility(p1, channel, alpha, log=math.log)
+                    / reference_utility(p2, channel, alpha, log=math.log))
             assert abs(r_log2 - r_ln) < 1e-12
 
     @pytest.mark.parametrize("num_cells", [5, 15])    # scenario1, scenario3 size
@@ -275,27 +277,25 @@ class TestNetworkUtility:
     def test_batch_equals_per_allocation_loop(self, num_cells, batch):
         cfg = ScenarioConfig(num_cells=num_cells)
         rng = np.random.default_rng([num_cells, batch])
-        topo = build_topology(cfg, rng)
-        channel = draw_channel(topo, cfg, rng)
+        channel = draw_channel(build_topology(cfg, rng), cfg, rng)
         alpha = snr_gap(cfg.target_ber)
         levels = np.asarray(cfg.power_levels)
         power = levels[rng.integers(0, len(levels), size=(batch, num_cells, cfg.num_subbands))]
-        got = network_utility(power, channel, topo, alpha)
+        got = network_utility(power, channel, alpha)
         assert got.shape == (batch,)
-        loop = [network_utility(p, channel, topo, alpha) for p in power]
+        loop = [network_utility(p, channel, alpha) for p in power]
         assert all(type(u) is float for u in loop)
         assert got.tolist() == loop
 
     def test_invariant_to_user_relabeling_within_cell(self, rng):
-        cfg, topo, channel, alpha = tiny_instance(seed=13)
+        cfg, channel, alpha = tiny_instance(seed=13)
         power = rng.uniform(1.0, 20.0, size=(2, 2))
-        # swap two users of cell 0 in both gain table and distances
+        # swap two users of cell 0 in the gain table
         perm = np.array([1, 0, 2, 3, 4, 5])
         ch2 = synthetic_channel(channel.gain[perm], channel.noise_power,
                                 channel.bandwidth_hz)
-        topo2 = synthetic_topology(2, 3, topo.serving_distance[perm])
-        assert network_utility(power, ch2, topo2, alpha) == pytest.approx(
-            network_utility(power, channel, topo, alpha), rel=1e-12)
+        assert network_utility(power, ch2, alpha) == pytest.approx(
+            network_utility(power, channel, alpha), rel=1e-12)
 
 
 class TestCqi:

@@ -91,11 +91,10 @@ class TestTrainBatch:
             for k in range(2):
                 targets[i, k] = q[i, k * block + actions[i, k]]
         opt = RMSprop(mlp, learning_rate=0.01)
-        before = [p.copy() for p in mlp.parameters()]
+        before = mlp.flat.copy()
         loss = train_batch(mlp, opt, states, actions, targets, block)
         assert loss == 0.0
-        for p, b in zip(mlp.parameters(), before):
-            assert np.array_equal(p, b)
+        assert np.array_equal(mlp.flat, before)
 
     def test_analytic_gradient_linear_regime(self):
         # positive input keeps the rectifier in its linear branch:
@@ -151,11 +150,10 @@ class TestRmsprop:
         opt = RMSprop(mlp, learning_rate=0.5)
         for a in split_flat(opt.acc, mlp):
             a[...] = np.abs(rng.normal(size=a.shape))
-        before = [p.copy() for p in mlp.parameters()]
+        before = mlp.flat.copy()
         acc_before = [a.copy() for a in split_flat(opt.acc, mlp)]
         opt.apply(mlp, np.zeros_like(mlp.flat))
-        for p, b in zip(mlp.parameters(), before):
-            assert np.array_equal(p, b)
+        assert np.array_equal(mlp.flat, before)
         for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
             assert np.allclose(a, b * opt.decay)
 
@@ -174,7 +172,7 @@ class TestFlatLearnerOracle:
         mlp = MLP.init(self.SIZES, rng)
         assert UPDATE_BLOCK < mlp.flat.size and mlp.flat.size % UPDATE_BLOCK
         opt = RMSprop(mlp, **self.HYPER)
-        params = [p.copy() for p in mlp.parameters()]
+        params = [p.copy() for p in (mlp.w1, mlp.b1, mlp.w2, mlp.b2)]
         acc = [np.zeros_like(p) for p in params]
         block = self.SIZES[2] // self.CELLS
         for _ in range(steps):
@@ -189,7 +187,7 @@ class TestFlatLearnerOracle:
 
     def test_parameters_and_accumulators_bitwise_equal(self, rng):
         mlp, opt, params, acc = self._train_both(rng)
-        for got, want in zip(mlp.parameters(), params):
+        for got, want in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), params):
             assert np.array_equal(got, want)
         for got, want in zip(split_flat(opt.acc, mlp), acc):
             assert np.array_equal(got, want)
