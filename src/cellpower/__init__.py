@@ -12,7 +12,7 @@ from .netmodel import (
     network_utility,
     snr_gap,
 )
-from .env import ActionSpace, PowerControlEnv, enumerate_actions
+from .env import PowerControlEnv, enumerate_actions
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint, train_batch
 from .replay import ReplayBuffer
 from .agent import AgentConfig, TestRecord, select_joint_action, test, train

@@ -40,6 +40,11 @@ class AgentConfig:
             raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
         if self.target_update_steps < 1:
             raise ValueError("target_update_steps must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.rmsprop_decay < 1.0:
+            raise ValueError(
+                f"rmsprop_decay must be in [0, 1), got {self.rmsprop_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hidden_size is not None and self.hidden_size < 1:
@@ -116,8 +121,7 @@ class TrainResult:
 
 
 def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
-          rng: np.random.Generator, opt: RMSprop | None = None,
-          on_step=None) -> TrainResult:
+          rng: np.random.Generator, opt: RMSprop, on_step=None) -> TrainResult:
     """Run episodic epsilon-greedy training until config.train_steps env
     steps, replaying from a ring of config.replay_capacity transitions.
 
@@ -126,9 +130,6 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
     and diagnostics.
     """
     num_cells = env.config.num_cells
-    if opt is None:
-        opt = RMSprop(mlp, config.learning_rate, config.rmsprop_decay,
-                      config.rmsprop_epsilon)
     train_start = config.resolved_train_start()
     buffer = ReplayBuffer(config.replay_capacity)
     target = mlp.clone()
@@ -160,7 +161,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
                                           config.discount, num_cells)
                 try:
                     loss = train_batch(mlp, opt, states, actions, targets,
-                                       env.actions.size)
+                                       len(env.actions))
                 except FloatingPointError as exc:
                     raise RuntimeError(
                         f"training diverged at env step {step} "
@@ -216,15 +217,12 @@ def sample_seeds(seed: int, n_samples: int) -> list:
 
 
 def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
-         ga_config: baselines.GAConfig | None = None,
-         max_power_level: float = 12.8) -> list:
+         ga_config: baselines.GAConfig, max_power_level: float) -> list:
     """Greedy policy vs. GA / WMMSE / max-power / random on shared channels.
 
     Each sample draws a fresh channel from its own recorded seed; every
     method is evaluated on that same frozen realization.
     """
-    if ga_config is None:
-        ga_config = baselines.GAConfig()
     records = []
     for sample_seed in sample_seeds(seed, n_samples):
         ctx, dql_action, dql_throughput = greedy_rollout(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ActionSpace, PowerControlEnv
+from .env import PowerControlEnv, level_grid
 from .netmodel import (
     BUDGET_TOL,
     ChannelRealization,
@@ -32,26 +32,29 @@ class GAConfig:
     elite_count: int = 2
 
     def __post_init__(self):
+        # messages name the config-file keys, which carry a ga_ prefix
         if self.population_size < 2:
-            raise ConfigError("population_size must be >= 2")
+            raise ConfigError("ga_population_size must be >= 2")
+        if self.generations < 0:
+            raise ConfigError(f"ga_generations must be >= 0, got {self.generations}")
         for name in ("crossover_prob", "mutation_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} outside [0, 1]")
+                raise ConfigError(f"ga_{name} outside [0, 1]")
         if not 0 <= self.elite_count < self.population_size:
-            raise ConfigError("elite_count must be < population_size")
+            raise ConfigError("ga_elite_count must be < ga_population_size")
         if self.tournament_size < 1:
-            raise ConfigError("tournament_size must be >= 1")
+            raise ConfigError("ga_tournament_size must be >= 1")
 
 
 def _repair_table(levels: np.ndarray, num_subbands: int,
                   max_power: float) -> np.ndarray:
     """Budget repair of every per-cell gene tuple, shape (n_levels^F, F).
 
-    Row r repairs the tuple whose radix-n_levels digits are r (first gene
-    most significant): the largest gene of an over-budget tuple is
-    decremented, first maximum on ties, until the tuple fits the budget.
+    Row r repairs row r of `level_grid`: the largest gene of an over-budget
+    tuple is decremented, first maximum on ties, until the tuple fits the
+    budget.
     """
-    genes = np.indices((len(levels),) * num_subbands).reshape(num_subbands, -1).T.copy()
+    genes = level_grid(len(levels), num_subbands).copy()
     while True:
         over = np.flatnonzero(levels[genes].sum(axis=1) > max_power + BUDGET_TOL)
         if over.size == 0:
@@ -130,7 +133,7 @@ class SearchSpaceTooLarge(RuntimeError):
 EXHAUSTIVE_CHUNK = 1024
 
 
-def exhaustive(channel: ChannelRealization, action_space: ActionSpace,
+def exhaustive(channel: ChannelRealization, actions: np.ndarray,
                alpha: float, cap: int = 10 ** 6):
     """Exact maximizer over all m^K joint discrete actions.
 
@@ -139,7 +142,7 @@ def exhaustive(channel: ChannelRealization, action_space: ActionSpace,
     resolve to the lexicographically smallest joint action. Refuses spaces
     larger than `cap`.
     """
-    m = action_space.size
+    m = len(actions)
     k = channel.num_cells
     total = m ** k
     if total > cap:
@@ -151,7 +154,7 @@ def exhaustive(channel: ChannelRealization, action_space: ActionSpace,
     for start in range(0, total, EXHAUSTIVE_CHUNK):
         index = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
         joint = np.stack(np.unravel_index(index, (m,) * k), axis=1)     # (B, K)
-        power = action_space.joint_power(joint)                         # (B, K, F)
+        power = actions[joint]                                          # (B, K, F)
         utils = network_utility(power, channel, alpha)
         top = int(np.argmax(utils))      # first maximum within the chunk
         if utils[top] > best_util:       # strict: an earlier chunk keeps a tie
@@ -283,7 +286,7 @@ def _solve_budget(num: np.ndarray, den: np.ndarray, max_power: float) -> np.ndar
         v[over] *= np.nextafter(np.sqrt(max_power / total[over]), 0.0)[:, None]
 
 
-def max_power_baseline(config: ScenarioConfig, level: float = 12.8) -> np.ndarray:
+def max_power_baseline(config: ScenarioConfig, level: float) -> np.ndarray:
     """Fixed per-subband power for every cell; rejects budget violations."""
     if level * config.num_subbands > config.max_power + BUDGET_TOL:
         raise ConfigError(
@@ -292,11 +295,10 @@ def max_power_baseline(config: ScenarioConfig, level: float = 12.8) -> np.ndarra
     return np.full((config.num_cells, config.num_subbands), float(level))
 
 
-def random_power_baseline(action_space: ActionSpace, num_cells: int,
+def random_power_baseline(actions: np.ndarray, num_cells: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Independently uniform feasible action per cell."""
-    joint = rng.integers(0, action_space.size, size=num_cells)
-    return action_space.joint_power(joint)
+    return actions[rng.integers(0, len(actions), size=num_cells)]
 
 
 BASELINES = ("ga", "wmmse", "maxpower", "random", "exhaustive")

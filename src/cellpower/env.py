@@ -1,12 +1,11 @@
 """Episodic decision process over the radio model.
 
-One episode runs on a frozen topology + channel. Every step maps K per-cell
+One episode runs on a frozen user drop + channel. Every step maps K per-cell
 action indices to discrete power vectors, recomputes the network throughput
 and continues only while the throughput strictly increases.
 """
 
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     ScenarioConfig,
-    Topology,
     build_topology,
     cqi_quantize_array,
     draw_channel,
@@ -28,43 +26,30 @@ from .netmodel import (
 )
 
 
-@dataclass(frozen=True)
-class ActionSpace:
-    """Budget-feasible per-cell power vectors in a fixed deterministic order."""
-
-    powers: np.ndarray          # (m, F) W, rows in lexicographic level order
-
-    @property
-    def size(self) -> int:
-        return self.powers.shape[0]
-
-    @property
-    def num_subbands(self) -> int:
-        return self.powers.shape[1]
-
-    def joint_power(self, joint_action) -> np.ndarray:
-        """Decode K per-cell action indices into a (K, F) allocation."""
-        return self.powers[np.asarray(joint_action, dtype=int)]
+def level_grid(n_levels: int, num_subbands: int) -> np.ndarray:
+    """Every tuple of F level indices, shape (n_levels^F, F): row r holds the
+    radix-n_levels digits of r, first subband most significant."""
+    return np.indices((n_levels,) * num_subbands).reshape(num_subbands, -1).T
 
 
-def enumerate_actions(power_levels, num_subbands: int, max_power: float) -> ActionSpace:
-    """All level combinations per cell, minus those breaking the power budget."""
+def enumerate_actions(power_levels, num_subbands: int, max_power: float) -> np.ndarray:
+    """Action table, shape (m, F) W: row i is the per-subband power vector of
+    action i. Rows are the budget-feasible level tuples in lexicographic
+    order."""
     levels = np.asarray(power_levels, dtype=float)
-    kept = []
-    for combo in itertools.product(range(len(levels)), repeat=num_subbands):
-        if levels[list(combo)].sum() <= max_power + BUDGET_TOL:
-            kept.append(combo)
-    if not kept:
+    powers = levels[level_grid(len(levels), num_subbands)]
+    actions = powers[powers.sum(axis=1) <= max_power + BUDGET_TOL]
+    if not len(actions):
         raise ConfigError("no feasible power combination under the budget")
-    return ActionSpace(levels[np.array(kept, dtype=int)])
+    return actions
 
 
-def actions_to_csv(space: ActionSpace) -> str:
+def actions_to_csv(actions: np.ndarray) -> str:
     """Action table as CSV: index, per-subband powers, per-cell total."""
     out = io.StringIO()
-    cols = ",".join(f"p{f}_w" for f in range(space.num_subbands))
+    cols = ",".join(f"p{f}_w" for f in range(actions.shape[1]))
     out.write(f"action,{cols},total_w\n")
-    for i, row in enumerate(space.powers):
+    for i, row in enumerate(actions):
         vals = ",".join(repr(float(v)) for v in row)
         out.write(f"{i},{vals},{repr(float(row.sum()))}\n")
     return out.getvalue()
@@ -72,9 +57,9 @@ def actions_to_csv(space: ActionSpace) -> str:
 
 @dataclass
 class EpisodeContext:
-    """Mutable per-episode state; channel and topology stay frozen."""
+    """Mutable per-episode state; channel and cell-edge bits stay frozen."""
 
-    topology: Topology
+    edge: np.ndarray                   # (K*U,) cell-edge bit of each user
     channel: ChannelRealization
     current_power: np.ndarray          # (K, F) W
     current_action: np.ndarray         # (K,) action indices
@@ -107,7 +92,7 @@ class PowerControlEnv:
     @property
     def num_actions(self) -> int:
         """Output width of a Q-network: K blocks of m per-cell actions."""
-        return self.config.num_cells * self.actions.size
+        return self.config.num_cells * len(self.actions)
 
     def reset(self, rng: np.random.Generator):
         """Fresh drop + channel, random feasible action per cell.
@@ -117,12 +102,11 @@ class PowerControlEnv:
         """
         topo = build_topology(self.config, rng)
         channel = draw_channel(topo, self.config, rng)
-        joint = rng.integers(0, self.actions.size, size=self.config.num_cells)
-        power = self.actions.joint_power(joint)
-        # index 0 is the all-lowest-level combination, feasible by config invariant
-        min_power = self.actions.joint_power(np.zeros(self.config.num_cells, dtype=int))
-        baseline = network_utility(min_power, channel, self.alpha)
-        ctx = EpisodeContext(topo, channel, power, np.asarray(joint), baseline)
+        joint = rng.integers(0, len(self.actions), size=self.config.num_cells)
+        # row 0 is the all-lowest-level combination, feasible by config invariant
+        min_power = self.actions[np.zeros_like(joint)]
+        ctx = EpisodeContext(location_indicator(topo), channel, self.actions[joint],
+                             joint, network_utility(min_power, channel, self.alpha))
         return ctx, self.encode_state(ctx)
 
     def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:
@@ -134,8 +118,7 @@ class PowerControlEnv:
         if sinr is None:
             sinr = serving_sinr(ctx.current_power, ctx.channel)
         cqi = cqi_quantize_array(sinr) / 15.0                   # (K*U, F)
-        edge = location_indicator(ctx.topology)[:, None]        # (K*U, 1)
-        return np.concatenate([cqi, edge], axis=1).reshape(-1)
+        return np.concatenate([cqi, ctx.edge[:, None]], axis=1).reshape(-1)
 
     def step(self, ctx: EpisodeContext, joint_action):
         """Apply K action indices; returns (next_state, reward, terminal, throughput)."""
@@ -144,11 +127,11 @@ class PowerControlEnv:
         joint = np.asarray(joint_action, dtype=int)
         if joint.shape != (self.config.num_cells,):
             raise ValueError(f"expected {self.config.num_cells} action indices")
-        if np.any(joint < 0) or np.any(joint >= self.actions.size):
+        if np.any(joint < 0) or np.any(joint >= len(self.actions)):
             raise ValueError("action index out of range")
 
         ctx.current_action = joint
-        ctx.current_power = self.actions.joint_power(joint)
+        ctx.current_power = self.actions[joint]
         # one SINR evaluation feeds both the throughput and the CQI state
         sinr = serving_sinr(ctx.current_power, ctx.channel)
         throughput = utility_from_sinr(sinr, ctx.channel, self.alpha)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import time
+import types
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,11 +59,17 @@ class ExperimentSpec:
             max_power_baseline(self.config, self.max_power_level)
 
 
-SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-AGENT_KEYS = {f.name for f in dataclasses.fields(AgentConfig)}
-SPEC_KEYS = {"scenario", "n_test_samples", "master_seed", "output_dir",
-             "max_power_level", "terminal_reward", "max_episode_steps",
-             "checkpoint", "checkpoint_interval"}
+def _keys(prefix: str, cls) -> dict:
+    """Config key -> (class, field name, annotation) of each plain field of
+    `cls`; the nested config sections of ExperimentSpec are not keys."""
+    return {prefix + f.name: (cls, f.name, f.type) for f in dataclasses.fields(cls)
+            if not dataclasses.is_dataclass(f.type)}
+
+
+# GA keys carry a `ga_` prefix; every other key is its field's name.
+CONFIG_KEYS = {**_keys("", ScenarioConfig), **_keys("", AgentConfig),
+               **_keys("ga_", GAConfig), **_keys("", ExperimentSpec)}
+SPEC_KEYS = set(_keys("", ExperimentSpec))
 
 
 def parse_kv_file(path) -> dict:
@@ -81,17 +88,32 @@ def parse_kv_file(path) -> dict:
 
 
 def _coerce(value: str):
-    if "," in value:
-        return tuple(float(v) for v in value.split(","))
-    for cast in (int, float):
+    """Config-file text as an int, a float or a tuple of comma-separated
+    floats; `none` or nothing is None and other text stays text."""
+    for cast in (int, float, lambda v: tuple(float(x) for x in v.split(","))):
         try:
             return cast(value)
         except ValueError:
             pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    if value.lower() in ("none", ""):
-        return None
+    return None if value.lower() in ("none", "") else value
+
+
+# Python types a config value may have, by field annotation.
+VALUE_TYPES = {int: {int}, float: {int, float}, str: {str}, type(None): {type(None)},
+               tuple[float, ...]: {int, float, tuple}}
+
+
+def _typed(key: str, value, annotation):
+    """`value`, parsed first if it is config-file text, checked against its
+    field's annotation; a misfit is a ConfigError that names `key`."""
+    kinds = (annotation.__args__ if isinstance(annotation, types.UnionType)
+             else (annotation,))
+    if isinstance(value, str):
+        parsed = _coerce(value)
+        value = value if str in kinds and parsed is not None else parsed
+    if not any(type(value) in VALUE_TYPES[kind] for kind in kinds):
+        name = annotation.__name__ if isinstance(annotation, type) else annotation
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
     return value
 
 
@@ -104,29 +126,21 @@ def spec_from_file(path, **cli_overrides) -> ExperimentSpec:
 
 
 def spec_from_values(values: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from flat key/value pairs; string values are
-    coerced as in a config file.
-
-    GA keys carry a `ga_` prefix; scenario/agent keys use their field names.
-    """
-    scenario_kv, agent_kv, ga_kv, spec_kv = {}, {}, {}, {}
+    """Build an ExperimentSpec from flat key/value pairs. A string value is
+    parsed as in a config file and every value must fit its field's
+    annotation; without a `scenario` key, ExperimentSpec's default applies."""
+    sections = {ScenarioConfig: {}, AgentConfig: {}, GAConfig: {}, ExperimentSpec: {}}
     for key, value in values.items():
-        coerced = _coerce(value) if isinstance(value, str) else value
-        if key.startswith("ga_"):
-            ga_kv[key[3:]] = coerced
-        elif key in SCENARIO_KEYS:
-            scenario_kv[key] = coerced
-        elif key in AGENT_KEYS:
-            agent_kv[key] = coerced
-        elif key in SPEC_KEYS:
-            spec_kv[key] = coerced
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    scenario = spec_kv.pop("scenario", "custom")
+        cls, name, annotation = CONFIG_KEYS[key]
+        sections[cls][name] = _typed(key, value, annotation)
+    spec_kv = sections[ExperimentSpec]
+    scenario = spec_kv.pop("scenario", ExperimentSpec.scenario)
     return ExperimentSpec(scenario=scenario,
-                          config=scenario_preset(scenario, **scenario_kv),
-                          agent=AgentConfig(**agent_kv),
-                          ga=GAConfig(**ga_kv),
+                          config=scenario_preset(scenario, **sections[ScenarioConfig]),
+                          agent=AgentConfig(**sections[AgentConfig]),
+                          ga=GAConfig(**sections[GAConfig]),
                           **spec_kv)
 
 
@@ -285,7 +299,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "state_size": sizes[0],
         "hidden_size": sizes[1],
         "num_actions": sizes[2],
-        "actions_per_cell": env.actions.size,
+        "actions_per_cell": len(env.actions),
         "n_test_samples": spec.n_test_samples,
         "train_steps": 0 if spec.checkpoint else spec.agent.train_steps,
         "gradient_steps": grad_steps,

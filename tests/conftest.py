@@ -14,6 +14,7 @@ from cellpower.netmodel import (
     draw_channel,
     snr_gap,
 )
+from cellpower.qnet import RMSprop
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -21,6 +22,12 @@ def tiny_config(**overrides) -> ScenarioConfig:
                     power_levels=(6.4, 12.8, 19.2), max_power=40.0)
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def agent_optimizer(mlp, config):
+    """The RMSprop a run builds for `mlp` from AgentConfig `config`."""
+    return RMSprop(mlp, config.learning_rate, config.rmsprop_decay,
+                   config.rmsprop_epsilon)
 
 
 def tiny_instance(seed=0, **overrides):

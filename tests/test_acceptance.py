@@ -25,7 +25,12 @@ from cellpower.netmodel import ScenarioConfig, network_utility
 from cellpower.qnet import MLP
 from cellpower.replay import ReplayBuffer
 
-from conftest import finite_difference_max_error, reference_utility, tiny_config
+from conftest import (
+    agent_optimizer,
+    finite_difference_max_error,
+    reference_utility,
+    tiny_config,
+)
 
 
 def criterion(label):
@@ -62,7 +67,7 @@ def desk_scale_report():
     env = PowerControlEnv(DESK_CONFIG)
     rng = np.random.default_rng(DESK_SEED)
     mlp = MLP.init((env.state_size, DESK_AGENT.hidden_size, env.num_actions), rng)
-    ag.train(env, mlp, DESK_AGENT, rng)
+    ag.train(env, mlp, DESK_AGENT, rng, agent_optimizer(mlp, DESK_AGENT))
     records = ag.test(env, mlp, 100, seed=DESK_TEST_SEED, ga_config=DESK_GA,
                       max_power_level=12.8)
     return normalized_throughput(records)
@@ -72,11 +77,11 @@ def desk_scale_report():
 def test_criterion_1_action_space_count():
     t0 = time.time()
     levels = (6.4, 9.6, 12.8, 16.0, 19.2)
-    space = enumerate_actions(levels, 3, 40.0)
+    actions = enumerate_actions(levels, 3, 40.0)
     exact = [Fraction(str(v)) for v in levels]
     count = sum(1 for combo in itertools.product(exact, repeat=3)
                 if sum(combo) <= Fraction("40"))
-    assert space.size == 72
+    assert len(actions) == 72
     assert count == 72
     assert time.time() - t0 < 1.0
 
@@ -116,7 +121,7 @@ def test_criterion_3_gradient_oracle():
 def test_criterion_4_ga_vs_exhaustive():
     t0 = time.time()
     cfg = tiny_config()     # 2 cells, 2 subbands, 3 levels -> joint space <= 81
-    space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+    actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
     ga_cfg = GAConfig(population_size=60, generations=80)
     hits = 0
     for seed in range(50):
@@ -124,7 +129,7 @@ def test_criterion_4_ga_vs_exhaustive():
         topo = cp.build_topology(cfg, rng)
         channel = cp.draw_channel(topo, cfg, rng)
         alpha = cp.snr_gap(cfg.target_ber)
-        _, best = exhaustive(channel, space, alpha)
+        _, best = exhaustive(channel, actions, alpha)
         _, got = ga_optimize(channel, cfg, ga_cfg,
                              np.random.default_rng([2000, seed]))
         assert got <= best + 1e-6 * best
@@ -212,7 +217,7 @@ def test_criterion_9_episode_semantics():
         ctx, _ = env.reset(rng)
         history = []
         while not ctx.terminal:
-            action = rng.integers(0, env.actions.size, size=2)
+            action = rng.integers(0, len(env.actions), size=2)
             _, _, _, thr = env.step(ctx, action)
             history.append(thr)
         assert 1 <= len(history) <= 10_000
@@ -272,7 +277,7 @@ def test_criterion_10_replay_and_target():
         return hashlib.sha256(net.flat.tobytes()).hexdigest()
 
     trace = []
-    ag.train(env, mlp, cfg, rng,
+    ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg),
              on_step=lambda step, gs, net, target: trace.append(
                  (gs, digest(target))))
     assert trace[-1][0] >= 9000

@@ -10,7 +10,7 @@ from cellpower.env import PowerControlEnv
 from cellpower.netmodel import network_utility
 from cellpower.qnet import MLP
 
-from conftest import tiny_config
+from conftest import agent_optimizer, tiny_config
 
 
 def single_link_env(**overrides):
@@ -143,7 +143,7 @@ class TestTraining:
                           learning_rate=0.001, discount=0.5)
         rng = np.random.default_rng(5)
         mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
-        ag.train(env, mlp, cfg, rng)
+        ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         for seed in range(5):
             _, state = env.reset(np.random.default_rng(seed))
             action = select_joint_action(mlp.forward(state), 0.0, 1, None)
@@ -154,7 +154,7 @@ class TestTraining:
         cfg = AgentConfig(train_steps=50, batch_size=8, train_start=8,
                           target_update_steps=10)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        result = ag.train(env, mlp, cfg, rng)
+        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         # the first gradient step comes at the env step that fills the buffer
         # to train_start, and every later env step takes one more
         assert result.gradient_steps == cfg.train_steps - cfg.train_start + 1
@@ -170,7 +170,7 @@ class TestTraining:
             return hashlib.sha256(net.flat.tobytes()).hexdigest()
 
         seen = []
-        ag.train(env, mlp, cfg, rng,
+        ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg),
                  on_step=lambda step, gs, net, target: seen.append(
                      (gs, digest(target))))
         for (g0, h0), (g1, h1) in zip(seen, seen[1:]):
@@ -191,7 +191,7 @@ class TestTraining:
                 checks.append(np.array_equal(net.flat, target.flat))
 
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        ag.train(env, mlp, cfg, rng, on_step=on_step)
+        ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg), on_step=on_step)
         assert checks and all(checks)
 
     def test_training_log_shape(self, rng):
@@ -199,7 +199,7 @@ class TestTraining:
         cfg = AgentConfig(train_steps=200, batch_size=8, train_start=8,
                           target_update_steps=20)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        result = ag.train(env, mlp, cfg, rng)
+        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         assert sum(e.length for e in result.episodes) == 200
         assert [e.episode for e in result.episodes] == list(
             range(1, len(result.episodes) + 1))
@@ -242,7 +242,7 @@ class TestTestProtocol:
                           learning_rate=0.001, discount=0.5)
         rng = np.random.default_rng(5)
         mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
-        ag.train(env, mlp, cfg, rng)
+        ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         records = ag.test(env, mlp, 5, seed=31,
                           ga_config=GAConfig(population_size=10, generations=10),
                           max_power_level=8.0)

@@ -17,7 +17,7 @@ from cellpower.baselines import (
     wmmse,
 )
 from cellpower.env import PowerControlEnv, enumerate_actions
-from cellpower.harness import scenario_preset
+from cellpower.harness import ExperimentSpec, scenario_preset
 from cellpower.netmodel import (
     ConfigError,
     ScenarioConfig,
@@ -36,11 +36,11 @@ from conftest import (
 )
 
 
-def brute_force_best(channel, space, alpha):
+def brute_force_best(channel, actions, alpha):
     best = -math.inf
     best_joint = None
-    for joint in itertools.product(range(space.size), repeat=channel.gain.shape[1]):
-        util = network_utility(space.joint_power(joint), channel, alpha)
+    for joint in itertools.product(range(len(actions)), repeat=channel.gain.shape[1]):
+        util = network_utility(actions[list(joint)], channel, alpha)
         if util > best:
             best = util
             best_joint = joint
@@ -61,11 +61,11 @@ class TestGa:
 
     def test_finds_exhaustive_optimum_on_small_instances(self):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         hits = 0
         for seed in range(20):
             _, channel, alpha = tiny_instance(seed=seed)
-            _, best = brute_force_best(channel, space, alpha)
+            _, best = brute_force_best(channel, actions, alpha)
             _, got = ga_optimize(channel, cfg,
                                  GAConfig(population_size=40, generations=40),
                                  np.random.default_rng(seed))
@@ -132,41 +132,43 @@ class TestGa:
             GAConfig(elite_count=10, population_size=10)
         with pytest.raises(ConfigError):
             GAConfig(crossover_prob=1.5)
+        with pytest.raises(ConfigError, match="ga_generations"):
+            GAConfig(generations=-1)
 
 
 class TestExhaustive:
     def test_single_cell_is_best_action_scan(self):
         cfg = tiny_config(num_cells=1)
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         _, channel, alpha = tiny_instance(seed=6, num_cells=1)
-        _, best = exhaustive(channel, space, alpha)
-        direct = max(network_utility(space.joint_power([i]), channel, alpha)
-                     for i in range(space.size))
+        _, best = exhaustive(channel, actions, alpha)
+        direct = max(network_utility(actions[[i]], channel, alpha)
+                     for i in range(len(actions)))
         assert best == pytest.approx(direct, rel=1e-12)
 
     def test_matches_independent_product_scan(self):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        assert space.size == 9
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        assert len(actions) == 9
         _, channel, alpha = tiny_instance(seed=7)
-        _, best = exhaustive(channel, space, alpha)
-        _, expected = brute_force_best(channel, space, alpha)   # 81 scans
+        _, best = exhaustive(channel, actions, alpha)
+        _, expected = brute_force_best(channel, actions, alpha)   # 81 scans
         assert best == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_other_solvers(self):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         sums = {"exhaustive": 0.0, "ga": 0.0, "random": 0.0}
         for seed in range(10):
             _, channel, alpha = tiny_instance(seed=seed)
-            _, best = exhaustive(channel, space, alpha)
+            _, best = exhaustive(channel, actions, alpha)
             _, ga = ga_optimize(channel, cfg,
                                 GAConfig(population_size=20, generations=10),
                                 np.random.default_rng(seed))
             rand = network_utility(
-                random_power_baseline(space, 2, np.random.default_rng(seed)),
+                random_power_baseline(actions, 2, np.random.default_rng(seed)),
                 channel, alpha)
-            maxp = network_utility(max_power_baseline(cfg), channel, alpha)
+            maxp = network_utility(max_power_baseline(cfg, 12.8), channel, alpha)
             assert best >= ga - 1e-9
             assert best >= rand - 1e-9
             assert best >= maxp - 1e-9
@@ -177,32 +179,32 @@ class TestExhaustive:
 
     def test_cap_enforced(self):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         _, channel, alpha = tiny_instance(seed=8)
         with pytest.raises(SearchSpaceTooLarge):
-            exhaustive(channel, space, alpha, cap=80)
+            exhaustive(channel, actions, alpha, cap=80)
 
     def test_tie_break_is_lexicographically_smallest(self):
         # all-zero gains make every joint action score zero
-        space = enumerate_actions((1.0, 2.0), 1, 4.0)
+        actions = enumerate_actions((1.0, 2.0), 1, 4.0)
         channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
-        power, util = exhaustive(channel, space, alpha=0.5)
+        power, util = exhaustive(channel, actions, alpha=0.5)
         assert util == 0.0
         assert np.array_equal(power, [[1.0], [1.0]])
 
     @pytest.mark.parametrize("chunk", [1, 5, 80])
     def test_chunk_boundaries_keep_result_and_tie_break(self, monkeypatch, chunk):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         _, channel, alpha = tiny_instance(seed=7)
-        whole = exhaustive(channel, space, alpha)
-        tie_space = enumerate_actions((1.0, 2.0), 1, 4.0)
+        whole = exhaustive(channel, actions, alpha)
+        tie_actions = enumerate_actions((1.0, 2.0), 1, 4.0)
         tie_channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
         monkeypatch.setattr(baselines_module, "EXHAUSTIVE_CHUNK", chunk)
-        power, util = exhaustive(channel, space, alpha)
+        power, util = exhaustive(channel, actions, alpha)
         assert util == whole[1]
         assert np.array_equal(power, whole[0])
-        power, _ = exhaustive(tie_channel, tie_space, alpha=0.5)
+        power, _ = exhaustive(tie_channel, tie_actions, alpha=0.5)
         assert np.array_equal(power, [[1.0], [1.0]])
 
 
@@ -337,44 +339,44 @@ class TestBudgetSolve:
 
 class TestMaxPower:
     def test_reference_level_fits_default_budget(self):
-        power = max_power_baseline(ScenarioConfig())
+        power = max_power_baseline(ScenarioConfig(), ExperimentSpec().max_power_level)
         assert np.all(power == 12.8)
         assert np.all(power.sum(axis=1) == pytest.approx(38.4))
 
     def test_single_subband(self):
         cfg = tiny_config(num_subbands=1)
-        assert np.array_equal(max_power_baseline(cfg), [[12.8], [12.8]])
+        assert np.array_equal(max_power_baseline(cfg, 12.8), [[12.8], [12.8]])
 
     def test_budget_violation_rejected(self):
         cfg = tiny_config(num_subbands=3, max_power=30.0)
         with pytest.raises(ConfigError):
-            max_power_baseline(cfg)
+            max_power_baseline(cfg, 12.8)
 
 
 class TestRandomPower:
     def test_single_action_is_deterministic(self):
-        space = enumerate_actions((2.0,), 2, 10.0)
-        p = random_power_baseline(space, 3, np.random.default_rng(0))
+        actions = enumerate_actions((2.0,), 2, 10.0)
+        p = random_power_baseline(actions, 3, np.random.default_rng(0))
         assert np.array_equal(p, np.full((3, 2), 2.0))
 
     def test_uniform_over_actions(self):
-        space = enumerate_actions((1.0, 2.0), 2, 4.0)
-        assert space.size == 4
+        actions = enumerate_actions((1.0, 2.0), 2, 4.0)
+        assert len(actions) == 4
         rng = np.random.default_rng(1)
-        counts = np.zeros(space.size)
+        counts = np.zeros(len(actions))
         trials = 100_000
-        rows = [tuple(r) for r in space.powers]
+        rows = [tuple(r) for r in actions]
         for _ in range(trials // 4):
-            power = random_power_baseline(space, 4, rng)
+            power = random_power_baseline(actions, 4, rng)
             for cell_row in power:
                 counts[rows.index(tuple(cell_row))] += 1
         assert np.all(np.abs(counts / trials - 0.25) < 0.02)
 
     def test_always_feasible(self, rng):
         cfg = tiny_config()
-        space = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
+        actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         for _ in range(200):
-            power = random_power_baseline(space, 2, rng)
+            power = random_power_baseline(actions, 2, rng)
             assert np.all(power.sum(axis=1) <= cfg.max_power + 1e-9)
 
 

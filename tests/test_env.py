@@ -7,11 +7,11 @@ import pytest
 from cellpower import env as env_module
 from cellpower import netmodel
 from cellpower.env import (
-    ActionSpace,
     EpisodeContext,
     PowerControlEnv,
     actions_to_csv,
     enumerate_actions,
+    level_grid,
 )
 from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility, serving_sinr
 
@@ -28,27 +28,45 @@ def count_feasible_exact(levels, num_subbands, max_power):
 
 class TestEnumerateActions:
     def test_reference_scenario_has_72_actions(self):
-        space = enumerate_actions((6.4, 9.6, 12.8, 16.0, 19.2), 3, 40.0)
-        assert space.size == 72
+        actions = enumerate_actions((6.4, 9.6, 12.8, 16.0, 19.2), 3, 40.0)
+        assert actions.shape == (72, 3)
 
     def test_single_level_single_subband(self):
-        assert enumerate_actions((5.0,), 1, 10.0).size == 1
+        assert len(enumerate_actions((5.0,), 1, 10.0)) == 1
 
     def test_tight_budget_keeps_only_minimum(self):
-        space = enumerate_actions((1.0, 2.0), 2, 2.0)
-        assert space.size == 1
-        assert np.array_equal(space.powers, [[1.0, 1.0]])
+        actions = enumerate_actions((1.0, 2.0), 2, 2.0)
+        assert len(actions) == 1
+        assert np.array_equal(actions, [[1.0, 1.0]])
 
     def test_no_feasible_action_rejected(self):
         with pytest.raises(ConfigError):
             enumerate_actions((3.0,), 2, 2.0)
 
     def test_lexicographic_and_unique(self):
-        space = enumerate_actions((6.4, 9.6, 12.8, 16.0, 19.2), 3, 40.0)
+        actions = enumerate_actions((6.4, 9.6, 12.8, 16.0, 19.2), 3, 40.0)
         # levels increase, so power rows sort as their level indices do
-        rows = [tuple(r) for r in space.powers]
+        rows = [tuple(r) for r in actions]
         assert rows == sorted(rows)
         assert len(set(rows)) == len(rows)
+
+    def test_rows_are_the_feasible_product_tuples_in_order(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            levels = np.sort(rng.choice(np.arange(1.0, 9.0), size=n, replace=False))
+            f = int(rng.integers(1, 4))
+            max_power = float(levels[0]) * f + float(rng.integers(0, 12))
+            expected = [combo for combo in itertools.product(levels, repeat=f)
+                        if sum(combo) <= max_power]
+            assert np.array_equal(enumerate_actions(levels, f, max_power),
+                                  np.array(expected).reshape(-1, f))
+
+    def test_level_grid_is_the_lexicographic_product(self):
+        for n, f in [(1, 1), (3, 1), (2, 3), (5, 3)]:
+            grid = level_grid(n, f)
+            assert grid.shape == (n ** f, f)
+            expected = list(itertools.product(range(n), repeat=f))
+            assert [tuple(r) for r in grid] == expected
 
     def test_count_matches_exact_counter(self, rng):
         for _ in range(30):
@@ -58,21 +76,21 @@ class TestEnumerateActions:
             f = int(rng.integers(1, 4))
             max_power = float(levels[0]) * f + float(rng.integers(0, 15))
             expected = count_feasible_exact(levels, f, max_power)
-            assert enumerate_actions(levels, f, max_power).size == expected
+            assert len(enumerate_actions(levels, f, max_power)) == expected
 
     def test_joint_power_decode(self):
-        space = enumerate_actions((1.0, 2.0), 2, 4.0)
-        power = space.joint_power([0, space.size - 1])
+        actions = enumerate_actions((1.0, 2.0), 2, 4.0)
+        power = actions[[0, len(actions) - 1]]
         assert power.shape == (2, 2)
-        assert np.array_equal(power[0], space.powers[0])
-        assert np.array_equal(power[1], space.powers[-1])
+        assert np.array_equal(power[0], actions[0])
+        assert np.array_equal(power[1], actions[-1])
 
     def test_csv_dump(self):
-        space = enumerate_actions((1.0, 2.0), 2, 4.0)
-        text = actions_to_csv(space)
+        actions = enumerate_actions((1.0, 2.0), 2, 4.0)
+        text = actions_to_csv(actions)
         lines = text.strip().split("\n")
         assert lines[0] == "action,p0_w,p1_w,total_w"
-        assert len(lines) == space.size + 1
+        assert len(lines) == len(actions) + 1
         assert lines[1] == "0,1.0,1.0,2.0"
 
 
@@ -123,8 +141,8 @@ class TestEncodeState:
                                           max_power=10.0))
         topo = synthetic_topology(1, 1, [300.0], cell_radius=500.0)
         channel = synthetic_channel(np.full((1, 1, 1), 1000.0), noise_power=1.0)
-        ctx = EpisodeContext(topo, channel, np.array([[1.0]]),
-                             np.array([0]), 0.0)
+        ctx = EpisodeContext(netmodel.location_indicator(topo), channel,
+                             np.array([[1.0]]), np.array([0]), 0.0)
         assert list(env.encode_state(ctx)) == [1.0, 1.0]
 
     def test_entries_bounded(self, rng):
@@ -133,7 +151,7 @@ class TestEncodeState:
         for _ in range(50):
             if ctx.terminal:
                 ctx, state = env.reset(rng)
-            action = rng.integers(0, env.actions.size, size=2)
+            action = rng.integers(0, len(env.actions), size=2)
             state, _, _, _ = env.step(ctx, action)
             assert state.min() >= 0.0 and state.max() <= 1.0
 
@@ -168,7 +186,7 @@ class TestStep:
         env = PowerControlEnv(tiny_config())
         ctx, _ = env.reset(rng)
         while not ctx.terminal:
-            env.step(ctx, rng.integers(0, env.actions.size, size=2))
+            env.step(ctx, rng.integers(0, len(env.actions), size=2))
         with pytest.raises(RuntimeError):
             env.step(ctx, [0, 0])
 
@@ -178,7 +196,7 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step(ctx, [0])
         with pytest.raises(ValueError):
-            env.step(ctx, [0, env.actions.size])
+            env.step(ctx, [0, len(env.actions)])
 
     def test_deterministic_throughput_within_episode(self):
         env = PowerControlEnv(tiny_config())
@@ -211,6 +229,25 @@ class TestStep:
         assert throughput == network_utility(ctx.current_power, ctx.channel,
                                              env.alpha)
 
+    def test_one_location_indicator_per_episode(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return netmodel.location_indicator(*args, **kwargs)
+
+        monkeypatch.setattr(env_module, "location_indicator", counted)
+        env = PowerControlEnv(tiny_config(), max_episode_steps=5)
+        ctx, state = env.reset(rng)
+        edge = state.reshape(-1, 3)[:, -1]
+        steps = 0
+        while not ctx.terminal:
+            state, _, _, _ = env.step(ctx, rng.integers(0, len(env.actions), size=2))
+            steps += 1
+            assert np.array_equal(state.reshape(-1, 3)[:, -1], edge)
+        assert steps >= 1
+        assert len(calls) == 1
+
     def test_step_cap_forces_terminal(self, rng):
         env = PowerControlEnv(tiny_config(), max_episode_steps=1)
         ctx, _ = env.reset(rng)
@@ -225,7 +262,7 @@ class TestEpisodeSemantics:
             ctx, _ = env.reset(rng)
             history = []
             while not ctx.terminal:
-                action = rng.integers(0, env.actions.size, size=2)
+                action = rng.integers(0, len(env.actions), size=2)
                 _, _, terminal, thr = env.step(ctx, action)
                 history.append(thr)
             assert len(history) <= env.max_episode_steps

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from cellpower import agent as ag
 from cellpower.agent import AgentConfig
 from cellpower.agent import TestRecord as EvalRecord
-from cellpower.baselines import GAConfig, wmmse
+from cellpower.baselines import GAConfig, max_power_baseline, wmmse
 from cellpower.cli import main as cli_main
 from cellpower.env import PowerControlEnv
 from cellpower.harness import (
@@ -149,13 +150,20 @@ class TestConfigFile:
             "power_levels = 12.8\nmax_power = 40.0\n")    # 2 x 12.8 W fits
         spec = spec_from_file(path)
         assert spec.config.power_levels == (12.8,)
-        assert PowerControlEnv(spec.config).actions.size == 1
+        assert len(PowerControlEnv(spec.config).actions) == 1
 
     def test_zero_max_episode_steps_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("scenario = scenario1\nmax_episode_steps = 0\n")
         with pytest.raises(ConfigError, match="max_episode_steps"):
             spec_from_file(path)
+
+    def test_missing_scenario_key_means_scenario1(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("num_cells = 3\n")
+        spec = spec_from_file(path)
+        assert spec.scenario == ExperimentSpec().scenario == "scenario1"
+        assert spec.config.num_cells == 3
 
     def test_cli_override_beats_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -255,7 +263,7 @@ class TestRunExperiment:
             ctx, _ = env.reset(rng)
             best = network_utility(ctx.current_power, ctx.channel, env.alpha)
             while not ctx.terminal:
-                action = rng.integers(0, env.actions.size, size=2)
+                action = rng.integers(0, len(env.actions), size=2)
                 _, _, terminal, thr = env.step(ctx, action)
                 if not terminal:
                     best = thr
@@ -276,7 +284,7 @@ class TestPerSampleFairness:
     def test_every_method_saw_the_recorded_channel(self, tmp_path):
         """The channel seed in each record reproduces the realization each
         baseline was scored on."""
-        from cellpower.baselines import max_power_baseline, random_power_baseline
+        from cellpower.baselines import random_power_baseline
         from cellpower.netmodel import build_topology, draw_channel, network_utility
 
         spec = small_spec(tmp_path / "run")
@@ -357,6 +365,15 @@ class TestNegativeSizes:
         ("hidden_size = 0", "hidden_size"),
         ("hidden_size = -4", "hidden_size"),
         ("max_power_level = 25.0", "max_power_level"),   # 2 x 25 W > 40 W
+        ("num_cells = 2.5", "num_cells"),
+        ("batch_size = abc", "batch_size"),
+        ("power_levels = abc", "power_levels"),
+        ("power_levels = 6.4, abc", "power_levels"),
+        ("n_test_samples = 2.5", "n_test_samples"),
+        ("hidden_size = 2.5", "hidden_size"),
+        ("learning_rate = -1", "learning_rate"),
+        ("rmsprop_decay = 1.5", "rmsprop_decay"),
+        ("ga_generations = -1", "ga_generations"),
     ])
     def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
                                                       line, key):
@@ -368,6 +385,15 @@ class TestNegativeSizes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_typed_values_and_none_accepted(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG + "max_power = 40\nhidden_size = none\n"
+                            "checkpoint = none\npower_levels = 12.8\n")
+        spec = spec_from_file(cfg_file)
+        assert spec.config.max_power == 40
+        assert spec.agent.hidden_size is None and spec.checkpoint is None
+        assert spec.config.power_levels == (12.8,)
+
     def test_max_power_level_checked_only_with_test_samples(self):
         # the fixed-power baseline runs only in the test phase
         with pytest.raises(ConfigError, match="max_power_level 25.0 W"):
@@ -378,6 +404,15 @@ class TestNegativeSizes:
 
 
 class TestCli:
+    def test_callers_pass_the_spec_values(self):
+        # ExperimentSpec holds the only default of each; the callers pass them
+        for fn, names in ((ag.train, ("opt",)),
+                          (ag.test, ("ga_config", "max_power_level")),
+                          (max_power_baseline, ("level",))):
+            params = inspect.signature(fn).parameters
+            for name in names:
+                assert params[name].default is inspect.Parameter.empty, name
+
     def test_dump_actions(self, capsys):
         assert cli_main(["dump-actions", "--scenario", "scenario1"]) == 0
         out = capsys.readouterr().out
