@@ -129,7 +129,7 @@ class SearchSpaceTooLarge(RuntimeError):
 
 
 # Joint actions scored per network_utility call in exhaustive search. It
-# bounds the largest temporary to EXHAUSTIVE_CHUNK * (K*U) * K * F float64s.
+# bounds the largest temporary to EXHAUSTIVE_CHUNK * K * U * F float64s.
 EXHAUSTIVE_CHUNK = 1024
 
 

@@ -223,9 +223,9 @@ def results_csv(records: list) -> str:
     return "\n".join(rows) + "\n"
 
 
-def load_network(path, expected_sizes=None) -> tuple[MLP, RMSprop]:
+def load_network(path, expected_sizes) -> tuple[MLP, RMSprop]:
     mlp, opt = load_checkpoint(path)
-    if expected_sizes is not None and tuple(mlp.layer_sizes) != tuple(expected_sizes):
+    if tuple(mlp.layer_sizes) != tuple(expected_sizes):
         raise ConfigError(
             f"checkpoint layer sizes {mlp.layer_sizes} do not match the "
             f"requested scenario {tuple(expected_sizes)}")

@@ -10,7 +10,7 @@ realizations can be evaluated concurrently.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,12 +173,22 @@ class ChannelRealization:
     noise_power is the per-subband receiver noise in watts and bandwidth_hz
     the subband width used when converting SINR to rate. Users are
     cell-major, so the shape fixes the serving map: cell u // U serves
-    user u.
+    user u. The last two fields are derived from gain at construction.
     """
 
     gain: np.ndarray       # (K*U, K, F) linear
     noise_power: float     # W per subband
     bandwidth_hz: float
+    serving_gain: np.ndarray = field(init=False)       # (K*U, F): gain[u, u // U, f]
+    interference_gain: np.ndarray = field(init=False)  # (F, K, K*U): 0 where k serves u
+
+    def __post_init__(self):
+        users = np.arange(self.gain.shape[0])
+        serving = users // self.users_per_cell
+        interference = self.gain.transpose(2, 1, 0).copy()
+        interference[:, serving, users] = 0.0
+        object.__setattr__(self, "serving_gain", self.gain[users, serving, :])
+        object.__setattr__(self, "interference_gain", interference)
 
     @property
     def num_cells(self) -> int:
@@ -215,14 +225,14 @@ def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """SINR of every user w.r.t. its serving cell.
 
     `power` is one (K, F) allocation or a batch of shape (..., K, F); the
-    result has shape (..., K*U, F).
+    result has shape (..., K*U, F). Interference on subband f is
+    power[..., :, f] @ interference_gain[f], one vector-matrix product per
+    allocation and subband, so a batch gives each allocation's SINRs exactly.
     """
-    received = channel.gain * power[..., None, :, :]        # (..., K*U, K, F)
-    users = np.arange(channel.gain.shape[0])
-    serving = users // channel.users_per_cell
-    signal = received[..., users, serving, :]                # indexing copies
-    received[..., users, serving, :] = 0.0
-    return signal / (channel.noise_power + received.sum(axis=-2))
+    per_subband = np.swapaxes(power, -1, -2)[..., None, :]      # (..., F, 1, K)
+    heard = (per_subband @ channel.interference_gain)[..., 0, :]  # (..., F, K*U)
+    signal = channel.serving_gain * np.repeat(power, channel.users_per_cell, axis=-2)
+    return signal / (channel.noise_power + np.swapaxes(heard, -1, -2))
 
 
 def _cell_user_rates(sinr, channel, alpha):

@@ -99,8 +99,8 @@ class RMSprop:
     train_batch's backprop writes into) share the network's flat layout.
     """
 
-    def __init__(self, mlp: MLP, learning_rate: float = 0.00025,
-                 decay: float = 0.95, epsilon: float = 1e-6):
+    def __init__(self, mlp: MLP, learning_rate: float, decay: float,
+                 epsilon: float):
         self.learning_rate = learning_rate
         self.decay = decay
         self.epsilon = epsilon
@@ -172,8 +172,9 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss: {loss}")
 
+    # a sample's K units lie in distinct blocks, so no (row, col) repeats
     grad_q = np.zeros_like(q)
-    np.add.at(grad_q, (rows, cols), (2.0 * diff / diff.size).reshape(-1))
+    grad_q[rows, cols] = (2.0 * diff / diff.size).reshape(-1)
     opt.apply(mlp, backprop(mlp, x, grad_q, z1, opt.grad))
     return loss
 

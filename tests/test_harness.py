@@ -15,8 +15,10 @@ from cellpower.env import PowerControlEnv
 from cellpower.harness import (
     ComparisonReport,
     ExperimentSpec,
+    build_env,
     config_hash,
     load_network,
+    network_sizes,
     normalized_throughput,
     parse_kv_file,
     results_csv,
@@ -25,9 +27,9 @@ from cellpower.harness import (
     spec_from_file,
 )
 from cellpower.netmodel import ConfigError, ScenarioConfig
-from cellpower.qnet import MLP, RMSprop, save_checkpoint
+from cellpower.qnet import MLP, save_checkpoint
 
-from conftest import tiny_config
+from conftest import agent_optimizer, tiny_config
 
 
 def record(dql=1.0, ga=1.0, wm=1.0, mx=1.0, rnd=1.0, seed=0):
@@ -245,10 +247,11 @@ class TestRunExperiment:
         spec = small_spec(tmp_path / "run", train_steps=100)
         spec.checkpoint_interval = 50
         run_experiment(spec)
+        sizes = network_sizes(spec, build_env(spec))
         for step in (50, 100):
             path = os.path.join(spec.output_dir, f"qnet_step{step}.ckpt")
             assert os.path.exists(path)
-            loaded, _ = load_network(path)
+            loaded, _ = load_network(path, sizes)
             assert loaded.layer_sizes[0] == 2 * 2 * 3
 
     def test_untrained_matches_random_policy_protocol(self, tmp_path):
@@ -317,7 +320,7 @@ class TestCheckpointing:
     def test_size_mismatch_rejected(self, tmp_path, rng):
         mlp = MLP.init((200, 1440, 720), rng)     # scenario-2 shaped network
         path = tmp_path / "s2.ckpt"
-        save_checkpoint(path, mlp, RMSprop(mlp))
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         with pytest.raises(ConfigError):
             load_network(path, expected_sizes=(100, 720, 360))
         loaded, _ = load_network(path, expected_sizes=(200, 1440, 720))

@@ -177,10 +177,7 @@ class TestSinr:
         s = serving_sinr(power, channel)
         assert s.shape == (4, 6, 2)
         for b in range(4):
-            single = serving_sinr(power[b], channel)
-            for u in range(6):
-                for f in range(2):
-                    assert s[b, u, f] == pytest.approx(single[u, f], rel=1e-12)
+            assert np.array_equal(s[b], serving_sinr(power[b], channel))
 
     def test_monotone_in_own_and_interferer_power(self, rng):
         # user 0 is served by cell 0
@@ -202,6 +199,53 @@ class TestSinr:
         s1 = serving_sinr(power, channel)
         s2 = serving_sinr(power * 7.0, scaled)
         assert np.allclose(s1, s2, rtol=1e-12)
+
+
+class TestInterferenceKernel:
+    """serving_sinr's per-subband product against the derived gain arrays,
+    at scenario3 size (15 cells x 5 users, 3 subbands)."""
+
+    @staticmethod
+    def _scenario3_channel(seed):
+        cfg = ScenarioConfig(num_cells=15)
+        rng = np.random.default_rng(seed)
+        return cfg, draw_channel(build_topology(cfg, rng), cfg, rng), rng
+
+    def test_derived_arrays_agree_with_gain(self):
+        cfg, channel, _ = self._scenario3_channel(31)
+        users = np.arange(cfg.num_users)
+        serving = users // cfg.users_per_cell
+        assert channel.serving_gain.shape == (75, 3)
+        assert np.array_equal(channel.serving_gain, channel.gain[users, serving, :])
+        interference = channel.interference_gain
+        assert interference.shape == (3, 15, 75)
+        assert interference.flags.c_contiguous
+        assert np.all(interference[:, serving, users] == 0.0)
+        cross = np.ones((75, 15), dtype=bool)
+        cross[users, serving] = False
+        assert np.array_equal(interference.transpose(2, 1, 0)[cross], channel.gain[cross])
+
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_matches_reference_at_scenario3_size(self, shape):
+        cfg, channel, rng = self._scenario3_channel(32)
+        power = rng.uniform(0.0, 13.0, size=shape + (15, 3))
+        got = serving_sinr(power, channel)
+        assert got.shape == shape + (75, 3)
+        for index in np.ndindex(*shape):
+            for u in range(75):
+                for f in range(3):
+                    assert got[index][u, f] == pytest.approx(
+                        reference_sinr(power[index], channel, u, u // 5, f), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(100,), (2, 3)])
+    def test_batch_equals_single_allocations_exactly(self, shape):
+        cfg, channel, rng = self._scenario3_channel(33)
+        levels = np.asarray(cfg.power_levels)
+        power = levels[rng.integers(0, len(levels), size=shape + (15, 3))]
+        got = serving_sinr(power, channel)
+        assert got.shape == shape + (75, 3)
+        for index in np.ndindex(*shape):
+            assert np.array_equal(got[index], serving_sinr(power[index], channel))
 
 
 class TestAssignment:

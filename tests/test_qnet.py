@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellpower.agent import AgentConfig
 from cellpower.qnet import (
     MLP,
     UPDATE_BLOCK,
@@ -13,6 +14,7 @@ from cellpower.qnet import (
 )
 
 from conftest import (
+    agent_optimizer,
     finite_difference_max_error,
     reference_checkpoint_bytes,
     reference_train_batch,
@@ -90,7 +92,7 @@ class TestTrainBatch:
         for i in range(len(states)):
             for k in range(2):
                 targets[i, k] = q[i, k * block + actions[i, k]]
-        opt = RMSprop(mlp, learning_rate=0.01)
+        opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.01))
         before = mlp.flat.copy()
         loss = train_batch(mlp, opt, states, actions, targets, block)
         assert loss == 0.0
@@ -117,7 +119,8 @@ class TestTrainBatch:
     def test_returns_pre_update_loss(self, rng):
         mlp, states, actions, targets, block = self._random_problem(rng)
         expected = selected_unit_loss(mlp, states, actions, targets, block)
-        loss = train_batch(mlp, RMSprop(mlp), states, actions, targets, block)
+        loss = train_batch(mlp, agent_optimizer(mlp, AgentConfig()), states, actions,
+                           targets, block)
         assert loss == pytest.approx(expected, rel=1e-12)
         assert loss >= 0.0
 
@@ -133,11 +136,12 @@ class TestTrainBatch:
         mlp, states, actions, targets, block = self._random_problem(rng)
         targets[0, 0] = np.inf
         with pytest.raises(FloatingPointError):
-            train_batch(mlp, RMSprop(mlp), states, actions, targets, block)
+            train_batch(mlp, agent_optimizer(mlp, AgentConfig()), states, actions,
+                        targets, block)
 
     def test_training_reduces_loss(self, rng):
         mlp, states, actions, targets, block = self._random_problem(rng, n=16)
-        opt = RMSprop(mlp, learning_rate=0.01)
+        opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.01))
         first = train_batch(mlp, opt, states, actions, targets, block)
         for _ in range(200):
             last = train_batch(mlp, opt, states, actions, targets, block)
@@ -147,7 +151,7 @@ class TestTrainBatch:
 class TestRmsprop:
     def test_zero_gradient_is_a_no_op(self, rng):
         mlp = MLP.init((4, 6, 3), rng)
-        opt = RMSprop(mlp, learning_rate=0.5)
+        opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.5))
         for a in split_flat(opt.acc, mlp):
             a[...] = np.abs(rng.normal(size=a.shape))
         before = mlp.flat.copy()
@@ -168,7 +172,9 @@ class TestFlatLearnerOracle:
     CELLS = 3
     HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
 
-    def _train_both(self, rng, steps=20, n=8):
+    def _train_both(self, rng, steps=20, n=8, actions=None):
+        """Train both learners on the same batches; each step draws its
+        actions unless `actions` (n, CELLS) is given."""
         mlp = MLP.init(self.SIZES, rng)
         assert UPDATE_BLOCK < mlp.flat.size and mlp.flat.size % UPDATE_BLOCK
         opt = RMSprop(mlp, **self.HYPER)
@@ -177,13 +183,26 @@ class TestFlatLearnerOracle:
         block = self.SIZES[2] // self.CELLS
         for _ in range(steps):
             states = rng.normal(size=(n, self.SIZES[0]))
-            actions = rng.integers(0, block, size=(n, self.CELLS))
+            acts = (rng.integers(0, block, size=(n, self.CELLS))
+                    if actions is None else actions)
             targets = rng.normal(size=(n, self.CELLS))
-            loss = train_batch(mlp, opt, states, actions, targets, block)
-            ref_loss = reference_train_batch(params, acc, states, actions,
+            loss = train_batch(mlp, opt, states, acts, targets, block)
+            ref_loss = reference_train_batch(params, acc, states, acts,
                                              targets, block, **self.HYPER)
             assert loss == ref_loss
         return mlp, opt, params, acc
+
+    def test_repeated_actions_across_samples_bitwise_equal(self, rng):
+        # every sample picks the same units in cells 0 and 2, and one of two
+        # in cell 1, so columns repeat across rows; the reference
+        # accumulates the selected gradients with np.add.at
+        actions = np.tile([[3, 0, 19]], (8, 1))
+        actions[::2, 1] = 5
+        mlp, opt, params, acc = self._train_both(rng, steps=3, actions=actions)
+        for got, want in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), params):
+            assert np.array_equal(got, want)
+        for got, want in zip(split_flat(opt.acc, mlp), acc):
+            assert np.array_equal(got, want)
 
     def test_parameters_and_accumulators_bitwise_equal(self, rng):
         mlp, opt, params, acc = self._train_both(rng)
@@ -213,7 +232,7 @@ class TestClone:
         twin = mlp.clone()
         x = rng.normal(size=5)
         before = twin.forward(x).copy()
-        train_batch(mlp, RMSprop(mlp, learning_rate=0.1),
+        train_batch(mlp, agent_optimizer(mlp, AgentConfig(learning_rate=0.1)),
                     rng.normal(size=(3, 5)), rng.integers(0, 2, size=(3, 2)),
                     rng.normal(size=(3, 2)), 2)
         assert np.array_equal(twin.forward(x), before)
@@ -249,7 +268,7 @@ class TestCheckpoint:
     def test_corrupt_header_rejected(self, tmp_path, rng):
         mlp = MLP.init((3, 4, 2), rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, mlp, RMSprop(mlp))
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         data = bytearray(path.read_bytes())
         data[8:16] = np.array([0], dtype="<i8").tobytes()     # input size 0
         path.write_bytes(bytes(data))
@@ -259,7 +278,7 @@ class TestCheckpoint:
     def test_truncated_rejected(self, tmp_path, rng):
         mlp = MLP.init((7, 12, 6), rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, mlp, RMSprop(mlp))
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(CheckpointError):
@@ -270,7 +289,7 @@ class TestCheckpoint:
         # 8-byte magic and 24-byte size header, then three float64 constants
         mlp = MLP.init((3, 4, 2), rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, mlp, RMSprop(mlp))
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(CheckpointError, match="optimizer constants"):
             load_checkpoint(path)
@@ -278,7 +297,7 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         mlp = MLP.init((3, 4, 2), rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, mlp, RMSprop(mlp))
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
