@@ -206,34 +206,35 @@ def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
     direct = np.sqrt(folded[diag, diag, :])                       # (K, F)
 
     v = np.sqrt(uniform)
-    best_v = v
-    best_obj = network_utility(v ** 2, virtual, alpha)
+    power = v * v            # the objective and the next update share it
+    best_power = power
+    best_obj = network_utility(power, virtual, alpha)
     prev_obj = best_obj
     history = [best_obj]
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        power_rx = folded * (v ** 2)[None, :, :]
+        power_rx = folded * power                                    # (K, K, F)
         mmse_rx = direct * v / (noise + power_rx.sum(axis=1))        # (K, F)
         weight = 1.0 / (1.0 - mmse_rx * direct * v)
 
         num = weight * mmse_rx * direct
         den = np.einsum("jf,jkf->kf", weight * mmse_rx ** 2, folded)
         v = _solve_budget(num, den, max_power)
+        power = v * v
 
-        obj = network_utility(v ** 2, virtual, alpha)
+        obj = network_utility(power, virtual, alpha)
         history.append(obj)
         if obj > best_obj:
             best_obj = obj
-            best_v = v
+            best_power = power
         if abs(obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
             converged = True
             break
         prev_obj = obj
 
-    power = best_v ** 2
-    return WmmseResult(power, network_utility(power, channel, alpha),
+    return WmmseResult(best_power, network_utility(best_power, channel, alpha),
                        converged, iterations, tuple(history))
 
 
@@ -264,21 +265,23 @@ def _solve_budget(num: np.ndarray, den: np.ndarray, max_power: float) -> np.ndar
     for _ in range(BUDGET_NEWTON_STEPS):
         v = num / shifted
         square = v ** 2
-        total = square.sum(axis=1)
+        # np.add.reduce, np.zeros and .all() skip the Python wrappers of
+        # .sum, np.zeros_like and np.all, which dominate on (K, F) rows
+        total = np.add.reduce(square, axis=1)
         over = total > max_power
         if not over.any():
             return v
         # d(total)/dmu = -2 * slope; cells within budget take no step
-        slope = (square / shifted).sum(axis=1)
-        step = (np.divide(total, slope, out=np.zeros_like(total), where=over)
+        slope = np.add.reduce(square / shifted, axis=1)
+        step = (np.divide(total, slope, out=np.zeros(len(total)), where=over)
                 * (np.sqrt(total / max_power) - 1.0))
         mu += step
         shifted = den + mu[:, None]
-        if np.all(step <= np.spacing(mu)):
+        if (step <= np.spacing(mu)).all():
             break
     v = num / shifted
     while True:
-        total = (v ** 2).sum(axis=1)
+        total = np.add.reduce(v ** 2, axis=1)
         over = total > max_power
         if not over.any():
             return v

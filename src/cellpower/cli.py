@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -60,6 +61,8 @@ def main(argv=None) -> int:
     common.add_argument("--scenario", default=None,
                         help="scenario1 | scenario2 | scenario3 | custom")
     common.add_argument("--config", default=None, help="key/value config file")
+    common.add_argument("--debug", action="store_true",
+                        help="print the full traceback of an error")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="master seed")
     run = argparse.ArgumentParser(add_help=False, parents=[common, seeded])
@@ -102,7 +105,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

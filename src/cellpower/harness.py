@@ -306,6 +306,9 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "episodes": len(episodes),
         "wmmse_iterations": [r.wmmse_iterations for r in records],
         "wmmse_converged": [r.wmmse_converged for r in records],
+        # both nan when no sample ran
+        "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
+        "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,
         "wall_time_s": round(time.time() - t0, 3),
     }
 

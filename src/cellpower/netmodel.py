@@ -261,7 +261,12 @@ def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
 
     A (K*U, F) input gives a float; a batch gives an array of shape (...).
     """
-    best = _cell_user_rates(sinr, channel, alpha).max(axis=-2)
+    rates = _cell_user_rates(sinr, channel, alpha)
+    # the best user of each (cell, subband) as U - 1 elementwise maxima:
+    # numpy's max over the short middle axis is several times slower
+    best = rates[..., 0, :]
+    for u in range(1, channel.users_per_cell):
+        best = np.maximum(best, rates[..., u, :])
     # sum each allocation's K*F best rates as one flat row, so that a batch
     # adds in the same order as a single allocation
     total = best.reshape(*best.shape[:-2], -1).sum(axis=-1)
@@ -292,7 +297,8 @@ def cqi_quantize_array(sinr_values: np.ndarray) -> np.ndarray:
                          10.0 ** (CQI_MIN_DB / 10.0))
     db = 10.0 * np.log10(floored)
     idx = 1 + np.floor((db - CQI_MIN_DB) / _CQI_BIN_DB).astype(int)
-    return np.clip(idx, 1, CQI_LEVELS)
+    # the lower clamp keeps CQI >= 1 should the floored dB round below -10
+    return np.minimum(np.maximum(idx, 1), CQI_LEVELS)
 
 
 def location_indicator(topology: Topology) -> np.ndarray:

@@ -199,6 +199,23 @@ class TestRunExperiment:
             open(os.path.join(spec.output_dir, "report.json")).read())
         assert on_disk["mean"]["ga"] == 1.0
 
+    def test_policy_margins_recomputed_from_per_sample(self, tmp_path):
+        spec = small_spec(tmp_path / "run", train_steps=40)
+        run_experiment(spec)
+        report = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())
+        per_sample, meta = report["per_sample"], report["metadata"]
+        dql = np.mean(per_sample["dql"])
+        for other in ("random", "maxpower"):
+            assert meta[f"dql_margin_over_{other}"] == pytest.approx(
+                dql / np.mean(per_sample[other]) - 1.0, rel=1e-12)
+        assert "margin" not in (tmp_path / "run" / "results.csv").read_text()
+
+    def test_policy_margins_nan_without_samples(self, tmp_path):
+        report = run_experiment(small_spec(tmp_path / "run", n_samples=0))
+        assert np.isnan(report.metadata["dql_margin_over_random"])
+        assert np.isnan(report.metadata["dql_margin_over_maxpower"])
+
     def test_wmmse_diagnostics_per_sample(self, tmp_path):
         spec = small_spec(tmp_path / "run")
         run_experiment(spec)
@@ -502,6 +519,22 @@ class TestCli:
         assert cli_main(["test", "--checkpoint", "/nonexistent.ckpt"]) == 1
         assert "error:" in capsys.readouterr().err
         assert cli_main(["compare", "--config", "/nonexistent.cfg"]) == 1
+
+    def test_error_is_one_line_without_debug(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG + "no_such_key = 1\n")
+        assert cli_main(["compare", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown config key 'no_such_key'\n"
+
+    def test_debug_prints_the_traceback(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG + "no_such_key = 1\n")
+        assert cli_main(["compare", "--config", str(cfg_file), "--debug"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "spec_from_values" in err
+        assert err.endswith("ConfigError: unknown config key 'no_such_key'\n")
 
     @pytest.mark.parametrize("argv", [
         ["train", "--checkpoint", "x"],

@@ -342,9 +342,59 @@ class TestNetworkUtility:
             network_utility(power, channel, alpha), rel=1e-12)
 
 
+class TestBestUserKernel:
+    """network_utility's best user per (cell, subband) against the
+    brute-force reference, and batch against single allocations."""
+
+    @staticmethod
+    def _check(power, channel, alpha):
+        batch = network_utility(power, channel, alpha)
+        assert batch.shape == power.shape[:-2]
+        for index in np.ndindex(*power.shape[:-2]):
+            single = network_utility(power[index], channel, alpha)
+            assert np.array_equal(batch[index], single)
+            assert single == pytest.approx(
+                reference_utility(power[index], channel, alpha), rel=1e-12)
+
+    def test_one_user_per_cell(self, rng):
+        # the shape of WMMSE's virtual channel: no maximum to take
+        cfg, channel, alpha = tiny_instance(seed=21, num_cells=3, users_per_cell=1)
+        assert channel.users_per_cell == 1
+        self._check(rng.uniform(0.0, 20.0, size=(8, 3, 2)), channel, alpha)
+
+    def test_tied_users_at_scenario3_size(self, rng):
+        cfg = ScenarioConfig(num_cells=15)
+        channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+        gain = channel.gain.copy()
+        gain[6] = gain[5]                 # users 0 and 1 of cell 1 tie
+        tied = synthetic_channel(gain, channel.noise_power, channel.bandwidth_hz)
+        assert np.array_equal(serving_sinr(np.ones((15, 3)), tied)[5],
+                              serving_sinr(np.ones((15, 3)), tied)[6])
+        levels = np.asarray(cfg.power_levels)
+        power = levels[rng.integers(0, len(levels), size=(20, 15, 3))]
+        self._check(power, tied, snr_gap(cfg.target_ber))
+
+    def test_subband_with_zero_power(self, rng):
+        cfg, channel, alpha = tiny_instance(seed=22, users_per_cell=4)
+        power = rng.uniform(1.0, 20.0, size=(6, 2, 2))
+        power[:, :, 1] = 0.0
+        self._check(power, channel, alpha)
+        # the silent subband adds nothing to the first one's rates
+        first = synthetic_channel(channel.gain[:, :, :1], channel.noise_power,
+                                  channel.bandwidth_hz)
+        assert network_utility(power, channel, alpha) == pytest.approx(
+            network_utility(power[:, :, :1], first, alpha), rel=1e-15)
+
+
 class TestCqi:
     def test_clamps(self):
         assert list(cqi_quantize_array([0.0, 1e3, 1e9])) == [1, 15, 15]
+
+    def test_clamps_at_the_sinr_floor(self):
+        # -10 dB is 10^(-1); one ulp below it is floored onto it
+        floor = 10.0 ** -1
+        sinr = [0.0, floor, np.nextafter(floor, 0.0), 1e9]
+        assert cqi_quantize_array(sinr).tolist() == [1, 1, 1, 15]
 
     def test_ten_db_lands_in_bin_eight(self):
         # (10 dB + 10) / (40/15) = 7.5 -> bin index 8

@@ -4,17 +4,17 @@ Usage, from the root of a source checkout:
     python3 tools/benchpairs.py --parent REV --change REV --seed 1101 \\
         --out BENCH_<n>.json
 
-Each revision is exported with `git archive` into its own directory, and
-`perfbench/run.py --trace 0` runs there, so each side measures its own
-committed files. The workloads and the run length are those of
-BENCHMARK.json. Pair i runs every workload with seed SEED + i on both
-sides, the parent first when i is even and the change first when i is odd.
-The output records the machine, the numpy and BLAS versions, both
-revisions, every run, and for each workload and end-to-end metric of
-BENCHMARK.json the median and quartiles of each side and the number of
-pairs the change won, over the pairs where both runs passed their checks.
-It is rewritten after every pair, so an interrupted run keeps the pairs it
-finished.
+Each revision, which a branch must contain, is exported with `git archive`
+into its own directory, and `perfbench/run.py --trace 0` runs there, so
+each side measures its own committed files. The workloads and the run
+length are those of BENCHMARK.json. Pair i runs every workload with seed
+SEED + i on both sides, the parent first when i is even and the change
+first when i is odd. The output records the machine, the numpy and BLAS
+versions, both revisions, every run, and for each workload and end-to-end
+metric of BENCHMARK.json the median and quartiles of each side and the
+number of pairs the change won, over the pairs where both runs passed
+their checks. It is rewritten after every pair, so an interrupted run
+keeps the pairs it finished.
 """
 
 import argparse
@@ -44,8 +44,15 @@ def git(*args, data=False):
 
 def export(rev, dest):
     """Extract the tree of `rev` into `dest`; returns its commit and the
-    tree id of its src/ directory, which names the code that ran."""
+    tree id of its src/ directory, which names the code that ran.
+
+    Refuses a commit that no branch contains: such a commit, for example
+    one made by `git stash create`, can be garbage-collected, and the
+    output would then name code that no longer exists."""
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    if not git("branch", "--contains", commit):
+        sys.exit(f"error: revision {rev} ({commit}) is on no branch; "
+                 "commit it to a branch first")
     with tarfile.open(fileobj=io.BytesIO(git("archive", commit, data=True))) as tar:
         tar.extractall(dest, filter="data")
     return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
