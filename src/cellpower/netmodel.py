@@ -228,11 +228,14 @@ def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     result has shape (..., K*U, F). Interference on subband f is
     power[..., :, f] @ interference_gain[f], one vector-matrix product per
     allocation and subband, so a batch gives each allocation's SINRs exactly.
+    The SINRs are computed subband-major, as (..., F, K*U), so that each
+    elementwise step runs along rows of K*U values rather than of F; the
+    result is a transposed view of that array.
     """
-    per_subband = np.swapaxes(power, -1, -2)[..., None, :]      # (..., F, 1, K)
-    heard = (per_subband @ channel.interference_gain)[..., 0, :]  # (..., F, K*U)
-    signal = channel.serving_gain * np.repeat(power, channel.users_per_cell, axis=-2)
-    return signal / (channel.noise_power + np.swapaxes(heard, -1, -2))
+    per_subband = np.swapaxes(power, -1, -2)                              # (..., F, K)
+    heard = (per_subband[..., None, :] @ channel.interference_gain)[..., 0, :]  # (..., F, K*U)
+    signal = channel.serving_gain.T * np.repeat(per_subband, channel.users_per_cell, axis=-1)
+    return np.swapaxes(signal / (channel.noise_power + heard), -1, -2)
 
 
 def _cell_user_rates(sinr, channel, alpha):
