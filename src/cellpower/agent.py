@@ -112,6 +112,10 @@ class EpisodeLog:
     loss: float        # mean training loss over the episode (nan before training starts)
     length: int
     throughput: float  # peak throughput reached within the episode, bits/s
+    q_mean: float      # mean over the episode's steps and cells of max_a Q_k(s, a)
+    q_max: float       # the largest of those greedy values
+    gradient_steps: int  # cumulative, at the episode's end
+    buffer_fill: int     # replay transitions held at the episode's end
 
 
 @dataclass
@@ -144,9 +148,12 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
         ep_losses = []
         ep_len = 0
         ep_peak = -math.inf
+        ep_greedy = []     # per step, each cell's greedy value max_a Q_k(s, a)
         while not ctx.terminal and step < config.train_steps:
             eps = config.epsilon_at(step)
-            action = select_joint_action(mlp.forward(state), eps, num_cells, rng)
+            q = mlp.forward(state)
+            ep_greedy.append(q.reshape(num_cells, -1).max(axis=1))
+            action = select_joint_action(q, eps, num_cells, rng)
             next_state, reward, terminal, throughput = env.step(ctx, action)
             buffer.push(state, action, reward, next_state, terminal)
             state = next_state
@@ -174,8 +181,11 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
                 on_step(step, grad_steps, mlp, target)
 
         mean_loss = float(np.mean(ep_losses)) if ep_losses else float("nan")
+        greedy = np.concatenate(ep_greedy)
         episodes.append(EpisodeLog(step, episode, config.epsilon_at(step),
-                                   mean_loss, ep_len, ep_peak))
+                                   mean_loss, ep_len, ep_peak,
+                                   float(greedy.mean()), float(greedy.max()),
+                                   grad_steps, len(buffer)))
     return TrainResult(episodes, grad_steps)
 
 
@@ -191,6 +201,7 @@ class TestRecord:
     throughput: dict               # method in METHODS -> bits/s
     wmmse_iterations: int = 0
     wmmse_converged: bool = False
+    ga_best_generation: int = 0
 
 
 def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
@@ -233,5 +244,6 @@ def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
                 name, ctx.channel, env, sample_seed, ga_config, max_power_level)
         wm = diagnostics["wmmse"]
         records.append(TestRecord(sample_seed, dql_action, throughput,
-                                  wm["iterations"], wm["converged"]))
+                                  wm["iterations"], wm["converged"],
+                                  diagnostics["ga"]["best_generation"]))
     return records

@@ -70,7 +70,8 @@ def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
     repair and elitism, each applied to the whole population at once; the
     population is scored with one batched `network_utility` call per
     generation. Returns (power, throughput) of the best individual ever
-    evaluated.
+    evaluated, and the generation in which it was first evaluated (0 for
+    the initial population).
     """
     alpha = snr_gap(config.target_ber)
     levels = np.asarray(config.power_levels)
@@ -90,21 +91,23 @@ def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
 
     best_genes = None
     best_fit = -math.inf
+    best_generation = 0
 
-    def evaluate(population):
-        nonlocal best_genes, best_fit
+    def evaluate(population, generation):
+        nonlocal best_genes, best_fit, best_generation
         power = levels[population.reshape(pop_size, num_cells, num_subbands)]
         fits = network_utility(power, channel, alpha)
         top = int(np.argmax(fits))
         if fits[top] > best_fit:
             best_fit = float(fits[top])
             best_genes = population[top].copy()
+            best_generation = generation
         return fits
 
     pop = repair(rng.integers(0, n_levels, size=(pop_size, length)))
-    fits = evaluate(pop)
+    fits = evaluate(pop, 0)
     positions = np.arange(length)
-    for _ in range(ga_config.generations):
+    for generation in range(1, ga_config.generations + 1):
         # stable sort keeps ties deterministic
         elites = pop[np.argsort(-fits, kind="stable")[:ga_config.elite_count]]
         # the draws come in this fixed order every generation
@@ -120,10 +123,10 @@ def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
         fresh = rng.integers(0, n_levels, size=(n_children, length))
         children = repair(np.where(mutate, fresh, children))
         pop = np.concatenate([elites, children])
-        fits = evaluate(pop)
+        fits = evaluate(pop, generation)
 
     power = levels[best_genes.reshape(num_cells, num_subbands)]
-    return power, best_fit
+    return power, best_fit, best_generation
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -313,8 +316,9 @@ def score(name: str, channel: ChannelRealization, env: PowerControlEnv,
           sample_seed: int, ga_config: GAConfig,
           max_power_level: float) -> tuple[float, dict]:
     """Throughput in bits/s of reference solver `name` on one frozen
-    channel, and its diagnostics: WMMSE's iteration count and convergence,
-    nothing for the others.
+    channel, and its diagnostics: the generation in which GA first
+    evaluated its best, WMMSE's iteration count and convergence, nothing
+    for the others.
 
     A test sample with seed s draws its channel from [s, 0]; GA draws from
     [s, 1] and the random allocation from [s, 2]. Each solver is looked up
@@ -322,9 +326,9 @@ def score(name: str, channel: ChannelRealization, env: PowerControlEnv,
     """
     config, alpha = env.config, env.alpha
     if name == "ga":
-        _, util = ga_optimize(channel, config, ga_config,
-                              np.random.default_rng([sample_seed, 1]))
-        return util, {}
+        _, util, generation = ga_optimize(channel, config, ga_config,
+                                          np.random.default_rng([sample_seed, 1]))
+        return util, {"best_generation": generation}
     if name == "wmmse":
         res = wmmse(channel, config.max_power, alpha)
         return res.throughput, {"iterations": res.iterations,

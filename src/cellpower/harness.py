@@ -200,10 +200,12 @@ def _write_text(path, text: str) -> None:
 
 
 def training_log_csv(episodes: list) -> str:
-    rows = ["step,episode,epsilon,loss,length,throughput_bps"]
+    rows = ["step,episode,epsilon,loss,length,throughput_bps,"
+            "q_mean,q_max,gradient_steps,buffer_fill"]
     for e in episodes:
         rows.append(f"{e.step},{e.episode},{repr(e.epsilon)},{repr(e.loss)},"
-                    f"{e.length},{repr(e.throughput)}")
+                    f"{e.length},{repr(e.throughput)},{repr(e.q_mean)},"
+                    f"{repr(e.q_max)},{e.gradient_steps},{e.buffer_fill}")
     return "\n".join(rows) + "\n"
 
 
@@ -306,6 +308,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "episodes": len(episodes),
         "wmmse_iterations": [r.wmmse_iterations for r in records],
         "wmmse_converged": [r.wmmse_converged for r in records],
+        "ga_best_generation": [r.ga_best_generation for r in records],
         # both nan when no sample ran
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
         "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,

@@ -9,6 +9,14 @@ out in the checkpoint's payload order. The RMSprop accumulators and the
 gradient that backprop writes use the same layout, so cloning, the
 optimizer step and checkpoint I/O each run over whole buffers.
 
+A training step selects K of the output units per sample; the batch's
+live set is the sorted distinct units its samples selected, L of them.
+Only those rows of W2 and entries of b2 get a nonzero gradient, so the
+step computes them alone: the gradient buffer holds W1 and b1 in full,
+then the gradient rows of the live units packed into the first L rows of
+the W2 region and the first L entries of the b2 region. The rest of
+those two regions is neither written nor read.
+
 Checkpoint layout (little-endian, flat binary):
   8 bytes   magic b"CPQNET1\\n"
   3 int64   layer sizes: input, hidden, output
@@ -95,8 +103,11 @@ class RMSprop:
         acc = decay * acc + (1 - decay) * g * g
         p  -= lr * g / (sqrt(acc) + eps)
 
-    A zero gradient leaves p unchanged. `acc` and `grad` (the buffer that
-    train_batch's backprop writes into) share the network's flat layout.
+    A zero gradient leaves p unchanged bit for bit and adds exactly +0 to
+    the decayed accumulator, so the W2 rows and b2 entries outside a
+    step's live set only decay. `acc` shares the network's flat layout;
+    `grad` (the buffer that train_batch's backprop writes into) has it
+    too, with the W2 and b2 gradients packed as the module docstring says.
     """
 
     def __init__(self, mlp: MLP, learning_rate: float, decay: float,
@@ -106,41 +117,102 @@ class RMSprop:
         self.epsilon = epsilon
         self.acc = np.zeros_like(mlp.flat)
         self.grad = np.empty_like(mlp.flat)
-        self._scratch = np.empty((2, min(UPDATE_BLOCK, mlp.flat.size)))
+        # two rows for the formula's temporaries and two for the live rows
+        # gathered from a block of W2 rows; a block holds at least one row,
+        # even one wider than UPDATE_BLOCK
+        width = min(max(UPDATE_BLOCK, mlp.w2.shape[1]), mlp.flat.size)
+        self._scratch = np.empty((4, width))
 
-    def apply(self, mlp: MLP, grad: np.ndarray) -> None:
-        """Update mlp.flat from the flat gradient `grad`, UPDATE_BLOCK
-        elements at a time. Each block evaluates the class formulas left to
-        right, as whole-array numpy expressions would, so the result is
-        bit-for-bit theirs."""
+    def apply(self, mlp: MLP, grad: np.ndarray, live: np.ndarray) -> None:
+        """Update mlp.flat from the flat gradient `grad`, whose W2 and b2
+        gradients are packed for the sorted output units `live`. W1 and b1
+        are updated UPDATE_BLOCK elements at a time; unless every output
+        is live, W2 and b2 are updated in blocks of whole rows, one row per
+        output unit."""
+        # with every output live the gradient is unpacked: one dense pass
+        dense = (mlp.flat.size if live.size == len(mlp.b2)
+                 else mlp.w1.size + mlp.b1.size)
+        for start in range(0, dense, UPDATE_BLOCK):
+            block = slice(start, min(start + UPDATE_BLOCK, dense))
+            self._step(mlp.flat[block], self.acc[block], grad[block])
+        if dense == mlp.flat.size:
+            return
+        _, _, acc_w2, acc_b2 = _views(self.acc, mlp._shapes)
+        _, _, grad_w2, grad_b2 = _views(grad, mlp._shapes)
+        self._update_rows(mlp.w2, acc_w2, grad_w2, live)
+        self._update_rows(mlp.b2.reshape(-1, 1), acc_b2.reshape(-1, 1),
+                          grad_b2.reshape(-1, 1), live)
+
+    def _update_rows(self, p, a, g, live):
+        """Update the rows `live` of p and a (one row per output unit) from
+        the gradient rows packed at the top of g; every other row only
+        decays. Each block of rows takes one of three paths: no live row,
+        decay only; every row live, the formula in place; otherwise the live
+        rows are gathered into scratch rows, updated and written back."""
+        rows, width = p.shape
+        step = max(1, UPDATE_BLOCK // width)
+        starts = range(0, rows, step)
+        cuts = np.searchsorted(live, [*starts, rows]).tolist()
+        for r0, j0, j1 in zip(starts, cuts, cuts[1:]):
+            r1 = min(r0 + step, rows)
+            p_rows, a_rows = p[r0:r1], a[r0:r1]
+            if j0 == j1:
+                a_rows *= self.decay
+            elif j1 - j0 == r1 - r0:
+                self._step(p_rows, a_rows, g[j0:j1])
+            else:
+                local = live[j0:j1] - r0
+                size = (j1 - j0) * width
+                p_live = self._scratch[2, :size].reshape(-1, width)
+                a_live = self._scratch[3, :size].reshape(-1, width)
+                np.take(p_rows, local, axis=0, out=p_live, mode="clip")
+                np.take(a_rows, local, axis=0, out=a_live, mode="clip")
+                a_rows *= self.decay       # the live rows are overwritten below
+                self._step(p_live, a_live, g[j0:j1])
+                p_rows[local] = p_live
+                a_rows[local] = a_live
+
+    def _step(self, p, a, g):
+        """The class formulas on one block, in place. They are evaluated
+        left to right, as whole-array numpy expressions would be, so the
+        result is bit-for-bit theirs."""
         lr, decay, eps = self.learning_rate, self.decay, self.epsilon
-        for start in range(0, grad.size, UPDATE_BLOCK):
-            block = slice(start, start + UPDATE_BLOCK)
-            p, a, g = mlp.flat[block], self.acc[block], grad[block]
-            s, t = self._scratch[:, :g.size]
-            a *= decay
-            np.multiply(g, 1.0 - decay, out=s)
-            s *= g
-            a += s
-            np.sqrt(a, out=s)
-            s += eps
-            np.multiply(g, lr, out=t)
-            t /= s
-            p -= t
+        s = self._scratch[0, :g.size].reshape(g.shape)
+        t = self._scratch[1, :g.size].reshape(g.shape)
+        a *= decay
+        np.multiply(g, 1.0 - decay, out=s)
+        s *= g
+        a += s
+        np.sqrt(a, out=s)
+        s += eps
+        np.multiply(g, lr, out=t)
+        t /= s
+        p -= t
 
 
 def backprop(mlp: MLP, states: np.ndarray, grad_q: np.ndarray,
-             z1: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Parameter gradients for the loss whose dL/dq is grad_q, (n, out).
+             z1: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Parameter gradients for a loss whose dL/dq is zero outside the
+    sorted, distinct output units `live` and is grad_q, (n, len(live)),
+    on them.
 
     z1 is the forward pass's hidden pre-activation `states @ W1.T + b1`.
     The gradients are written into `out`, a buffer of mlp.flat's size and
-    layout, which is returned.
+    layout, with the W2 and b2 gradients of the live units packed (see the
+    module docstring); `out` is returned.
     """
     x = np.asarray(states, dtype=np.float64)
     dw1, db1, dw2, db2 = _views(out, mlp._shapes)
-    np.matmul(grad_q.T, np.maximum(z1, 0.0), out=dw2)
-    np.sum(grad_q, axis=0, out=db2)
+    n_live = live.size
+    np.matmul(grad_q.T, np.maximum(z1, 0.0), out=dw2[:n_live])
+    np.sum(grad_q, axis=0, out=db2[:n_live])
+    if n_live < len(mlp.b2):
+        # dz1 runs over every output, zeros included: its inner dimension
+        # is the output width, and a narrower product would let BLAS block
+        # it differently and change W1's gradient bits
+        full = np.zeros((len(grad_q), len(mlp.b2)))
+        full[:, live] = grad_q
+        grad_q = full
     dz1 = (grad_q @ mlp.w2) * (z1 > 0.0)
     np.matmul(dz1.T, x, out=dw1)
     np.sum(dz1, axis=0, out=db1)
@@ -153,20 +225,35 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
 
     actions (n, K) holds each cell's chosen index inside its own block of
     block_size outputs; targets (n, K) the per-cell Bellman targets. The
-    gradient flows only through the K selected units of each sample.
-    Returns the pre-update loss.
+    gradient flows only through the K selected units of each sample, so
+    the output layer's forward pass, gradient and update run on the
+    batch's live set alone, unless the rows left out are too few to pay
+    for that. Returns the pre-update loss.
     """
     x = np.asarray(states, dtype=np.float64)
     acts = np.asarray(actions, dtype=int)
     y = np.asarray(targets, dtype=np.float64)
     n, num_cells = acts.shape
 
-    # MLP.forward's arithmetic, keeping z1 for backprop
+    # the live set, and each selected unit's column among the live ones
+    n_out, n_hidden = mlp.w2.shape
+    units = (acts + np.arange(num_cells) * block_size).reshape(-1)
+    selected = np.zeros(n_out, dtype=bool)
+    selected[units] = True
+    live = np.flatnonzero(selected)
+    if (n_out - live.size) * n_hidden < UPDATE_BLOCK:
+        # the rows left out would not fill one update block, which costs
+        # less than compacting: take the dense step, whose zero gradients
+        # leave those rows exactly as the compacted step would
+        live, w2, b2, cols = np.arange(n_out), mlp.w2, mlp.b2, units
+    else:
+        w2, b2 = np.take(mlp.w2, live, axis=0), mlp.b2[live]
+        cols = (np.cumsum(selected) - 1)[units]
+
+    # MLP.forward's arithmetic on the live units, keeping z1 for backprop
     z1 = x @ mlp.w1.T + mlp.b1
-    q = np.maximum(z1, 0.0) @ mlp.w2.T + mlp.b2
-    units = acts + np.arange(num_cells) * block_size     # (n, K) flat output units
+    q = np.maximum(z1, 0.0) @ w2.T + b2
     rows = np.repeat(np.arange(n), num_cells)
-    cols = units.reshape(-1)
     diff = q[rows, cols].reshape(n, num_cells) - y
     loss = float(np.mean(diff ** 2))
     if not np.isfinite(loss):
@@ -175,7 +262,7 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     # a sample's K units lie in distinct blocks, so no (row, col) repeats
     grad_q = np.zeros_like(q)
     grad_q[rows, cols] = (2.0 * diff / diff.size).reshape(-1)
-    opt.apply(mlp, backprop(mlp, x, grad_q, z1, opt.grad))
+    opt.apply(mlp, backprop(mlp, x, grad_q, z1, live, opt.grad), live)
     return loss
 
 

@@ -149,7 +149,10 @@ def split_flat(flat, mlp):
 
 def finite_difference_max_error(mlp, states, actions, targets, block_size,
                                 h=1e-5):
-    """Max relative error of backprop gradients vs central differences."""
+    """Max relative error of backprop gradients vs central differences,
+    over every entry of W1, b1, W2 and b2. backprop returns the W2 and b2
+    gradients packed for the live units; they are unpacked here with zeros
+    outside the live set, which the central differences must match too."""
     from cellpower.qnet import backprop
 
     q = mlp.forward(states)
@@ -160,8 +163,14 @@ def finite_difference_max_error(mlp, states, actions, targets, block_size,
     grad_q = np.zeros_like(q)
     np.add.at(grad_q, (rows, cols), (2.0 * diff / diff.size).reshape(-1))
     z1 = states @ mlp.w1.T + mlp.b1
-    grads = split_flat(backprop(mlp, states, grad_q, z1,
-                                np.empty_like(mlp.flat)), mlp)
+    live = np.unique(cols)
+    packed = split_flat(backprop(mlp, states, grad_q[:, live], z1, live,
+                                 np.full_like(mlp.flat, np.nan)), mlp)
+    grads = packed[:2]
+    for packed_grad in packed[2:]:
+        full = np.zeros_like(packed_grad)
+        full[live] = packed_grad[:live.size]
+        grads.append(full)
 
     worst = 0.0
     for param, grad in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), grads):

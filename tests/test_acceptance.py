@@ -130,8 +130,8 @@ def test_criterion_4_ga_vs_exhaustive():
         channel = cp.draw_channel(topo, cfg, rng)
         alpha = cp.snr_gap(cfg.target_ber)
         _, best = exhaustive(channel, actions, alpha)
-        _, got = ga_optimize(channel, cfg, ga_cfg,
-                             np.random.default_rng([2000, seed]))
+        _, got, _ = ga_optimize(channel, cfg, ga_cfg,
+                                np.random.default_rng([2000, seed]))
         assert got <= best + 1e-6 * best
         if abs(got - best) <= 1e-9 * best:
             hits += 1

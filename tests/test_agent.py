@@ -206,6 +206,28 @@ class TestTraining:
         assert all(e.throughput > 0 for e in result.episodes)
 
 
+    def test_training_log_learning_signal(self, rng):
+        env = PowerControlEnv(tiny_config())
+        cfg = AgentConfig(train_steps=200, batch_size=8, train_start=8,
+                          replay_capacity=50, target_update_steps=20)
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        # record the action values of every step's single-state forward pass
+        forward, seen = mlp.forward, []
+        mlp.forward = lambda state: seen.append(forward(state)) or seen[-1]
+        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        last = result.episodes[-1]
+        assert last.gradient_steps == result.gradient_steps
+        assert len(seen) == last.step == cfg.train_steps
+        start = 0
+        for e in result.episodes:
+            assert e.buffer_fill == min(e.step, cfg.replay_capacity)
+            greedy = [q.reshape(2, -1).max(axis=1)
+                      for q in seen[start:start + e.length]]
+            assert e.q_mean == pytest.approx(np.mean(greedy), rel=1e-12)
+            assert e.q_max == np.max(greedy)
+            start += e.length
+
+
 class TestTestProtocol:
     def test_record_count_and_seeds(self, rng):
         env = single_link_env()

@@ -52,9 +52,9 @@ class TestGa:
         cfg = tiny_config(power_levels=(1.0,), max_power=3.0)
         _, channel, alpha = tiny_instance(seed=1, power_levels=(1.0,),
                                           max_power=3.0)
-        power, util = ga_optimize(channel, cfg,
-                                  GAConfig(population_size=4, generations=3),
-                                  np.random.default_rng(0))
+        power, util, _ = ga_optimize(channel, cfg,
+                                     GAConfig(population_size=4, generations=3),
+                                     np.random.default_rng(0))
         assert np.array_equal(power, np.ones((2, 2)))
         assert util == pytest.approx(
             network_utility(np.ones((2, 2)), channel, alpha), rel=1e-12)
@@ -66,9 +66,9 @@ class TestGa:
         for seed in range(20):
             _, channel, alpha = tiny_instance(seed=seed)
             _, best = brute_force_best(channel, actions, alpha)
-            _, got = ga_optimize(channel, cfg,
-                                 GAConfig(population_size=40, generations=40),
-                                 np.random.default_rng(seed))
+            _, got, _ = ga_optimize(channel, cfg,
+                                    GAConfig(population_size=40, generations=40),
+                                    np.random.default_rng(seed))
             assert got <= best + 1e-6
             if got == pytest.approx(best, rel=1e-12):
                 hits += 1
@@ -80,8 +80,8 @@ class TestGa:
         cfg = tiny_config()
         _, channel, _ = tiny_instance(seed=3)
         ga_cfg = GAConfig(population_size=20, generations=15)
-        p1, u1 = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
-        p2, u2 = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
+        p1, u1, _ = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
+        p2, u2, _ = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng(7))
         assert u1 == u2
         assert np.array_equal(p1, p2)
 
@@ -91,16 +91,16 @@ class TestGa:
         _, channel, _ = tiny_instance(seed=4)
         base = GAConfig(population_size=25, generations=0)
         full = GAConfig(population_size=25, generations=30)
-        _, u0 = ga_optimize(channel, cfg, base, np.random.default_rng(11))
-        _, u1 = ga_optimize(channel, cfg, full, np.random.default_rng(11))
+        _, u0, _ = ga_optimize(channel, cfg, base, np.random.default_rng(11))
+        _, u1, _ = ga_optimize(channel, cfg, full, np.random.default_rng(11))
         assert u1 >= u0
 
     def test_output_respects_budget_and_levels(self):
         cfg = tiny_config(max_power=26.0)   # forces the repair path
         _, channel, _ = tiny_instance(seed=5, max_power=26.0)
-        power, _ = ga_optimize(channel, cfg,
-                               GAConfig(population_size=20, generations=10),
-                               np.random.default_rng(2))
+        power, _, _ = ga_optimize(channel, cfg,
+                                  GAConfig(population_size=20, generations=10),
+                                  np.random.default_rng(2))
         assert np.all(power.sum(axis=1) <= 26.0 + 1e-9)
         assert all(float(p) in cfg.power_levels for p in power.reshape(-1))
 
@@ -119,11 +119,30 @@ class TestGa:
     @pytest.mark.parametrize("max_power", [40.0, 26.0])
     def test_throughput_is_utility_of_returned_power(self, max_power):
         cfg, channel, alpha = tiny_instance(seed=9, max_power=max_power)
-        power, util = ga_optimize(channel, cfg,
-                                  GAConfig(population_size=30, generations=20),
-                                  np.random.default_rng(3))
+        power, util, _ = ga_optimize(channel, cfg,
+                                     GAConfig(population_size=30, generations=20),
+                                     np.random.default_rng(3))
         assert type(util) is float
         assert util == network_utility(power, channel, alpha)
+
+    def test_rerun_to_best_generation_returns_the_same_best(self):
+        # the first g generations draw the same numbers whatever the budget,
+        # so a run cut at the generation that found the best returns it
+        cfg = ScenarioConfig()
+        ga_cfg = GAConfig(population_size=20, generations=30)
+        found_late = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+            power, util, generation = ga_optimize(channel, cfg, ga_cfg,
+                                                  np.random.default_rng(seed))
+            again = ga_optimize(channel, cfg,
+                                GAConfig(population_size=20, generations=generation),
+                                np.random.default_rng(seed))
+            assert np.array_equal(again[0], power)
+            assert again[1:] == (util, generation)
+            found_late += generation > 0
+        assert found_late
 
     def test_bad_ga_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -162,7 +181,7 @@ class TestExhaustive:
         for seed in range(10):
             _, channel, alpha = tiny_instance(seed=seed)
             _, best = exhaustive(channel, actions, alpha)
-            _, ga = ga_optimize(channel, cfg,
+            _, ga, _ = ga_optimize(channel, cfg,
                                 GAConfig(population_size=20, generations=10),
                                 np.random.default_rng(seed))
             rand = network_utility(
@@ -394,8 +413,9 @@ class TestScore:
 
     def test_seed_layout_and_values(self):
         env, ch = self.env, self.ctx.channel
-        assert self.run("ga") == (ga_optimize(
-            ch, env.config, self.ga, np.random.default_rng([77, 1]))[1], {})
+        _, ga, generation = ga_optimize(ch, env.config, self.ga,
+                                        np.random.default_rng([77, 1]))
+        assert self.run("ga") == (ga, {"best_generation": generation})
         rand = random_power_baseline(env.actions, 2, np.random.default_rng([77, 2]))
         assert self.run("random") == (network_utility(rand, ch, env.alpha), {})
         mx = max_power_baseline(env.config, 12.8)

@@ -256,7 +256,8 @@ class TestRunExperiment:
         run_experiment(spec)
         log = open(os.path.join(spec.output_dir, "training_log.csv")).read()
         header, *rows = log.strip().split("\n")
-        assert header == "step,episode,epsilon,loss,length,throughput_bps"
+        assert header == ("step,episode,epsilon,loss,length,throughput_bps,"
+                          "q_mean,q_max,gradient_steps,buffer_fill")
         assert rows
         assert int(rows[-1].split(",")[0]) == 120
 
@@ -294,8 +295,8 @@ class TestRunExperiment:
         ratios = []
         for s in (int(v) for v in seeds):
             ctx, best = random_rollout(np.random.default_rng([s, 0]))
-            _, ga_util = ga_optimize(ctx.channel, spec.config, spec.ga,
-                                     np.random.default_rng([s, 1]))
+            _, ga_util, _ = ga_optimize(ctx.channel, spec.config, spec.ga,
+                                        np.random.default_rng([s, 1]))
             ratios.append(best / ga_util)
         assert abs(report.mean["dql"] - float(np.mean(ratios))) < 0.05
 

@@ -106,7 +106,7 @@ class TestTrainBatch:
         q = mlp.forward(np.array([s]))[0]
         x = np.array([[s]])
         grads = split_flat(backprop(mlp, x, np.array([[2.0 * (q - y)]]),
-                                    x @ mlp.w1.T + mlp.b1,
+                                    x @ mlp.w1.T + mlp.b1, np.array([0]),
                                     np.empty_like(mlp.flat)), mlp)
         assert grads[2][0, 0] == pytest.approx(2.0 * (q - y) * s, rel=1e-12)
 
@@ -150,16 +150,19 @@ class TestTrainBatch:
 
 class TestRmsprop:
     def test_zero_gradient_is_a_no_op(self, rng):
-        mlp = MLP.init((4, 6, 3), rng)
-        opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.5))
-        for a in split_flat(opt.acc, mlp):
-            a[...] = np.abs(rng.normal(size=a.shape))
-        before = mlp.flat.copy()
-        acc_before = [a.copy() for a in split_flat(opt.acc, mlp)]
-        opt.apply(mlp, np.zeros_like(mlp.flat))
-        assert np.array_equal(mlp.flat, before)
-        for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
-            assert np.allclose(a, b * opt.decay)
+        # every output live, and one live output: the other rows take the
+        # decay-only path
+        for live in ([0, 1, 2], [1]):
+            mlp = MLP.init((4, 6, 3), rng)
+            opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.5))
+            for a in split_flat(opt.acc, mlp):
+                a[...] = np.abs(rng.normal(size=a.shape))
+            before = mlp.flat.copy()
+            acc_before = [a.copy() for a in split_flat(opt.acc, mlp)]
+            opt.apply(mlp, np.zeros_like(mlp.flat), np.array(live))
+            assert np.array_equal(mlp.flat, before)
+            for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
+                assert np.allclose(a, b * opt.decay)
 
 
 class TestFlatLearnerOracle:
@@ -218,6 +221,98 @@ class TestFlatLearnerOracle:
         save_checkpoint(path, mlp, opt)
         assert path.read_bytes() == reference_checkpoint_bytes(
             params, acc, **self.HYPER)
+
+
+class TestLiveSetStep:
+    """The step on a batch that selects few output units, at scenario3 width,
+    against the dense four-array reference in conftest.
+
+    The Q-head runs on the live units alone, and BLAS may round a narrower
+    product differently in the last bit. The weights are therefore multiples
+    of 2^-10 and the states small integers, which makes every forward sum
+    exact in any order; the targets are not, so the backward pass rounds as
+    usual. With equal forward values, W1 and b1 (whose backprop runs over
+    every output) must match the reference bit for bit, live W2 rows and b2
+    entries within 1e-12, and every other row must keep its parameters and
+    only decay its accumulators."""
+
+    SIZES = (300, 2160, 1080)
+    CELLS = 15
+    HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
+
+    def _step_both(self, rng, sizes, actions):
+        """One step of the flat learner and of the reference from the same
+        network, with accumulators already nonzero so that their decay
+        shows. Returns both, the state before the step and the live set."""
+        mlp = MLP.init(sizes, rng)
+        mlp.flat[:] = np.round(mlp.flat * 2.0 ** 10) / 2.0 ** 10
+        opt = RMSprop(mlp, **self.HYPER)
+        opt.acc[:] = rng.random(opt.acc.size)
+        opt.grad[:] = np.nan
+        params = [p.copy() for p in (mlp.w1, mlp.b1, mlp.w2, mlp.b2)]
+        acc = [a.copy() for a in split_flat(opt.acc, mlp)]
+        before = [p.copy() for p in params], [a.copy() for a in acc]
+
+        n, cells = actions.shape
+        block = sizes[2] // cells
+        states = rng.integers(-4, 5, size=(n, sizes[0])).astype(float)
+        targets = rng.normal(size=(n, cells))
+        loss = train_batch(mlp, opt, states, actions, targets, block)
+        assert loss == reference_train_batch(params, acc, states, actions, targets,
+                                             block, **self.HYPER)
+        live = np.unique(actions + np.arange(cells) * block)
+        return mlp, opt, params, acc, before, live
+
+    def _few_units(self, rng, n=16):
+        """Each cell but the first picks one of two actions; the first picks
+        units 0-14, which fill a whole block of W2 rows (UPDATE_BLOCK // 2160
+        rows). So 29 to 43 of the 1080 units are live, and the update meets
+        blocks with no, some and only live rows."""
+        actions = 5 + 11 * rng.integers(0, 2, size=(n, self.CELLS))
+        actions[:, 0] = np.arange(n) % 15
+        return actions
+
+    def _assert_matches_reference(self, mlp, opt, params, acc, before, live):
+        # the step was compacted: the gradient rows past the packed ones
+        # were never written
+        for grad in split_flat(opt.grad, mlp)[2:]:
+            assert np.isnan(grad[live.size:]).all()
+        params0, acc0 = before
+        got_acc = split_flat(opt.acc, mlp)
+        for i, got in enumerate((mlp.w1, mlp.b1)):
+            assert np.array_equal(got, params[i])
+            assert np.array_equal(got_acc[i], acc[i])
+        dead = np.setdiff1d(np.arange(len(mlp.b2)), live)
+        for i, got in ((2, mlp.w2), (3, mlp.b2)):
+            np.testing.assert_allclose(got[live], params[i][live], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got_acc[i][live], acc[i][live], rtol=1e-12, atol=0)
+            assert np.array_equal(got[dead], params0[i][dead])
+            assert np.array_equal(got_acc[i][dead], acc0[i][dead] * opt.decay)
+
+    def test_few_live_units(self, rng):
+        mlp, opt, params, acc, before, live = self._step_both(
+            rng, self.SIZES, self._few_units(rng))
+        assert 29 <= live.size <= 43
+        self._assert_matches_reference(mlp, opt, params, acc, before, live)
+        # every live row moved
+        assert np.all(np.any(mlp.w2[live] != before[0][2][live], axis=1))
+
+    def test_all_live_batch_bitwise_equal(self, rng):
+        block = self.SIZES[2] // self.CELLS
+        actions = (np.arange(block)[:, None] + np.arange(self.CELLS)) % block
+        mlp, opt, params, acc, _, live = self._step_both(rng, self.SIZES, actions)
+        assert live.size == self.SIZES[2]
+        for got, want in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), params):
+            assert np.array_equal(got, want)
+        for got, want in zip(split_flat(opt.acc, mlp), acc):
+            assert np.array_equal(got, want)
+
+    def test_single_live_unit(self, rng):
+        # one cell whose every sample picks the same action: L = 1
+        sizes = (self.SIZES[0], self.SIZES[1], self.SIZES[2] // self.CELLS)
+        result = self._step_both(rng, sizes, np.full((8, 1), 40))
+        assert result[-1].tolist() == [40]
+        self._assert_matches_reference(*result)
 
 
 class TestClone:
