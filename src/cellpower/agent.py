@@ -91,17 +91,30 @@ def select_joint_action(q_values: np.ndarray, epsilon: float, num_cells: int,
     return choice
 
 
-def bellman_targets(target_net: MLP, rewards: np.ndarray, next_states: np.ndarray,
-                    terminals: np.ndarray, discount: float,
-                    num_cells: int) -> np.ndarray:
+def bellman_targets(target_net: MLP, buffer: ReplayBuffer, rows: np.ndarray,
+                    discount: float, num_cells: int) -> tuple[np.ndarray, int]:
     """Per-cell targets y_k = r (terminal) or r + gamma * max over the cell's
-    block of target-network values at the next state."""
-    q_next = target_net.forward(next_states)
-    block = q_next.shape[1] // num_cells
-    block_max = q_next.reshape(len(rewards), num_cells, block).max(axis=2)
-    y = rewards[:, None] + discount * block_max
-    y[terminals] = rewards[terminals, None]
-    return y
+    block of target-network values at the next state, for the buffer rows
+    `rows`; returns them, (len(rows), num_cells), and the number of next
+    states target_net evaluated.
+
+    The block maxima come from the buffer's target cache, which stays valid
+    while target_net is frozen. One batch forward fills it for the sorted
+    distinct non-terminal rows whose entry is stale; a terminal row's next
+    state is never needed.
+    """
+    bootstrap = ~buffer.terminal[rows]
+    stale = np.sort(rows[bootstrap & ~buffer.fresh[rows]])
+    if stale.size:
+        # distinct rows; np.unique would import numpy.ma (about 1 MiB)
+        stale = stale[np.diff(stale, prepend=-1) > 0]
+        q_next = target_net.forward(buffer.next_state[stale])
+        buffer.target_max[stale] = q_next.reshape(
+            stale.size, num_cells, -1).max(axis=2)
+        buffer.fresh[stale] = True
+    y = np.repeat(buffer.reward[rows, None], num_cells, axis=1)
+    y[bootstrap] += discount * buffer.target_max[rows[bootstrap]]
+    return y, stale.size
 
 
 @dataclass
@@ -122,6 +135,7 @@ class EpisodeLog:
 class TrainResult:
     episodes: list
     gradient_steps: int
+    target_rows_evaluated: int   # next states the target network evaluated
 
 
 def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
@@ -141,6 +155,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
     episodes = []
     step = 0
     grad_steps = 0
+    target_rows = 0
     episode = 0
     while step < config.train_steps:
         ctx, state = env.reset(rng)
@@ -162,10 +177,10 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
             ep_peak = max(ep_peak, throughput)
 
             if len(buffer) >= train_start and step % config.train_every == 0:
-                states, actions, rewards, next_states, terminals = buffer.sample(
-                    config.batch_size, rng)
-                targets = bellman_targets(target, rewards, next_states, terminals,
-                                          config.discount, num_cells)
+                states, actions, _, rows, _ = buffer.sample(config.batch_size, rng)
+                targets, evaluated = bellman_targets(target, buffer, rows,
+                                                     config.discount, num_cells)
+                target_rows += evaluated
                 try:
                     loss = train_batch(mlp, opt, states, actions, targets,
                                        len(env.actions))
@@ -177,6 +192,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
                 grad_steps += 1
                 if grad_steps % config.target_update_steps == 0:
                     target = mlp.clone()
+                    buffer.fresh[:] = False     # every cached maximum is stale
             if on_step is not None:
                 on_step(step, grad_steps, mlp, target)
 
@@ -186,7 +202,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
                                    mean_loss, ep_len, ep_peak,
                                    float(greedy.mean()), float(greedy.max()),
                                    grad_steps, len(buffer)))
-    return TrainResult(episodes, grad_steps)
+    return TrainResult(episodes, grad_steps, target_rows)
 
 
 # The compared methods: the greedy policy, then the reference solvers that

@@ -4,6 +4,7 @@ normalized-throughput reports and reproducible on-disk artifacts."""
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 import types
@@ -165,7 +166,21 @@ class ComparisonReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite float (a mean or margin without test
+        samples) is written as null."""
+        return json.dumps(_finite_or_null(dataclasses.asdict(self)), indent=2,
+                          sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """`value` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def normalized_throughput(records: list) -> ComparisonReport:
@@ -261,7 +276,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     sizes = network_sizes(spec, env)
 
     episodes = []
-    grad_steps = 0
+    grad_steps = target_rows = 0
     if spec.checkpoint:
         mlp, opt = load_network(spec.checkpoint, sizes)
     else:
@@ -280,6 +295,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
                                      opt=opt, on_step=on_step)
             episodes = result.episodes
             grad_steps = result.gradient_steps
+            target_rows = result.target_rows_evaluated
             _write_text(os.path.join(spec.output_dir, "training_log.csv"),
                         training_log_csv(episodes))
 
@@ -305,11 +321,12 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "n_test_samples": spec.n_test_samples,
         "train_steps": 0 if spec.checkpoint else spec.agent.train_steps,
         "gradient_steps": grad_steps,
+        "target_rows_evaluated": target_rows,
         "episodes": len(episodes),
         "wmmse_iterations": [r.wmmse_iterations for r in records],
         "wmmse_converged": [r.wmmse_converged for r in records],
         "ga_best_generation": [r.ga_best_generation for r in records],
-        # both nan when no sample ran
+        # both nan when no sample ran (null in report.json)
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
         "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,
         "wall_time_s": round(time.time() - t0, 3),

@@ -216,6 +216,18 @@ def reference_train_batch(params, acc, states, actions, targets, block_size,
     return loss
 
 
+def reference_bellman_targets(target_net, rewards, next_states, terminals,
+                              discount, num_cells):
+    """Per-cell Bellman targets without a cache: one forward of the target
+    network over every next state of the batch, then y = r for terminal
+    rows and r + discount * (the cell's block maximum) for the others."""
+    q_next = target_net.forward(next_states)
+    block_max = q_next.reshape(len(rewards), num_cells, -1).max(axis=2)
+    y = rewards[:, None] + discount * block_max
+    y[terminals] = rewards[terminals, None]
+    return y
+
+
 def reference_checkpoint_bytes(params, acc, learning_rate, decay, epsilon):
     """The documented checkpoint format, written field by field."""
     n_hidden, n_in = params[0].shape

@@ -255,9 +255,11 @@ def test_criterion_10_replay_and_target():
             mirror.append(counter)
             counter += 1
         else:
-            batch = buf.sample(int(rng.integers(1, min(len(buf), 8) + 1)), rng)
+            states, actions, rewards, rows, terminals = buf.sample(
+                int(rng.integers(1, min(len(buf), 8) + 1)), rng)
             recent = set(mirror[-37:])
-            assert all(item in recent for item in push_numbers(batch))
+            assert all(item in recent for item in push_numbers(
+                (states, actions, rewards, buf.next_state[rows], terminals)))
         if counter % 997 == 0:
             assert stored(buf) == mirror[-37:]
     assert stored(buf) == mirror[-37:]

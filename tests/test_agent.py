@@ -9,8 +9,9 @@ from cellpower.baselines import GAConfig, exhaustive
 from cellpower.env import PowerControlEnv
 from cellpower.netmodel import network_utility
 from cellpower.qnet import MLP
+from cellpower.replay import ReplayBuffer
 
-from conftest import agent_optimizer, tiny_config
+from conftest import agent_optimizer, reference_bellman_targets, tiny_config
 
 
 def single_link_env(**overrides):
@@ -105,33 +106,136 @@ class TestEpsilonSchedule:
         assert cfg.epsilon_at(100) == cfg.epsilon_end
 
 
-class TestBellmanTargets:
-    def _batch(self, rng, net, n=6, terminal_mask=None):
-        """(rewards, next_states, terminals) of n random transitions."""
-        in_size = net.layer_sizes[0]
-        terminals = (np.array(terminal_mask) if terminal_mask is not None
-                     else rng.random(n) < 0.5)
-        return rng.choice([-1.0, 1.0], size=n), rng.random((n, in_size)), terminals
+def filled_buffer(rng, net, n, num_cells=2, terminals=None, exact=False):
+    """A replay buffer holding n transitions with random rewards and next
+    states (small integers if `exact`) for `net`, and about a third of them
+    terminal unless `terminals` is given."""
+    in_size = net.layer_sizes[0]
+    if terminals is None:
+        terminals = rng.random(n) < 1 / 3
+    buf = ReplayBuffer(n)
+    for terminal in terminals:
+        next_state = (rng.integers(-4, 5, size=in_size).astype(float) if exact
+                      else rng.random(in_size))
+        buf.push(np.zeros(in_size), np.zeros(num_cells, dtype=int),
+                 rng.choice([-1.0, 1.0]), next_state, terminal)
+    return buf
 
+
+def uncached_targets(net, buf, rows, discount, num_cells=2):
+    return reference_bellman_targets(net, buf.reward[rows], buf.next_state[rows],
+                                     buf.terminal[rows], discount, num_cells)
+
+
+def exact_net(sizes, rng):
+    """He-initialised weights rounded to multiples of 2^-10: with
+    small-integer states every forward sum is exact in any order, so a
+    forward over some rows of a batch equals the whole batch's bit for bit."""
+    net = MLP.init(sizes, rng)
+    net.flat[:] = np.round(net.flat * 2.0 ** 10) / 2.0 ** 10
+    return net
+
+
+class TestBellmanTargets:
     def test_zero_discount_terminal_batch_equals_rewards(self, rng):
         net = MLP.init((4, 6, 8), rng)
-        rewards, next_states, terminals = self._batch(rng, net,
-                                                      terminal_mask=[True] * 6)
-        y = bellman_targets(net, rewards, next_states, terminals, 0.0, 2)
-        for i, r in enumerate(rewards):
+        buf = filled_buffer(rng, net, 6, terminals=[True] * 6)
+        y, evaluated = bellman_targets(net, buf, np.arange(6), 0.0, 2)
+        for i, r in enumerate(buf.reward):
             assert np.all(y[i] == r)
+        assert evaluated == 0       # no next state of a terminal row is needed
 
     def test_matches_naive_recomputation(self, rng):
         net = MLP.init((4, 6, 8), rng)
-        rewards, next_states, terminals = self._batch(rng, net)
+        buf = filled_buffer(rng, net, 6, terminals=rng.random(6) < 0.5)
         gamma = 0.97
-        y = bellman_targets(net, rewards, next_states, terminals, gamma, 2)
-        for i in range(len(rewards)):
-            q = net.forward(next_states[i])
+        y, _ = bellman_targets(net, buf, np.arange(6), gamma, 2)
+        for i in range(6):
+            q = net.forward(buf.next_state[i])
             for k in range(2):
-                expected = rewards[i] if terminals[i] else (
-                    rewards[i] + gamma * max(q[4 * k: 4 * (k + 1)]))
+                expected = buf.reward[i] if buf.terminal[i] else (
+                    buf.reward[i] + gamma * max(q[4 * k: 4 * (k + 1)]))
                 assert abs(y[i, k] - expected) < 1e-12
+
+
+class TestTargetCache:
+    """bellman_targets against the uncached full-batch forward in conftest,
+    over successive batches that hit and miss the buffer's cache."""
+
+    BATCHES = ([2, 2, 5, 2, 0, 5], [0, 1, 2, 3, 4, 5, 6, 7], [7, 7, 7],
+               [3, 6, 3, 1])
+
+    def _check_batches(self, net, buf, compare):
+        """Targets of each batch of BATCHES (rows repeat within and across
+        batches) against the oracle; every non-terminal row is evaluated
+        once, at the first batch that holds it."""
+        seen = set()
+        for batch in self.BATCHES:
+            rows = np.array(batch)
+            y, evaluated = bellman_targets(net, buf, rows, 0.9, 2)
+            compare(y, uncached_targets(net, buf, rows, 0.9))
+            new = {r for r in batch if not buf.terminal[r]} - seen
+            assert evaluated == len(new)
+            seen |= new
+
+    def test_bitwise_equal_on_exact_net(self, rng):
+        net = exact_net((6, 10, 8), rng)
+        buf = filled_buffer(rng, net, 8, exact=True,
+                            terminals=[False, True, False, False, True,
+                                       False, True, False])
+        self._check_batches(net, buf, np.testing.assert_array_equal)
+
+    def test_close_on_he_net(self, rng):
+        net = MLP.init((6, 10, 8), rng)
+        buf = filled_buffer(rng, net, 8, terminals=np.arange(8) % 3 == 1)
+
+        def close(y, want):
+            np.testing.assert_allclose(y, want, rtol=1e-12, atol=0)
+
+        self._check_batches(net, buf, close)
+
+    def test_row_overwritten_by_ring_wrap_is_evaluated_again(self, rng):
+        net = exact_net((6, 10, 8), rng)
+        buf = filled_buffer(rng, net, 4, exact=True, terminals=[False] * 4)
+        rows = np.arange(4)
+        assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 4
+        assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 0
+        buf.push(np.zeros(6), (0, 0), 1.0, np.full(6, 3.0), False)   # row 0
+        y, evaluated = bellman_targets(net, buf, rows, 0.9, 2)
+        assert evaluated == 1
+        np.testing.assert_array_equal(y, uncached_targets(net, buf, rows, 0.9))
+
+    def test_training_targets_match_oracle_and_clone_evaluates_all(
+            self, rng, monkeypatch):
+        # a small ring wraps many times and the target is cloned every
+        # third gradient step; every call's targets must equal the uncached
+        # oracle, and the call right after a clone evaluates every distinct
+        # non-terminal row of its batch
+        period = 3
+        env = PowerControlEnv(tiny_config())
+        cfg = AgentConfig(train_steps=150, batch_size=8, train_start=8,
+                          replay_capacity=20, target_update_steps=period)
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        calls = []
+
+        def checked(target_net, buffer, rows, discount, num_cells):
+            want = uncached_targets(target_net, buffer, rows, discount, num_cells)
+            after_clone = len(calls) % period == 0
+            distinct = np.unique(rows[~buffer.terminal[rows]]).size
+            y, evaluated = bellman_targets(target_net, buffer, rows, discount,
+                                           num_cells)
+            np.testing.assert_allclose(y, want, rtol=1e-12, atol=0)
+            if after_clone:
+                assert evaluated == distinct
+            calls.append(evaluated)
+            return y, evaluated
+
+        monkeypatch.setattr(ag, "bellman_targets", checked)
+        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        assert len(calls) == result.gradient_steps
+        assert result.target_rows_evaluated == sum(calls)
+        # between clones the cache is hit: fewer rows than draws
+        assert 0 < sum(calls) < result.gradient_steps * cfg.batch_size
 
 
 class TestTraining:

@@ -216,6 +216,35 @@ class TestRunExperiment:
         assert np.isnan(report.metadata["dql_margin_over_random"])
         assert np.isnan(report.metadata["dql_margin_over_maxpower"])
 
+    def test_report_json_is_strict_without_samples(self, tmp_path):
+        # the non-finite means and margins of a run without test samples
+        # are written as null, which every JSON parser accepts
+        spec = small_spec(tmp_path / "run", train_steps=40, n_samples=0)
+        report = run_experiment(spec)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = open(os.path.join(spec.output_dir, "report.json")).read()
+        on_disk = json.loads(text, parse_constant=reject)
+        assert all(np.isnan(v) for v in report.mean.values())
+        assert on_disk["mean"] == {m: None for m in report.mean}
+        for name in ("dql_margin_over_random", "dql_margin_over_maxpower"):
+            assert on_disk["metadata"][name] is None
+        assert on_disk["metadata"]["gradient_steps"] == 33
+
+    def test_target_rows_evaluated_in_metadata_only(self, tmp_path):
+        spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
+        report = run_experiment(spec)
+        rows = report.metadata["target_rows_evaluated"]
+        # the cache is hit: fewer rows than the batches drew, but some
+        assert 0 < rows < report.metadata["gradient_steps"] * spec.agent.batch_size
+        on_disk = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())
+        assert on_disk["metadata"]["target_rows_evaluated"] == rows
+        for name in ("results.csv", "training_log.csv"):
+            assert "target" not in open(os.path.join(spec.output_dir, name)).read()
+
     def test_wmmse_diagnostics_per_sample(self, tmp_path):
         spec = small_spec(tmp_path / "run")
         run_experiment(spec)
@@ -244,8 +273,10 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         spec_a = small_spec(tmp_path / "a", train_steps=300)
         spec_b = small_spec(tmp_path / "b", train_steps=300)
-        run_experiment(spec_a)
-        run_experiment(spec_b)
+        report_a = run_experiment(spec_a)
+        report_b = run_experiment(spec_b)
+        assert (report_a.metadata["target_rows_evaluated"]
+                == report_b.metadata["target_rows_evaluated"] > 0)
         for name in ("results.csv", "training_log.csv", "qnet.ckpt"):
             a = open(os.path.join(spec_a.output_dir, name), "rb").read()
             b = open(os.path.join(spec_b.output_dir, name), "rb").read()

@@ -175,9 +175,16 @@ class TestFlatLearnerOracle:
     CELLS = 3
     HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
 
-    def _train_both(self, rng, steps=20, n=8, actions=None):
+    def _train_both(self, rng, steps=20, n=8, actions=None, exact=False):
         """Train both learners on the same batches; each step draws its
-        actions unless `actions` (n, CELLS) is given."""
+        actions unless `actions` (n, CELLS) is given.
+
+        With `exact`, the states are small integers and, before every step,
+        both learners are checked bit-equal and their weights rounded to
+        multiples of 2^-10. Every forward sum is then exact in any order, so
+        a step that runs the Q-head on the live units alone (a narrower
+        GEMM, which BLAS may round differently in the last bit) still sees
+        the reference's action values."""
         mlp = MLP.init(self.SIZES, rng)
         assert UPDATE_BLOCK < mlp.flat.size and mlp.flat.size % UPDATE_BLOCK
         opt = RMSprop(mlp, **self.HYPER)
@@ -185,7 +192,13 @@ class TestFlatLearnerOracle:
         acc = [np.zeros_like(p) for p in params]
         block = self.SIZES[2] // self.CELLS
         for _ in range(steps):
-            states = rng.normal(size=(n, self.SIZES[0]))
+            if exact:
+                self._assert_bitwise_equal(mlp, opt, params, acc)
+                for p in (mlp.flat, *params):
+                    p[:] = np.round(p * 2.0 ** 10) / 2.0 ** 10
+                states = rng.integers(-4, 5, size=(n, self.SIZES[0])).astype(float)
+            else:
+                states = rng.normal(size=(n, self.SIZES[0]))
             acts = (rng.integers(0, block, size=(n, self.CELLS))
                     if actions is None else actions)
             targets = rng.normal(size=(n, self.CELLS))
@@ -195,24 +208,27 @@ class TestFlatLearnerOracle:
             assert loss == ref_loss
         return mlp, opt, params, acc
 
-    def test_repeated_actions_across_samples_bitwise_equal(self, rng):
-        # every sample picks the same units in cells 0 and 2, and one of two
-        # in cell 1, so columns repeat across rows; the reference
-        # accumulates the selected gradients with np.add.at
-        actions = np.tile([[3, 0, 19]], (8, 1))
-        actions[::2, 1] = 5
-        mlp, opt, params, acc = self._train_both(rng, steps=3, actions=actions)
+    @staticmethod
+    def _assert_bitwise_equal(mlp, opt, params, acc):
         for got, want in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), params):
             assert np.array_equal(got, want)
         for got, want in zip(split_flat(opt.acc, mlp), acc):
             assert np.array_equal(got, want)
 
+    def test_repeated_actions_across_samples_bitwise_equal(self, rng):
+        # every sample picks the same units in cells 0 and 2, and one of two
+        # in cell 1, so columns repeat across rows; the reference
+        # accumulates the selected gradients with np.add.at. The step is
+        # compacted (4 of 60 units live), hence the exact-arithmetic inputs.
+        actions = np.tile([[3, 0, 19]], (8, 1))
+        actions[::2, 1] = 5
+        mlp, opt, params, acc = self._train_both(rng, steps=3, actions=actions,
+                                                 exact=True)
+        self._assert_bitwise_equal(mlp, opt, params, acc)
+
     def test_parameters_and_accumulators_bitwise_equal(self, rng):
         mlp, opt, params, acc = self._train_both(rng)
-        for got, want in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), params):
-            assert np.array_equal(got, want)
-        for got, want in zip(split_flat(opt.acc, mlp), acc):
-            assert np.array_equal(got, want)
+        self._assert_bitwise_equal(mlp, opt, params, acc)
         assert all(np.any(a > 0.0) for a in acc)    # every array was updated
 
     def test_checkpoint_bytes_match_documented_format(self, tmp_path, rng):

@@ -28,6 +28,13 @@ def push_numbers(rows):
     return [int(i) for i in ids]
 
 
+def sampled(buf, batch):
+    """A sample's (states, actions, rewards, rows, terminals) with the row
+    numbers replaced by those rows' next states."""
+    states, actions, rewards, rows, terminals = batch
+    return states, actions, rewards, buf.next_state[rows], terminals
+
+
 def stored(buf):
     """Push numbers of the rows the buffer holds, in row order."""
     n = len(buf)
@@ -74,26 +81,27 @@ def test_sample_returns_only_stored_items(rng):
         push(buf, i)
     held = set(stored(buf))
     for _ in range(50):
-        assert set(push_numbers(buf.sample(4, rng))) <= held
+        assert set(push_numbers(sampled(buf, buf.sample(4, rng)))) <= held
 
 
 def test_sample_returns_row_aligned_arrays(rng):
     buf = ReplayBuffer(10)
     for i in range(10):
         push(buf, i)
-    states, actions, rewards, next_states, terminals = buf.sample(6, rng)
+    states, actions, rewards, rows, terminals = buf.sample(6, rng)
+    next_states = buf.next_state[rows]
     assert states.shape == next_states.shape == (6, STATE_SIZE)
     assert actions.shape == (6, NUM_CELLS)
-    assert rewards.shape == terminals.shape == (6,)
+    assert rewards.shape == terminals.shape == rows.shape == (6,)
     assert states.dtype == next_states.dtype == rewards.dtype == np.float64
-    assert actions.dtype == int
+    assert actions.dtype == rows.dtype == int
     assert terminals.dtype == bool
 
 
 def test_sample_single_element(rng):
     buf = ReplayBuffer(3)
     push(buf, 0)
-    assert push_numbers(buf.sample(1, rng)) == [0]
+    assert push_numbers(sampled(buf, buf.sample(1, rng))) == [0]
 
 
 def test_underfull_buffer_signals_not_ready(rng):
