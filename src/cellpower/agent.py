@@ -104,17 +104,18 @@ def bellman_targets(target_net: MLP, buffer: ReplayBuffer, rows: np.ndarray,
     state is never needed.
     """
     bootstrap = ~buffer.terminal[rows]
-    stale = np.sort(rows[bootstrap & ~buffer.fresh[rows]])
-    if stale.size:
-        # distinct rows; np.unique would import numpy.ma (about 1 MiB)
-        stale = stale[np.diff(stale, prepend=-1) > 0]
+    # a batch holds a few stale rows at most once training is under way;
+    # np.unique would import numpy.ma, and np.sort fault in its own code,
+    # about 1.5 MiB of memory together
+    stale = sorted(set(rows[bootstrap & ~buffer.fresh[rows]].tolist()))
+    if stale:
         q_next = target_net.forward(buffer.next_state[stale])
         buffer.target_max[stale] = q_next.reshape(
-            stale.size, num_cells, -1).max(axis=2)
+            len(stale), num_cells, -1).max(axis=2)
         buffer.fresh[stale] = True
     y = np.repeat(buffer.reward[rows, None], num_cells, axis=1)
     y[bootstrap] += discount * buffer.target_max[rows[bootstrap]]
-    return y, stale.size
+    return y, len(stale)
 
 
 @dataclass
