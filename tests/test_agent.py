@@ -106,10 +106,10 @@ class TestEpsilonSchedule:
         assert cfg.epsilon_at(100) == cfg.epsilon_end
 
 
-def filled_buffer(rng, net, n, num_cells=2, terminals=None, exact=False):
-    """A replay buffer holding n transitions with random rewards and next
-    states (small integers if `exact`) for `net`, and about a third of them
-    terminal unless `terminals` is given."""
+def filled_buffer(rng, net, n, terminals=None, exact=False):
+    """A replay buffer holding n two-cell transitions with random rewards
+    and next states (small integers if `exact`) for `net`, and about a
+    third of them terminal unless `terminals` is given."""
     in_size = net.layer_sizes[0]
     if terminals is None:
         terminals = rng.random(n) < 1 / 3
@@ -117,7 +117,7 @@ def filled_buffer(rng, net, n, num_cells=2, terminals=None, exact=False):
     for terminal in terminals:
         next_state = (rng.integers(-4, 5, size=in_size).astype(float) if exact
                       else rng.random(in_size))
-        buf.push(np.zeros(in_size), np.zeros(num_cells, dtype=int),
+        buf.push(np.zeros(in_size), np.zeros(2, dtype=int),
                  rng.choice([-1.0, 1.0]), next_state, terminal)
     return buf
 
