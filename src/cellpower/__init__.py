@@ -4,7 +4,6 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     ScenarioConfig,
-    Topology,
     assign_subbands,
     build_topology,
     draw_channel,

@@ -45,6 +45,8 @@ class AgentConfig:
         if not 0.0 <= self.rmsprop_decay < 1.0:
             raise ValueError(
                 f"rmsprop_decay must be in [0, 1), got {self.rmsprop_decay}")
+        if self.train_every < 1:
+            raise ValueError(f"train_every must be >= 1, got {self.train_every}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hidden_size is not None and self.hidden_size < 1:
@@ -178,7 +180,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
             ep_peak = max(ep_peak, throughput)
 
             if len(buffer) >= train_start and step % config.train_every == 0:
-                states, actions, _, rows, _ = buffer.sample(config.batch_size, rng)
+                states, actions, rows = buffer.sample(config.batch_size, rng)
                 targets, evaluated = bellman_targets(target, buffer, rows,
                                                      config.discount, num_cells)
                 target_rows += evaluated

@@ -100,13 +100,14 @@ class PowerControlEnv:
         The improvement baseline starts at the throughput of the all-minimum
         power action, not at the random allocation's.
         """
-        topo = build_topology(self.config, rng)
-        channel = draw_channel(topo, self.config, rng)
+        distance = build_topology(self.config, rng)
+        channel = draw_channel(distance, self.config, rng)
         joint = rng.integers(0, len(self.actions), size=self.config.num_cells)
         # row 0 is the all-lowest-level combination, feasible by config invariant
         min_power = self.actions[np.zeros_like(joint)]
-        ctx = EpisodeContext(location_indicator(topo), channel, self.actions[joint],
-                             joint, network_utility(min_power, channel, self.alpha))
+        ctx = EpisodeContext(location_indicator(distance, self.config.cell_radius),
+                             channel, self.actions[joint], joint,
+                             network_utility(min_power, channel, self.alpha))
         return ctx, self.encode_state(ctx)
 
     def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:

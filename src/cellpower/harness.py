@@ -270,7 +270,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
 
     Fully reproducible: all randomness derives from spec.master_seed.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     os.makedirs(spec.output_dir, exist_ok=True)
     env = build_env(spec)
     sizes = network_sizes(spec, env)
@@ -329,7 +329,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         # both nan when no sample ran (null in report.json)
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
         "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
 
     _write_text(os.path.join(spec.output_dir, "results.csv"), results_csv(records))

@@ -1,6 +1,6 @@
 """Multi-cell downlink radio model.
 
-Deterministic network mathematics: hexagonal topology, path loss +
+Deterministic network mathematics: hexagonal user drops, path loss +
 log-normal shadowing + Rayleigh fading link gains, SINR, CQI quantization,
 per-subband user assignment and the total-throughput objective.
 
@@ -73,6 +73,12 @@ class ScenarioConfig:
             raise ConfigError(f"target_ber {self.target_ber} outside (0, 0.2)")
         if not 0.0 < self.min_user_distance < self.cell_radius:
             raise ConfigError("need 0 < min_user_distance < cell_radius")
+        if not self.subband_bandwidth_hz > 0.0:
+            raise ConfigError(
+                f"subband_bandwidth_hz must be > 0, got {self.subband_bandwidth_hz}")
+        if not self.shadowing_sigma >= 0.0:
+            raise ConfigError(
+                f"shadowing_sigma must be >= 0, got {self.shadowing_sigma}")
 
     @property
     def num_users(self) -> int:
@@ -89,38 +95,6 @@ def snr_gap(target_ber: float) -> float:
     if not 0.0 < target_ber < 0.2:
         raise ConfigError(f"target_ber {target_ber} outside (0, 0.2)")
     return -1.5 / math.log(5.0 * target_ber)
-
-
-@dataclass(frozen=True)
-class Topology:
-    """One drop of base stations and users.
-
-    Users are indexed globally in cell-major order: the users of cell k are
-    the global indices k*U .. (k+1)*U - 1, and cell k serves them.
-    """
-
-    bs_positions: np.ndarray     # (K, 2) m
-    user_positions: np.ndarray   # (K*U, 2) m
-    bs_distance: np.ndarray      # (K*U, K) user-to-BS distances, m
-    cell_radius: float
-
-    @property
-    def num_cells(self) -> int:
-        return self.bs_positions.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.user_positions.shape[0]
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.num_users // self.num_cells
-
-    @property
-    def serving_distance(self) -> np.ndarray:
-        """Distance of each user to its serving BS, (K*U,)."""
-        users = np.arange(self.num_users)
-        return self.bs_distance[users, users // self.users_per_cell]
 
 
 def _hex_spiral(count: int, pitch: float) -> np.ndarray:
@@ -140,29 +114,40 @@ def _hex_spiral(count: int, pitch: float) -> np.ndarray:
     return np.array(xy[:count], dtype=float)
 
 
-def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> Topology:
-    """Drop BSs on a hex grid and users uniformly in each serving disk.
+def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Drop BSs on a hex grid (inter-site distance 2 R cos 30 deg) and users
+    uniformly in each serving disk; returns the (K*U, K) user-to-BS
+    distances in m. Users are cell-major: cell k serves users k*U .. (k+1)*U - 1.
 
-    Inter-site distance is 2 R cos(30 deg); user radii below
-    min_user_distance are rejected and redrawn.
+    Each user takes a uniform u for its radius R sqrt(u), redrawn while
+    below min_user_distance, then one for its angle. All are drawn as one
+    array, radii at even slots: a rejected radius is removed, moving the
+    later values down a slot, and one more uniform is drawn. So the values,
+    and the generator's end state, are those of a per-user loop.
     """
     pitch = 2.0 * config.cell_radius * math.cos(math.pi / 6.0)
     bs = _hex_spiral(config.num_cells, pitch)
 
-    users = np.empty((config.num_users, 2), dtype=float)
-    i = 0
-    for k in range(config.num_cells):
-        for _ in range(config.users_per_cell):
-            while True:
-                radius = config.cell_radius * math.sqrt(rng.uniform())
-                if radius >= config.min_user_distance:
-                    break
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            users[i] = bs[k] + radius * np.array([math.cos(angle), math.sin(angle)])
-            i += 1
-
-    dist = np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
-    return Topology(bs, users, dist, config.cell_radius)
+    draws = rng.uniform(size=2 * config.num_users)
+    rejected = []
+    start = checked = 0      # the slots from `start` on pair up as (radius, angle)
+    while True:
+        low = config.cell_radius * np.sqrt(draws[checked:]) < config.min_user_distance
+        for slot in (np.flatnonzero(low) + checked).tolist():
+            if (slot - start) % 2 == 0:
+                rejected.append(slot)
+                start = slot + 1
+        more = 2 * config.num_users + len(rejected) - len(draws)
+        if not more:
+            break
+        checked = len(draws)
+        draws = np.append(draws, rng.uniform(size=more))
+    draws = np.delete(draws, rejected)
+    radius = config.cell_radius * np.sqrt(draws[0::2])
+    angle = 2.0 * math.pi * draws[1::2]
+    users = (np.repeat(bs, config.users_per_cell, axis=0)
+             + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1))
+    return np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
 
 
 @dataclass(frozen=True)
@@ -203,20 +188,20 @@ class ChannelRealization:
         return self.gain.shape[2]
 
 
-def draw_channel(topology: Topology, config: ScenarioConfig,
+def draw_channel(distance: np.ndarray, config: ScenarioConfig,
                  rng: np.random.Generator) -> ChannelRealization:
-    """Sample one channel realization.
+    """Sample one channel realization over the (K*U, K) user-to-BS
+    distances of build_topology.
 
     gain = 10^(-(PL + X)/10) * |H|^2 with
       PL(d) = pathloss_ref_db + pathloss_exp_db_per_decade * log10(d / 1 km),
       X ~ Normal(0, shadowing_sigma^2) dB per (user, BS) link,
       |H|^2 ~ Exponential(mean 1) per (user, BS, subband).
     """
-    d_km = topology.bs_distance / 1000.0
+    d_km = distance / 1000.0
     pl_db = config.pathloss_ref_db + config.pathloss_exp_db_per_decade * np.log10(d_km)
     shadow_db = rng.normal(0.0, config.shadowing_sigma, size=pl_db.shape)
-    fading = rng.exponential(1.0, size=(topology.num_users, topology.num_cells,
-                                        config.num_subbands))
+    fading = rng.exponential(1.0, size=(*distance.shape, config.num_subbands))
     gain = db_to_linear(-(pl_db + shadow_db))[:, :, None] * fading
     return ChannelRealization(gain, config.noise_power, config.subband_bandwidth_hz)
 
@@ -304,6 +289,10 @@ def cqi_quantize_array(sinr_values: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(idx, 1), CQI_LEVELS)
 
 
-def location_indicator(topology: Topology) -> np.ndarray:
-    """1 for cell-edge users (serving distance strictly beyond R/2), else 0."""
-    return (topology.serving_distance > topology.cell_radius / 2.0).astype(float)
+def location_indicator(distance: np.ndarray, cell_radius: float) -> np.ndarray:
+    """1 for cell-edge users, else 0, from the (K*U, K) user-to-BS distances:
+    a user is at the edge when its serving distance, to BS u // U, is
+    strictly beyond R/2."""
+    users = np.arange(distance.shape[0])
+    serving = distance[users, users // (distance.shape[0] // distance.shape[1])]
+    return (serving > cell_radius / 2.0).astype(float)

@@ -48,11 +48,10 @@ class ReplayBuffer:
         self.pushes += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
-        """(states, actions, rewards, rows, terminals) of batch_size rows
-        drawn uniformly with replacement; `rows` are their row numbers,
-        which index next_state and the target cache."""
+        """(states, actions, rows) of batch_size rows drawn uniformly with
+        replacement; `rows` are their row numbers, which index reward,
+        next_state, terminal and the target cache."""
         if batch_size > len(self):
             raise ValueError(f"buffer holds {len(self)} < batch size {batch_size}")
         rows = rng.integers(0, len(self), size=batch_size)
-        return (self.state[rows], self.action[rows], self.reward[rows], rows,
-                self.terminal[rows])
+        return self.state[rows], self.action[rows], rows

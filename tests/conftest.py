@@ -9,7 +9,7 @@ from cellpower.netmodel import (
     BUDGET_TOL,
     ChannelRealization,
     ScenarioConfig,
-    Topology,
+    _hex_spiral,
     build_topology,
     draw_channel,
     snr_gap,
@@ -116,14 +116,37 @@ def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0) -> ChannelRealiza
 
 
 def synthetic_topology(num_cells, users_per_cell, serving_distance,
-                       cell_radius=500.0) -> Topology:
-    """Topology with prescribed serving distances; positions are placeholders.
-    Users are cell-major: cell k serves users k*U .. (k+1)*U - 1."""
+                       cell_radius=500.0) -> np.ndarray:
+    """(K*U, K) user-to-BS distances with prescribed serving distances; every
+    other distance is cell_radius. Users are cell-major: cell k serves users
+    k*U .. (k+1)*U - 1."""
     n = num_cells * users_per_cell
     dist = np.full((n, num_cells), cell_radius, dtype=float)
     users = np.arange(n)
     dist[users, users // users_per_cell] = np.asarray(serving_distance, dtype=float)
-    return Topology(np.zeros((num_cells, 2)), np.zeros((n, 2)), dist, cell_radius)
+    return dist
+
+
+def reference_drop(config, rng):
+    """The user drop as a per-user loop: (BS positions (K, 2), user
+    positions (K*U, 2), user-to-BS distances (K*U, K)). Cell by cell, each
+    user redraws its radius R sqrt(u) while it is below min_user_distance,
+    then draws its angle."""
+    pitch = 2.0 * config.cell_radius * math.cos(math.pi / 6.0)
+    bs = _hex_spiral(config.num_cells, pitch)
+    users = np.empty((config.num_users, 2), dtype=float)
+    i = 0
+    for k in range(config.num_cells):
+        for _ in range(config.users_per_cell):
+            while True:
+                radius = config.cell_radius * math.sqrt(rng.uniform())
+                if radius >= config.min_user_distance:
+                    break
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            users[i] = bs[k] + radius * np.array([math.cos(angle), math.sin(angle)])
+            i += 1
+    dist = np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
+    return bs, users, dist
 
 
 def selected_unit_loss(mlp, states, actions, targets, block_size):

@@ -126,8 +126,8 @@ def test_criterion_4_ga_vs_exhaustive():
     hits = 0
     for seed in range(50):
         rng = np.random.default_rng([1000, seed])
-        topo = cp.build_topology(cfg, rng)
-        channel = cp.draw_channel(topo, cfg, rng)
+        dist = cp.build_topology(cfg, rng)
+        channel = cp.draw_channel(dist, cfg, rng)
         alpha = cp.snr_gap(cfg.target_ber)
         _, best = exhaustive(channel, actions, alpha)
         _, got, _ = ga_optimize(channel, cfg, ga_cfg,
@@ -148,8 +148,8 @@ def test_criterion_5_wmmse_monotonicity():
     alpha = cp.snr_gap(cfg.target_ber)
     for seed in range(50):
         rng = np.random.default_rng([3000, seed])
-        topo = cp.build_topology(cfg, rng)
-        channel = cp.draw_channel(topo, cfg, rng)
+        dist = cp.build_topology(cfg, rng)
+        channel = cp.draw_channel(dist, cfg, rng)
         res = wmmse(channel, cfg.max_power, alpha)
         hist = res.objective_history
         for a, b in zip(hist, hist[1:]):
@@ -178,8 +178,8 @@ def test_criterion_7_base_invariance():
     for seed in range(20):
         cfg = tiny_config()
         drop_rng = np.random.default_rng([4000, seed])
-        topo = cp.build_topology(cfg, drop_rng)
-        channel = cp.draw_channel(topo, cfg, drop_rng)
+        dist = cp.build_topology(cfg, drop_rng)
+        channel = cp.draw_channel(dist, cfg, drop_rng)
         alpha = cp.snr_gap(cfg.target_ber)
         p1 = rng.uniform(0.0, 20.0, size=(2, 2))
         p2 = rng.uniform(1.0, 20.0, size=(2, 2))
@@ -255,11 +255,12 @@ def test_criterion_10_replay_and_target():
             mirror.append(counter)
             counter += 1
         else:
-            states, actions, rewards, rows, terminals = buf.sample(
+            states, actions, rows = buf.sample(
                 int(rng.integers(1, min(len(buf), 8) + 1)), rng)
             recent = set(mirror[-37:])
             assert all(item in recent for item in push_numbers(
-                (states, actions, rewards, buf.next_state[rows], terminals)))
+                (states, actions, buf.reward[rows], buf.next_state[rows],
+                 buf.terminal[rows])))
         if counter % 997 == 0:
             assert stored(buf) == mirror[-37:]
     assert stored(buf) == mirror[-37:]

@@ -139,9 +139,9 @@ class TestEncodeState:
         env = PowerControlEnv(tiny_config(num_cells=1, users_per_cell=1,
                                           num_subbands=1, power_levels=(1.0,),
                                           max_power=10.0))
-        topo = synthetic_topology(1, 1, [300.0], cell_radius=500.0)
+        dist = synthetic_topology(1, 1, [300.0], cell_radius=500.0)
         channel = synthetic_channel(np.full((1, 1, 1), 1000.0), noise_power=1.0)
-        ctx = EpisodeContext(netmodel.location_indicator(topo), channel,
+        ctx = EpisodeContext(netmodel.location_indicator(dist, 500.0), channel,
                              np.array([[1.0]]), np.array([0]), 0.0)
         assert list(env.encode_state(ctx)) == [1.0, 1.0]
 

@@ -347,8 +347,8 @@ class TestPerSampleFairness:
                           max_power_level=spec.max_power_level)
         for rec in records:
             rng = np.random.default_rng([rec.channel_seed, 0])
-            topo = build_topology(spec.config, rng)
-            channel = draw_channel(topo, spec.config, rng)
+            dist = build_topology(spec.config, rng)
+            channel = draw_channel(dist, spec.config, rng)
             maxp = max_power_baseline(spec.config, spec.max_power_level)
             assert rec.throughput["maxpower"] == pytest.approx(
                 network_utility(maxp, channel, env.alpha), rel=1e-12)
@@ -426,6 +426,9 @@ class TestNegativeSizes:
         ("learning_rate = -1", "learning_rate"),
         ("rmsprop_decay = 1.5", "rmsprop_decay"),
         ("ga_generations = -1", "ga_generations"),
+        ("subband_bandwidth_hz = 0", "subband_bandwidth_hz"),
+        ("shadowing_sigma = -1", "shadowing_sigma"),
+        ("train_every = 0", "train_every"),
     ])
     def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
                                                       line, key):

@@ -6,6 +6,7 @@ import pytest
 from cellpower.netmodel import (
     ConfigError,
     ScenarioConfig,
+    _hex_spiral,
     assign_subbands,
     build_topology,
     cqi_quantize_array,
@@ -20,6 +21,7 @@ from cellpower.netmodel import (
 
 from conftest import (
     reference_cqi,
+    reference_drop,
     reference_sinr,
     reference_utility,
     synthetic_channel,
@@ -77,43 +79,72 @@ def test_noise_power_reference_value():
     assert ScenarioConfig().noise_power == pytest.approx(1.147e-14, rel=1e-3)
 
 
+PITCH = 2.0 * 500.0 * math.cos(math.pi / 6.0)   # ~866 m at R = 500 m
+
+
 class TestTopology:
     def test_single_cell_at_origin(self, rng):
         cfg = tiny_config(num_cells=1)
-        topo = build_topology(cfg, rng)
-        assert np.allclose(topo.bs_positions[0], 0.0)
-        assert np.all(topo.serving_distance <= cfg.cell_radius)
+        assert np.allclose(_hex_spiral(1, PITCH)[0], 0.0)
+        dist = build_topology(cfg, rng)
+        assert dist.shape == (cfg.num_users, 1)
+        assert np.all(dist <= cfg.cell_radius)
 
-    def test_hex_grid_spacing(self, rng):
-        cfg = ScenarioConfig(num_cells=5)
-        topo = build_topology(cfg, rng)
-        pitch = 2.0 * 500.0 * math.cos(math.pi / 6.0)   # ~866 m
-        d = np.linalg.norm(topo.bs_positions[:, None] - topo.bs_positions[None, :],
-                           axis=2)
+    def test_hex_grid_spacing(self):
+        bs = _hex_spiral(5, PITCH)
+        d = np.linalg.norm(bs[:, None] - bs[None, :], axis=2)
         off_diag = d[~np.eye(5, dtype=bool)]
-        assert off_diag.min() == pytest.approx(pitch, rel=1e-9)
+        assert off_diag.min() == pytest.approx(PITCH, rel=1e-9)
 
     def test_user_distance_bounds(self, rng):
         cfg = ScenarioConfig(num_cells=3, users_per_cell=40)
-        topo = build_topology(cfg, rng)
-        assert np.all(topo.serving_distance >= cfg.min_user_distance)
-        assert np.all(topo.serving_distance <= cfg.cell_radius)
+        dist = build_topology(cfg, rng)
+        users = np.arange(cfg.num_users)
+        serving = dist[users, users // cfg.users_per_cell]
+        assert np.all(serving >= cfg.min_user_distance)
+        assert np.all(serving <= cfg.cell_radius)
 
-    def test_users_are_cell_major(self, rng):
-        # user u is dropped in, and measured against, the disk of cell u // U
+    def test_users_are_cell_major(self):
+        # the loop drops user u in the disk of cell u // U; its positions give
+        # the distances build_topology returns
         cfg = tiny_config()
-        topo = build_topology(cfg, rng)
+        dist = build_topology(cfg, np.random.default_rng(4))
+        bs, positions, _ = reference_drop(cfg, np.random.default_rng(4))
         for u in range(cfg.num_users):
             k = u // cfg.users_per_cell
-            d = np.linalg.norm(topo.user_positions[u] - topo.bs_positions[k])
+            d = np.linalg.norm(positions[u] - bs[k])
             assert cfg.min_user_distance <= d <= cfg.cell_radius
-            assert topo.serving_distance[u] == pytest.approx(d, rel=1e-12)
+            assert dist[u, k] == pytest.approx(d, rel=1e-12)
 
     def test_same_seed_same_drop(self):
         cfg = tiny_config()
-        t1 = build_topology(cfg, np.random.default_rng(9))
-        t2 = build_topology(cfg, np.random.default_rng(9))
-        assert np.array_equal(t1.user_positions, t2.user_positions)
+        d1 = build_topology(cfg, np.random.default_rng(9))
+        d2 = build_topology(cfg, np.random.default_rng(9))
+        assert np.array_equal(d1, d2)
+
+
+class TestDropOracle:
+    """build_topology against the per-user loop of conftest.reference_drop."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(num_cells=3, users_per_cell=3),              # desk
+        ScenarioConfig(num_cells=5),                                # scenario1
+        ScenarioConfig(num_cells=15),                               # scenario3
+        ScenarioConfig(num_cells=2, users_per_cell=40),             # many rejections
+        ScenarioConfig(num_cells=5, min_user_distance=0.9 * 500.0),  # mostly rejections
+    ], ids=["desk", "scenario1", "scenario3", "u40", "min0.9R"])
+    def test_bitwise_equal_to_loop(self, cfg):
+        users = np.arange(cfg.num_users)
+        cells = users // cfg.users_per_cell
+        for seed in range(1000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            dist = build_topology(cfg, rng)
+            ref = reference_drop(cfg, ref_rng)[2]
+            assert np.array_equal(dist, ref), seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+            assert np.array_equal(location_indicator(dist, cfg.cell_radius),
+                                  (ref[users, cells] > cfg.cell_radius / 2.0)
+                                  .astype(float)), seed
 
 
 class TestChannel:
@@ -124,8 +155,8 @@ class TestChannel:
                              pathloss_ref_db=0.0, pathloss_exp_db_per_decade=0.0,
                              shadowing_sigma=0.0)
         rng = np.random.default_rng(3)
-        topo = build_topology(cfg, rng)
-        gains = [draw_channel(topo, cfg, rng).gain for _ in range(10)]
+        dist = build_topology(cfg, rng)
+        gains = [draw_channel(dist, cfg, rng).gain for _ in range(10)]
         mean = np.mean(gains)     # 1e5 unit-mean exponential draws
         assert abs(mean - 1.0) < 0.02
 
@@ -413,5 +444,9 @@ class TestCqi:
 
 class TestLocationIndicator:
     def test_edge_and_center(self):
-        topo = synthetic_topology(1, 3, [300.0, 250.0, 100.0], cell_radius=500.0)
-        assert list(location_indicator(topo)) == [1.0, 0.0, 0.0]
+        dist = synthetic_topology(1, 3, [300.0, 250.0, 100.0], cell_radius=500.0)
+        assert list(location_indicator(dist, 500.0)) == [1.0, 0.0, 0.0]
+        # only the serving column counts; every other distance here is R
+        dist = synthetic_topology(2, 3, [300.0, 100.0, 100.0, 100.0, 300.0, 100.0],
+                                  cell_radius=500.0)
+        assert list(location_indicator(dist, 500.0)) == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]

@@ -29,10 +29,11 @@ def push_numbers(rows):
 
 
 def sampled(buf, batch):
-    """A sample's (states, actions, rewards, rows, terminals) with the row
-    numbers replaced by those rows' next states."""
-    states, actions, rewards, rows, terminals = batch
-    return states, actions, rewards, buf.next_state[rows], terminals
+    """A sample's (states, actions, rows) with the rows' rewards, next
+    states and terminal flags read from the buffer."""
+    states, actions, rows = batch
+    return (states, actions, buf.reward[rows], buf.next_state[rows],
+            buf.terminal[rows])
 
 
 def stored(buf):
@@ -88,8 +89,8 @@ def test_sample_returns_row_aligned_arrays(rng):
     buf = ReplayBuffer(10)
     for i in range(10):
         push(buf, i)
-    states, actions, rewards, rows, terminals = buf.sample(6, rng)
-    next_states = buf.next_state[rows]
+    states, actions, rows = buf.sample(6, rng)
+    _, _, rewards, next_states, terminals = sampled(buf, (states, actions, rows))
     assert states.shape == next_states.shape == (6, STATE_SIZE)
     assert actions.shape == (6, NUM_CELLS)
     assert rewards.shape == terminals.shape == rows.shape == (6,)
@@ -118,7 +119,7 @@ def test_sampling_is_uniform(rng):
     draws = 100_000
     counts = np.zeros(10)
     for _ in range(draws // 10):
-        np.add.at(counts, buf.sample(10, rng)[2].astype(int), 1)
+        np.add.at(counts, buf.sample(10, rng)[2], 1)     # row i holds push i
     freq = counts / draws
     assert np.all(np.abs(freq - 0.1) < 0.01)
 

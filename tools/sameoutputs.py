@@ -1,0 +1,119 @@
+"""Whether two revisions write byte-identical outputs on the benchmark's workloads.
+
+Usage, from the root of a source checkout:
+    python3 tools/sameoutputs.py --parent REV --change REV --seed 7
+
+Each revision, which a branch must contain, is exported with
+benchpairs.export into its own directory. There its own
+perfbench/workload.py runs every workload of BENCHMARK.json once with
+--seed SEED, at the gradient-step and test-sample budgets that
+perfbench/run.py gives at BENCHMARK.json's run length, with one BLAS
+thread as perfbench/run.py sets. The script then compares each of
+training_log.csv, qnet.ckpt, results.csv and actions.csv byte for byte,
+in both the training and the test phase, and prints one line per workload
+and artifact, plus any check the workload reported failed. It exits 1
+when an artifact differs or is missing on one side, or a run failed.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+from benchpairs import RUN_TIMEOUT_S, SIDES, export
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from run import WORKLOADS, budget  # noqa: E402  (perfbench/run.py)
+
+ARTIFACTS = ("training_log.csv", "qnet.ckpt", "results.csv", "actions.csv")
+PHASES = ("train", "test")
+
+
+def run_workload(checkout, workload, seed, seconds, out_dir):
+    """Run `checkout`'s perfbench/workload.py; returns its result JSON, or
+    None when the process failed."""
+    grad_steps, samples = budget(argparse.Namespace(workload=workload, seconds=seconds))
+    os.makedirs(out_dir)
+    result_path = os.path.join(out_dir, "result.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "perfbench/workload.py",
+           "--config", os.path.join("perfbench", "workloads", WORKLOADS[workload]["config"]),
+           "--seed", str(seed), "--grad-steps", str(grad_steps), "--samples", str(samples),
+           "--out", out_dir, "--result", result_path, "--t0", repr(time.monotonic())]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode:
+        print(f"{workload}: {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}",
+              file=sys.stderr)
+        return None
+    with open(result_path) as f:
+        return json.load(f)
+
+
+def read(path):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
+def compare(out_dirs, artifact):
+    """'same', 'differs' or 'missing on one side' over the phases where
+    either side wrote `artifact`."""
+    verdicts = []
+    for phase in PHASES:
+        parent, change = (read(os.path.join(d, phase, artifact)) for d in out_dirs)
+        if parent is None and change is None:
+            continue
+        if parent is None or change is None:
+            verdicts.append("missing on one side")
+        else:
+            verdicts.append("same" if parent == change else "differs")
+    if not verdicts:
+        return "missing on both sides"
+    return next((v for v in verdicts if v != "same"), "same")
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision of the parent")
+    p.add_argument("--change", required=True, help="git revision of the change")
+    p.add_argument("--seed", type=int, required=True)
+    args = p.parse_args(argv)
+
+    with open("BENCHMARK.json") as f:
+        bench = json.load(f)
+    workdir = tempfile.mkdtemp(prefix="sameoutputs-")
+    all_same = True
+    try:
+        checkouts = [os.path.join(workdir, side) for side in SIDES]
+        for side, rev, checkout in zip(SIDES, (args.parent, args.change), checkouts):
+            print(f"{side}: {export(rev, checkout)['commit']}")
+        for workload in (w["name"] for w in bench["workloads"]):
+            out_dirs = [os.path.join(workdir, "out", side, workload) for side in SIDES]
+            for side, checkout, out_dir in zip(SIDES, checkouts, out_dirs):
+                result = run_workload(checkout, workload, args.seed,
+                                      bench["run_seconds"], out_dir)
+                failures = (["run failed"] if result is None
+                            else result.get("check_failures", []))
+                for failure in failures:
+                    print(f"{workload} {side}: {failure}")
+                all_same &= not failures
+            for artifact in ARTIFACTS:
+                verdict = compare(out_dirs, artifact)
+                print(f"{workload} {artifact}: {verdict}")
+                all_same &= verdict == "same"
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
