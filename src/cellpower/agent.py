@@ -45,6 +45,12 @@ class AgentConfig:
         if not 0.0 <= self.rmsprop_decay < 1.0:
             raise ValueError(
                 f"rmsprop_decay must be in [0, 1), got {self.rmsprop_decay}")
+        if not self.rmsprop_epsilon > 0.0:
+            raise ValueError(
+                f"rmsprop_epsilon must be > 0, got {self.rmsprop_epsilon}")
+        if self.epsilon_anneal_steps is not None and self.epsilon_anneal_steps < 0:
+            raise ValueError(f"epsilon_anneal_steps must be >= 0 or none, "
+                             f"got {self.epsilon_anneal_steps}")
         if self.train_every < 1:
             raise ValueError(f"train_every must be >= 1, got {self.train_every}")
         if self.batch_size < 1:

@@ -13,12 +13,10 @@ from .env import actions_to_csv
 
 def _build_spec(args) -> harness.ExperimentSpec:
     """The config file's values, if any, under the flags that were given."""
-    values = harness.parse_kv_file(args.config) if args.config else {}
-    flags = {"scenario": args.scenario, "master_seed": args.seed,
-             "output_dir": args.out, "checkpoint": args.checkpoint,
-             "train_steps": args.steps, "n_test_samples": args.samples}
-    values.update({k: v for k, v in flags.items() if v is not None})
-    return harness.spec_from_values(values)
+    return harness.spec_from_file(
+        args.config, scenario=args.scenario, master_seed=args.seed,
+        output_dir=args.out, checkpoint=args.checkpoint,
+        train_steps=args.steps, n_test_samples=args.samples)
 
 
 def _cmd_run(args):

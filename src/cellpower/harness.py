@@ -55,6 +55,9 @@ class ExperimentSpec:
         if self.max_episode_steps < 1:
             raise ConfigError(
                 f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ConfigError(f"checkpoint_interval must be >= 1 or none, "
+                              f"got {self.checkpoint_interval}")
         if self.n_test_samples > 0:
             # fail before training rather than at the first test sample
             max_power_baseline(self.config, self.max_power_level)
@@ -119,9 +122,9 @@ def _typed(key: str, value, annotation):
 
 
 def spec_from_file(path, **cli_overrides) -> ExperimentSpec:
-    """Build an ExperimentSpec from a key/value file plus CLI overrides;
-    an override of None keeps the file's value."""
-    raw = parse_kv_file(path)
+    """Build an ExperimentSpec from a key/value file, when `path` is given,
+    plus CLI overrides; an override of None keeps the file's value."""
+    raw = parse_kv_file(path) if path else {}
     raw.update({k: v for k, v in cli_overrides.items() if v is not None})
     return spec_from_values(raw)
 
@@ -184,8 +187,7 @@ def _finite_or_null(value):
 
 
 def normalized_throughput(records: list) -> ComparisonReport:
-    if not records:
-        raise ValueError("no test records")
+    """Without records, or with every record excluded, each mean is NaN."""
     per_sample = {m: [] for m in METHODS}
     excluded = 0
     for rec in records:
@@ -300,15 +302,12 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
                         training_log_csv(episodes))
 
     test_seed = evaluation_seed(spec.master_seed)
+    records = []
     if spec.n_test_samples > 0:
         records = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,
                                  ga_config=spec.ga,
                                  max_power_level=spec.max_power_level)
-        report = normalized_throughput(records)
-    else:
-        records = []
-        report = ComparisonReport({m: [] for m in METHODS},
-                                  {m: float("nan") for m in METHODS}, 0)
+    report = normalized_throughput(records)
     report.metadata = {
         "scenario": spec.scenario,
         "master_seed": spec.master_seed,

@@ -12,10 +12,11 @@ optimizer step and checkpoint I/O each run over whole buffers.
 A training step selects K of the output units per sample; the batch's
 live set is the sorted distinct units its samples selected, L of them.
 Only those rows of W2 and entries of b2 get a nonzero gradient, so the
-step computes them alone: the gradient buffer holds W1 and b1 in full,
-then the gradient rows of the live units packed into the first L rows of
-the W2 region and the first L entries of the b2 region. The rest of
-those two regions is neither written nor read.
+step computes them alone, and W1's backward pass multiplies by those L
+rows of W2 only. The gradient buffer holds W1 and b1 in full, then the
+gradient rows of the live units packed into the first L rows of the W2
+region and the first L entries of the b2 region. The rest of those two
+regions is neither written nor read.
 
 Checkpoint layout (little-endian, flat binary):
   8 bytes   magic b"CPQNET1\\n"
@@ -146,31 +147,25 @@ class RMSprop:
     def _update_rows(self, p, a, g, live):
         """Update the rows `live` of p and a (one row per output unit) from
         the gradient rows packed at the top of g; every other row only
-        decays. Each block of rows takes one of three paths: no live row,
-        decay only; every row live, the formula in place; otherwise the live
-        rows are gathered into scratch rows, updated and written back."""
+        decays. Each block of rows gathers its live rows (none, some or
+        all) into scratch rows, decays the whole block, updates the gathered
+        rows and writes them back over their decayed accumulators."""
         rows, width = p.shape
         step = max(1, UPDATE_BLOCK // width)
         starts = range(0, rows, step)
         cuts = np.searchsorted(live, [*starts, rows]).tolist()
         for r0, j0, j1 in zip(starts, cuts, cuts[1:]):
-            r1 = min(r0 + step, rows)
-            p_rows, a_rows = p[r0:r1], a[r0:r1]
-            if j0 == j1:
-                a_rows *= self.decay
-            elif j1 - j0 == r1 - r0:
-                self._step(p_rows, a_rows, g[j0:j1])
-            else:
-                local = live[j0:j1] - r0
-                size = (j1 - j0) * width
-                p_live = self._scratch[2, :size].reshape(-1, width)
-                a_live = self._scratch[3, :size].reshape(-1, width)
-                np.take(p_rows, local, axis=0, out=p_live, mode="clip")
-                np.take(a_rows, local, axis=0, out=a_live, mode="clip")
-                a_rows *= self.decay       # the live rows are overwritten below
-                self._step(p_live, a_live, g[j0:j1])
-                p_rows[local] = p_live
-                a_rows[local] = a_live
+            p_rows, a_rows = p[r0:r0 + step], a[r0:r0 + step]
+            local = live[j0:j1] - r0
+            size = (j1 - j0) * width
+            p_live = self._scratch[2, :size].reshape(-1, width)
+            a_live = self._scratch[3, :size].reshape(-1, width)
+            np.take(p_rows, local, axis=0, out=p_live, mode="clip")
+            np.take(a_rows, local, axis=0, out=a_live, mode="clip")
+            a_rows *= self.decay
+            self._step(p_live, a_live, g[j0:j1])
+            p_rows[local] = p_live
+            a_rows[local] = a_live
 
     def _step(self, p, a, g):
         """The class formulas on one block, in place. They are evaluated
@@ -191,29 +186,23 @@ class RMSprop:
 
 
 def backprop(mlp: MLP, states: np.ndarray, grad_q: np.ndarray,
-             z1: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Parameter gradients for a loss whose dL/dq is zero outside the
-    sorted, distinct output units `live` and is grad_q, (n, len(live)),
-    on them.
+             z1: np.ndarray, w2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Parameter gradients for a loss whose dL/dq is grad_q, (n, L), on L
+    output units whose W2 rows are w2, (L, hidden), and zero on every other
+    unit: every unit when w2 is all of W2, the live set of a compacted step
+    otherwise. W1's backward pass runs over those L rows alone.
 
     z1 is the forward pass's hidden pre-activation `states @ W1.T + b1`.
     The gradients are written into `out`, a buffer of mlp.flat's size and
-    layout, with the W2 and b2 gradients of the live units packed (see the
+    layout, with the W2 and b2 gradients of the L units packed (see the
     module docstring); `out` is returned.
     """
     x = np.asarray(states, dtype=np.float64)
     dw1, db1, dw2, db2 = _views(out, mlp._shapes)
-    n_live = live.size
+    n_live = len(w2)
     np.matmul(grad_q.T, np.maximum(z1, 0.0), out=dw2[:n_live])
     np.sum(grad_q, axis=0, out=db2[:n_live])
-    if n_live < len(mlp.b2):
-        # dz1 runs over every output, zeros included: its inner dimension
-        # is the output width, and a narrower product would let BLAS block
-        # it differently and change W1's gradient bits
-        full = np.zeros((len(grad_q), len(mlp.b2)))
-        full[:, live] = grad_q
-        grad_q = full
-    dz1 = (grad_q @ mlp.w2) * (z1 > 0.0)
+    dz1 = (grad_q @ w2) * (z1 > 0.0)
     np.matmul(dz1.T, x, out=dw1)
     np.sum(dz1, axis=0, out=db1)
     return out
@@ -226,9 +215,9 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     actions (n, K) holds each cell's chosen index inside its own block of
     block_size outputs; targets (n, K) the per-cell Bellman targets. The
     gradient flows only through the K selected units of each sample, so
-    the output layer's forward pass, gradient and update run on the
-    batch's live set alone, unless the rows left out are too few to pay
-    for that. Returns the pre-update loss.
+    the output layer's forward pass, gradient and update, and W1's
+    backward pass, run on the batch's live set alone, unless the rows left
+    out are too few to pay for that. Returns the pre-update loss.
     """
     x = np.asarray(states, dtype=np.float64)
     acts = np.asarray(actions, dtype=int)
@@ -262,7 +251,7 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     # a sample's K units lie in distinct blocks, so no (row, col) repeats
     grad_q = np.zeros_like(q)
     grad_q[rows, cols] = (2.0 * diff / diff.size).reshape(-1)
-    opt.apply(mlp, backprop(mlp, x, grad_q, z1, live, opt.grad), live)
+    opt.apply(mlp, backprop(mlp, x, grad_q, z1, w2, opt.grad), live)
     return loss
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cellpower import agent as ag
-from cellpower.agent import AgentConfig
+from cellpower.agent import METHODS, AgentConfig
 from cellpower.agent import TestRecord as EvalRecord
 from cellpower.baselines import GAConfig, max_power_baseline, wmmse
 from cellpower.cli import main as cli_main
@@ -68,9 +68,11 @@ class TestNormalizedThroughput:
         assert report.excluded == 1
         assert len(report.per_sample["dql"]) == 1
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_throughput([])
+    def test_empty_records_give_empty_report(self):
+        report = normalized_throughput([])
+        assert report.per_sample == {m: [] for m in METHODS}
+        assert all(np.isnan(report.mean[m]) for m in METHODS)
+        assert report.excluded == 0
 
     def test_results_csv_columns(self):
         text = results_csv([record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9)])
@@ -429,6 +431,11 @@ class TestNegativeSizes:
         ("subband_bandwidth_hz = 0", "subband_bandwidth_hz"),
         ("shadowing_sigma = -1", "shadowing_sigma"),
         ("train_every = 0", "train_every"),
+        ("rmsprop_epsilon = 0", "rmsprop_epsilon"),
+        ("rmsprop_epsilon = -1", "rmsprop_epsilon"),
+        ("epsilon_anneal_steps = -5", "epsilon_anneal_steps"),
+        ("checkpoint_interval = -100", "checkpoint_interval"),
+        ("checkpoint_interval = 0", "checkpoint_interval"),
     ])
     def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
                                                       line, key):
@@ -443,10 +450,13 @@ class TestNegativeSizes:
     def test_typed_values_and_none_accepted(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(TINY_CFG + "max_power = 40\nhidden_size = none\n"
-                            "checkpoint = none\npower_levels = 12.8\n")
+                            "checkpoint = none\npower_levels = 12.8\n"
+                            "epsilon_anneal_steps = none\ncheckpoint_interval = none\n")
         spec = spec_from_file(cfg_file)
         assert spec.config.max_power == 40
         assert spec.agent.hidden_size is None and spec.checkpoint is None
+        assert spec.agent.epsilon_anneal_steps is None
+        assert spec.checkpoint_interval is None
         assert spec.config.power_levels == (12.8,)
 
     def test_max_power_level_checked_only_with_test_samples(self):

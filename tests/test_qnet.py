@@ -15,6 +15,7 @@ from cellpower.qnet import (
 
 from conftest import (
     agent_optimizer,
+    exact_targets,
     finite_difference_max_error,
     reference_checkpoint_bytes,
     reference_train_batch,
@@ -106,7 +107,7 @@ class TestTrainBatch:
         q = mlp.forward(np.array([s]))[0]
         x = np.array([[s]])
         grads = split_flat(backprop(mlp, x, np.array([[2.0 * (q - y)]]),
-                                    x @ mlp.w1.T + mlp.b1, np.array([0]),
+                                    x @ mlp.w1.T + mlp.b1, mlp.w2,
                                     np.empty_like(mlp.flat)), mlp)
         assert grads[2][0, 0] == pytest.approx(2.0 * (q - y) * s, rel=1e-12)
 
@@ -150,8 +151,8 @@ class TestTrainBatch:
 
 class TestRmsprop:
     def test_zero_gradient_is_a_no_op(self, rng):
-        # every output live, and one live output: the other rows take the
-        # decay-only path
+        # every output live (the dense pass), and one live output (the row
+        # path, whose other rows only decay)
         for live in ([0, 1, 2], [1]):
             mlp = MLP.init((4, 6, 3), rng)
             opt = agent_optimizer(mlp, AgentConfig(learning_rate=0.5))
@@ -181,10 +182,11 @@ class TestFlatLearnerOracle:
 
         With `exact`, the states are small integers and, before every step,
         both learners are checked bit-equal and their weights rounded to
-        multiples of 2^-10. Every forward sum is then exact in any order, so
-        a step that runs the Q-head on the live units alone (a narrower
-        GEMM, which BLAS may round differently in the last bit) still sees
-        the reference's action values."""
+        multiples of 2^-10; the targets come from conftest.exact_targets.
+        Every forward and backward sum is then exact in any order, so a step
+        that runs the Q-head and W1's backward pass on the live units alone
+        (narrower GEMMs, which BLAS may round differently in the last bit)
+        still computes the reference's values."""
         mlp = MLP.init(self.SIZES, rng)
         assert UPDATE_BLOCK < mlp.flat.size and mlp.flat.size % UPDATE_BLOCK
         opt = RMSprop(mlp, **self.HYPER)
@@ -201,7 +203,8 @@ class TestFlatLearnerOracle:
                 states = rng.normal(size=(n, self.SIZES[0]))
             acts = (rng.integers(0, block, size=(n, self.CELLS))
                     if actions is None else actions)
-            targets = rng.normal(size=(n, self.CELLS))
+            targets = (exact_targets(mlp, states, acts, block, rng) if exact
+                       else rng.normal(size=(n, self.CELLS)))
             loss = train_batch(mlp, opt, states, acts, targets, block)
             ref_loss = reference_train_batch(params, acc, states, acts,
                                              targets, block, **self.HYPER)
@@ -243,14 +246,13 @@ class TestLiveSetStep:
     """The step on a batch that selects few output units, at scenario3 width,
     against the dense four-array reference in conftest.
 
-    The Q-head runs on the live units alone, and BLAS may round a narrower
-    product differently in the last bit. The weights are therefore multiples
-    of 2^-10 and the states small integers, which makes every forward sum
-    exact in any order; the targets are not, so the backward pass rounds as
-    usual. With equal forward values, W1 and b1 (whose backprop runs over
-    every output) must match the reference bit for bit, live W2 rows and b2
-    entries within 1e-12, and every other row must keep its parameters and
-    only decay its accumulators."""
+    The Q-head and W1's backward pass run on the live units alone, and BLAS
+    may round a narrower product differently in the last bit. The weights
+    are therefore multiples of 2^-10, the states small integers and the
+    targets from conftest.exact_targets, which makes every forward and
+    backward sum exact in any order. Then W1, b1, the live W2 rows and b2
+    entries must match the reference bit for bit, and every other row must
+    keep its parameters and only decay its accumulators."""
 
     SIZES = (300, 2160, 1080)
     CELLS = 15
@@ -272,7 +274,7 @@ class TestLiveSetStep:
         n, cells = actions.shape
         block = sizes[2] // cells
         states = rng.integers(-4, 5, size=(n, sizes[0])).astype(float)
-        targets = rng.normal(size=(n, cells))
+        targets = exact_targets(mlp, states, actions, block, rng)
         loss = train_batch(mlp, opt, states, actions, targets, block)
         assert loss == reference_train_batch(params, acc, states, actions, targets,
                                              block, **self.HYPER)
@@ -300,8 +302,8 @@ class TestLiveSetStep:
             assert np.array_equal(got_acc[i], acc[i])
         dead = np.setdiff1d(np.arange(len(mlp.b2)), live)
         for i, got in ((2, mlp.w2), (3, mlp.b2)):
-            np.testing.assert_allclose(got[live], params[i][live], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(got_acc[i][live], acc[i][live], rtol=1e-12, atol=0)
+            assert np.array_equal(got[live], params[i][live])
+            assert np.array_equal(got_acc[i][live], acc[i][live])
             assert np.array_equal(got[dead], params0[i][dead])
             assert np.array_equal(got_acc[i][dead], acc0[i][dead] * opt.decay)
 

@@ -11,12 +11,18 @@ perfbench/run.py gives at BENCHMARK.json's run length, with one BLAS
 thread as perfbench/run.py sets. The script then compares each of
 training_log.csv, qnet.ckpt, results.csv and actions.csv byte for byte,
 in both the training and the test phase, and prints one line per workload
-and artifact, plus any check the workload reported failed. It exits 1
-when an artifact differs or is missing on one side, or a run failed.
+and artifact, plus any check the workload reported failed. An artifact
+that differs is sized where both copies line up: for a checkpoint with
+the same header and length, the number of float64 values that differ and
+the largest absolute difference; for a CSV of the same shape, the number
+of fields that differ and the largest relative difference among them. It
+exits 1 when an artifact differs or is missing on one side, or a run
+failed.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -24,6 +30,7 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 from benchpairs import RUN_TIMEOUT_S, SIDES, export
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -32,6 +39,7 @@ from run import WORKLOADS, budget  # noqa: E402  (perfbench/run.py)
 
 ARTIFACTS = ("training_log.csv", "qnet.ckpt", "results.csv", "actions.csv")
 PHASES = ("train", "test")
+CHECKPOINT_HEADER = 56   # magic, three int64 layer sizes, three float64 constants
 
 
 def run_workload(checkout, workload, seed, seconds, out_dir):
@@ -64,21 +72,63 @@ def read(path):
         return None
 
 
+def checkpoint_difference(parent, change):
+    """How two checkpoints' float64 payloads differ, or None when their
+    headers or lengths differ."""
+    if (parent[:CHECKPOINT_HEADER] != change[:CHECKPOINT_HEADER]
+            or len(parent) != len(change)):
+        return None
+    a, b = (np.frombuffer(data, dtype="<f8", offset=CHECKPOINT_HEADER)
+            for data in (parent, change))
+    differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+    largest = float(np.max(np.abs(a[differ] - b[differ]), initial=0.0))
+    return f"{np.count_nonzero(differ)} of {a.size} float64 values, max abs {largest:.3g}"
+
+
+def csv_difference(parent, change):
+    """How two CSVs' fields differ, or None when their shapes differ or a
+    field that differs is not a number."""
+    tables = [[line.split(",") for line in data.decode().splitlines()]
+              for data in (parent, change)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return None
+    count, largest = 0, 0.0
+    for row_a, row_b in zip(*tables):
+        for field_a, field_b in zip(row_a, row_b):
+            if field_a == field_b:
+                continue
+            try:
+                x, y = float(field_a), float(field_b)
+            except ValueError:
+                return None
+            count += 1
+            rel = abs(x - y) / max(abs(x), abs(y))
+            largest = max(largest, rel if rel == rel else math.inf)   # nan or inf on one side
+    return f"{count} fields, max rel {largest:.3g}"
+
+
 def compare(out_dirs, artifact):
     """'same', 'differs' or 'missing on one side' over the phases where
-    either side wrote `artifact`."""
-    verdicts = []
+    either side wrote `artifact`; a difference is sized per phase where
+    the two copies line up."""
+    verdicts, sizes = [], []
+    size_of = checkpoint_difference if artifact.endswith(".ckpt") else csv_difference
     for phase in PHASES:
         parent, change = (read(os.path.join(d, phase, artifact)) for d in out_dirs)
         if parent is None and change is None:
             continue
         if parent is None or change is None:
             verdicts.append("missing on one side")
+        elif parent == change:
+            verdicts.append("same")
         else:
-            verdicts.append("same" if parent == change else "differs")
+            verdicts.append("differs")
+            size = size_of(parent, change)
+            sizes.append(f"{phase}: {size or 'not comparable value by value'}")
     if not verdicts:
         return "missing on both sides"
-    return next((v for v in verdicts if v != "same"), "same")
+    verdict = next((v for v in verdicts if v != "same"), "same")
+    return f"{verdict} ({'; '.join(sizes)})" if sizes else verdict
 
 
 def main(argv=None):
