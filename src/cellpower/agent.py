@@ -8,7 +8,7 @@ import numpy as np
 
 from . import baselines
 from .env import PowerControlEnv
-from .netmodel import network_utility
+from .netmodel import ConfigError, check_intervals, network_utility
 from .qnet import MLP, RMSprop, train_batch
 from .replay import ReplayBuffer
 
@@ -31,41 +31,22 @@ class AgentConfig:
     hidden_size: int | None = None            # default: 2 x output size
 
     def __post_init__(self):
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must be in (0, 1]")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
-        if self.train_steps < 0:
-            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
-        if self.target_update_steps < 1:
-            raise ValueError("target_update_steps must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.rmsprop_decay < 1.0:
-            raise ValueError(
-                f"rmsprop_decay must be in [0, 1), got {self.rmsprop_decay}")
-        if not self.rmsprop_epsilon > 0.0:
-            raise ValueError(
-                f"rmsprop_epsilon must be > 0, got {self.rmsprop_epsilon}")
-        if self.epsilon_anneal_steps is not None and self.epsilon_anneal_steps < 0:
-            raise ValueError(f"epsilon_anneal_steps must be >= 0 or none, "
-                             f"got {self.epsilon_anneal_steps}")
-        if self.train_every < 1:
-            raise ValueError(f"train_every must be >= 1, got {self.train_every}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_size is not None and self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        check_intervals(self, {
+            "discount": "(0, 1]", "epsilon_start": "[0, 1]", "epsilon_end": "[0, 1]",
+            "epsilon_anneal_steps": "[0, inf)", "batch_size": "[1, inf)",
+            "target_update_steps": "[1, inf)", "replay_capacity": "[1, inf)",
+            "train_steps": "[0, inf)", "train_start": "[0, inf)", "train_every": "[1, inf)",
+            "learning_rate": "(0, inf)", "rmsprop_decay": "[0, 1)",
+            "rmsprop_epsilon": "(0, inf)", "hidden_size": "[1, inf)"})
         if self.replay_capacity < self.resolved_train_start():
             # the buffer would never hold train_start transitions, so no
             # gradient step would ever be taken
-            raise ValueError(
+            raise ConfigError(
                 f"replay_capacity ({self.replay_capacity}) must be >= the "
                 f"resolved train_start ({self.resolved_train_start()})")
         if 0 < self.train_steps < self.resolved_train_start():
             # training would end before its first gradient step
-            raise ValueError(
+            raise ConfigError(
                 f"train_steps ({self.train_steps}) must be 0 (no training) or "
                 f">= the resolved train_start ({self.resolved_train_start()})")
 

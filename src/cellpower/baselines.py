@@ -17,6 +17,7 @@ from .netmodel import (
     ConfigError,
     ScenarioConfig,
     assign_subbands,
+    check_intervals,
     network_utility,
     snr_gap,
 )
@@ -32,18 +33,11 @@ class GAConfig:
     elite_count: int = 2
 
     def __post_init__(self):
-        # messages name the config-file keys, which carry a ga_ prefix
-        if self.population_size < 2:
-            raise ConfigError("ga_population_size must be >= 2")
-        if self.generations < 0:
-            raise ConfigError(f"ga_generations must be >= 0, got {self.generations}")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"ga_{name} outside [0, 1]")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ConfigError("ga_elite_count must be < ga_population_size")
-        if self.tournament_size < 1:
-            raise ConfigError("ga_tournament_size must be >= 1")
+        check_intervals(self, {
+            "population_size": "[2, inf)", "generations": "[0, inf)",
+            "crossover_prob": "[0, 1]", "mutation_prob": "[0, 1]",
+            "tournament_size": "[1, inf)",
+            "elite_count": f"[0, {self.population_size!r})"}, prefix="ga_")
 
 
 def _repair_table(levels: np.ndarray, num_subbands: int,

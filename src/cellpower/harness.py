@@ -17,7 +17,7 @@ from . import agent as agent_mod
 from .agent import METHODS, AgentConfig
 from .baselines import GAConfig, max_power_baseline
 from .env import PowerControlEnv, actions_to_csv
-from .netmodel import ConfigError, ScenarioConfig
+from .netmodel import ConfigError, ScenarioConfig, check_intervals
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint
 
 # The three evaluation presets differ only in cell count.
@@ -49,15 +49,10 @@ class ExperimentSpec:
     checkpoint_interval: int | None = None   # env steps between periodic saves
 
     def __post_init__(self):
-        if self.n_test_samples < 0:
-            raise ConfigError(
-                f"n_test_samples must be >= 0, got {self.n_test_samples}")
-        if self.max_episode_steps < 1:
-            raise ConfigError(
-                f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ConfigError(f"checkpoint_interval must be >= 1 or none, "
-                              f"got {self.checkpoint_interval}")
+        check_intervals(self, {
+            "n_test_samples": "[0, inf)", "master_seed": "[0, inf)",
+            "max_power_level": "(0, inf)", "terminal_reward": "(-inf, inf)",
+            "max_episode_steps": "[1, inf)", "checkpoint_interval": "[1, inf)"})
         if self.n_test_samples > 0:
             # fail before training rather than at the first test sample
             max_power_baseline(self.config, self.max_power_level)

@@ -19,6 +19,21 @@ class ConfigError(ValueError):
     """Raised for physically or numerically infeasible configuration."""
 
 
+def check_intervals(config, intervals: dict, prefix: str = "") -> None:
+    """Raise a ConfigError naming the first field of `config` outside its
+    interval, written "[lo, hi)" and so on; the config key is `prefix` plus
+    the field name. NaN lies in no interval and inf in none that is open at
+    that end. A None field, a default worked out later, is skipped."""
+    for name, interval in intervals.items():
+        value = getattr(config, name)
+        if value is None:
+            continue
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not ((lo <= value if interval[0] == "[" else lo < value)
+                and (value <= hi if interval[-1] == "]" else value < hi)):
+            raise ConfigError(f"{prefix}{name} must be in {interval}, got {value!r}")
+
+
 # Slack for power-budget comparisons (watts). Level sums are exact decimals
 # in practice; this only absorbs float round-off.
 BUDGET_TOL = 1e-9
@@ -56,29 +71,24 @@ class ScenarioConfig:
     min_user_distance: float = 35.0
 
     def __post_init__(self):
-        if self.num_cells < 1 or self.users_per_cell < 1 or self.num_subbands < 1:
-            raise ConfigError("num_cells, users_per_cell and num_subbands must be >= 1")
+        check_intervals(self, {
+            "num_cells": "[1, inf)", "users_per_cell": "[1, inf)",
+            "num_subbands": "[1, inf)", "subband_bandwidth_hz": "(0, inf)",
+            "cell_radius": "(0, inf)", "max_power": "(0, inf)",
+            "noise_density": "(-inf, inf)", "target_ber": "(0, 0.2)",
+            "pathloss_ref_db": "(-inf, inf)", "pathloss_exp_db_per_decade": "[0, inf)",
+            "shadowing_sigma": "[0, inf)",
+            "min_user_distance": f"(0, {self.cell_radius!r})"})
         levels = tuple(float(p) for p in np.atleast_1d(self.power_levels))
         object.__setattr__(self, "power_levels", levels)
-        if not levels or any(p <= 0 for p in levels):
-            raise ConfigError("power levels must be positive")
+        if not levels or not all(0.0 < p < math.inf for p in levels):
+            raise ConfigError(f"power_levels must be positive and finite, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError("power levels must be strictly increasing")
+            raise ConfigError(f"power_levels must be strictly increasing, got {levels}")
         if levels[0] * self.num_subbands > self.max_power + BUDGET_TOL:
             raise ConfigError(
-                f"minimum level {levels[0]} W on {self.num_subbands} subbands "
-                f"exceeds the {self.max_power} W budget; no feasible action"
-            )
-        if not 0.0 < self.target_ber < 0.2:
-            raise ConfigError(f"target_ber {self.target_ber} outside (0, 0.2)")
-        if not 0.0 < self.min_user_distance < self.cell_radius:
-            raise ConfigError("need 0 < min_user_distance < cell_radius")
-        if not self.subband_bandwidth_hz > 0.0:
-            raise ConfigError(
-                f"subband_bandwidth_hz must be > 0, got {self.subband_bandwidth_hz}")
-        if not self.shadowing_sigma >= 0.0:
-            raise ConfigError(
-                f"shadowing_sigma must be >= 0, got {self.shadowing_sigma}")
+                f"power_levels minimum {levels[0]} W on {self.num_subbands} subbands "
+                f"exceeds the {self.max_power} W budget; no feasible action")
 
     @property
     def num_users(self) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ class TestAgentConfigValidation:
 
     @pytest.mark.parametrize("hidden_size", [0, -4])
     def test_non_positive_hidden_size_rejected(self, hidden_size):
-        with pytest.raises(ValueError, match=f"hidden_size must be >= 1, got {hidden_size}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"hidden_size must be in [1, inf), got {hidden_size}")):
             AgentConfig(hidden_size=hidden_size)
         assert AgentConfig(hidden_size=None).hidden_size is None
         assert AgentConfig(hidden_size=1).hidden_size == 1

@@ -2,6 +2,7 @@ import copy
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cellpower.baselines import GAConfig, max_power_baseline, wmmse
 from cellpower.cli import main as cli_main
 from cellpower.env import PowerControlEnv
 from cellpower.harness import (
+    CONFIG_KEYS,
     ComparisonReport,
     ExperimentSpec,
     build_env,
@@ -25,6 +27,7 @@ from cellpower.harness import (
     run_experiment,
     scenario_preset,
     spec_from_file,
+    spec_from_values,
 )
 from cellpower.netmodel import ConfigError, ScenarioConfig
 from cellpower.qnet import MLP, save_checkpoint
@@ -436,6 +439,18 @@ class TestNegativeSizes:
         ("epsilon_anneal_steps = -5", "epsilon_anneal_steps"),
         ("checkpoint_interval = -100", "checkpoint_interval"),
         ("checkpoint_interval = 0", "checkpoint_interval"),
+        ("max_power_level = nan", "max_power_level"),
+        ("max_power_level = -6.4", "max_power_level"),
+        ("max_power_level = 0", "max_power_level"),
+        ("master_seed = -3", "master_seed"),
+        ("noise_density = nan", "noise_density"),
+        ("cell_radius = inf", "cell_radius"),
+        ("train_start = -5", "train_start"),
+        ("learning_rate = inf", "learning_rate"),
+        ("terminal_reward = nan", "terminal_reward"),
+        ("power_levels = -1, 2", "power_levels"),
+        # the bound is ga_population_size, but the fault is ga_elite_count's
+        ("ga_elite_count = -1", "ga_elite_count must be in [0, 8)"),
     ])
     def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
                                                       line, key):
@@ -446,6 +461,31 @@ class TestNegativeSizes:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [key for key, (_, _, annotation) in CONFIG_KEYS.items()
+                                     if annotation in (float, tuple[float, ...])])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        # a float key added without an interval fails here
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY_CFG + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            spec_from_file(cfg_file)
+
+    @pytest.mark.parametrize("key, value", [
+        ("discount", 1), ("rmsprop_decay", 0), ("epsilon_end", 0),
+        ("shadowing_sigma", 0), ("ga_elite_count", 0), ("train_start", 0)])
+    def test_closed_interval_end_accepted(self, key, value):
+        spec_from_values({key: value})
+
+    @pytest.mark.parametrize("key, value, interval", [
+        ("discount", 0, "(0, 1]"), ("rmsprop_decay", 1, "[0, 1)"),
+        ("target_ber", 0.2, "(0, 0.2)"),
+        ("min_user_distance", ScenarioConfig.cell_radius, "(0, 500.0)")])
+    def test_open_interval_end_rejected(self, key, value, interval):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{key} must be in {interval}, got {value!r}")):
+            spec_from_values({key: value})
 
     def test_typed_values_and_none_accepted(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

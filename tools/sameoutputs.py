@@ -10,14 +10,15 @@ perfbench/workload.py runs every workload of BENCHMARK.json once with
 perfbench/run.py gives at BENCHMARK.json's run length, with one BLAS
 thread as perfbench/run.py sets. The script then compares each of
 training_log.csv, qnet.ckpt, results.csv and actions.csv byte for byte,
-in both the training and the test phase, and prints one line per workload
-and artifact, plus any check the workload reported failed. An artifact
-that differs is sized where both copies line up: for a checkpoint with
-the same header and length, the number of float64 values that differ and
-the largest absolute difference; for a CSV of the same shape, the number
-of fields that differ and the largest relative difference among them. It
-exits 1 when an artifact differs or is missing on one side, or a run
-failed.
+and report.json as parsed JSON without metadata.wall_time_s, in both the
+training and the test phase, and prints one line per workload and
+artifact, plus any check the workload reported failed. An artifact that
+differs is sized where both copies line up: for a checkpoint with the
+same header and length, the number of float64 values that differ and the
+largest absolute difference; for a CSV of the same shape, the number of
+fields that differ and the largest relative difference among them; for
+report.json, the fields that differ. It exits 1 when an artifact differs
+or is missing on one side, or a run failed.
 """
 
 import argparse
@@ -37,7 +38,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 from run import WORKLOADS, budget  # noqa: E402  (perfbench/run.py)
 
-ARTIFACTS = ("training_log.csv", "qnet.ckpt", "results.csv", "actions.csv")
+ARTIFACTS = ("training_log.csv", "qnet.ckpt", "results.csv", "actions.csv",
+             "report.json")
 PHASES = ("train", "test")
 CHECKPOINT_HEADER = 56   # magic, three int64 layer sizes, three float64 constants
 
@@ -70,6 +72,31 @@ def read(path):
             return f.read()
     except FileNotFoundError:
         return None
+
+
+def read_report(path):
+    """report.json as parsed JSON without the wall time, which no two runs
+    share, or None when it is missing."""
+    data = read(path)
+    if data is None:
+        return None
+    report = json.loads(data)
+    del report["metadata"]["wall_time_s"]
+    return report
+
+
+def report_difference(parent, change):
+    """The fields, `section.key` within a dict section, in which two
+    reports differ."""
+    fields = []
+    for section in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(section), change.get(section)
+        if isinstance(a, dict) and isinstance(b, dict):
+            fields += [f"{section}.{key}" for key in sorted(a.keys() | b.keys())
+                       if a.get(key) != b.get(key)]
+        elif a != b:
+            fields.append(section)
+    return ", ".join(fields)
 
 
 def checkpoint_difference(parent, change):
@@ -112,9 +139,10 @@ def compare(out_dirs, artifact):
     either side wrote `artifact`; a difference is sized per phase where
     the two copies line up."""
     verdicts, sizes = [], []
-    size_of = checkpoint_difference if artifact.endswith(".ckpt") else csv_difference
+    load, size_of = {".ckpt": (read, checkpoint_difference), ".csv": (read, csv_difference),
+                     ".json": (read_report, report_difference)}[os.path.splitext(artifact)[1]]
     for phase in PHASES:
-        parent, change = (read(os.path.join(d, phase, artifact)) for d in out_dirs)
+        parent, change = (load(os.path.join(d, phase, artifact)) for d in out_dirs)
         if parent is None and change is None:
             continue
         if parent is None or change is None:
