@@ -114,7 +114,7 @@ class EpisodeLog:
     epsilon: float
     loss: float        # mean training loss over the episode (nan before training starts)
     length: int
-    throughput: float  # peak throughput reached within the episode, bits/s
+    throughput_bps: float  # peak throughput reached within the episode
     q_mean: float      # mean over the episode's steps and cells of max_a Q_k(s, a)
     q_max: float       # the largest of those greedy values
     gradient_steps: int  # cumulative, at the episode's end
@@ -215,7 +215,7 @@ def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
     throughput (the initial random allocation if the first action fails)."""
     ctx, state = env.reset(rng)
     best_action = tuple(int(a) for a in ctx.current_action)
-    best_throughput = network_utility(ctx.current_power, ctx.channel, env.alpha)
+    best_throughput = network_utility(ctx.current_power, ctx.channel)
     while not ctx.terminal:
         action = select_joint_action(mlp.forward(state), 0.0,
                                      env.config.num_cells, None)

@@ -19,7 +19,6 @@ from .netmodel import (
     assign_subbands,
     check_intervals,
     network_utility,
-    snr_gap,
 )
 
 
@@ -67,7 +66,6 @@ def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
     evaluated, and the generation in which it was first evaluated (0 for
     the initial population).
     """
-    alpha = snr_gap(config.target_ber)
     levels = np.asarray(config.power_levels)
     n_levels = len(levels)
     num_cells, num_subbands = config.num_cells, config.num_subbands
@@ -90,7 +88,7 @@ def ga_optimize(channel: ChannelRealization, config: ScenarioConfig,
     def evaluate(population, generation):
         nonlocal best_genes, best_fit, best_generation
         power = levels[population.reshape(pop_size, num_cells, num_subbands)]
-        fits = network_utility(power, channel, alpha)
+        fits = network_utility(power, channel)
         top = int(np.argmax(fits))
         if fits[top] > best_fit:
             best_fit = float(fits[top])
@@ -132,8 +130,7 @@ class SearchSpaceTooLarge(RuntimeError):
 EXHAUSTIVE_CHUNK = 1024
 
 
-def exhaustive(channel: ChannelRealization, actions: np.ndarray,
-               alpha: float, cap: int = 10 ** 6):
+def exhaustive(channel: ChannelRealization, actions: np.ndarray, cap: int = 10 ** 6):
     """Exact maximizer over all m^K joint discrete actions.
 
     Joint actions are scored in lexicographic chunks (first cell most
@@ -154,7 +151,7 @@ def exhaustive(channel: ChannelRealization, actions: np.ndarray,
         index = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
         joint = np.stack(np.unravel_index(index, (m,) * k), axis=1)     # (B, K)
         power = actions[joint]                                          # (B, K, F)
-        utils = network_utility(power, channel, alpha)
+        utils = network_utility(power, channel)
         top = int(np.argmax(utils))      # first maximum within the chunk
         if utils[top] > best_util:       # strict: an earlier chunk keeps a tie
             best_util = utils[top]
@@ -171,8 +168,8 @@ class WmmseResult:
     objective_history: tuple  # objective before iterating, then one entry per iteration
 
 
-def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
-          max_iters: int = 500, tol: float = 1e-10) -> WmmseResult:
+def wmmse(channel: ChannelRealization, max_power: float, max_iters: int = 500,
+          tol: float = 1e-10) -> WmmseResult:
     """Weighted-MMSE power control on the scalar per-subband channel.
 
     The subband-to-user map is frozen at the uniform-power assignment, which
@@ -191,23 +188,23 @@ def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
     noise = channel.noise_power
 
     uniform = np.full((num_cells, num_subbands), max_power / num_subbands)
-    assignment = assign_subbands(uniform, channel, alpha)
+    assignment = assign_subbands(uniform, channel)
 
     # gain2[j, l, f]: power gain from BS l to the user served on (j, f)
     gain2 = np.empty((num_cells, num_cells, num_subbands))
     for f in range(num_subbands):
         gain2[:, :, f] = channel.gain[assignment[:, f], :, f]
     diag = np.arange(num_cells)
-    virtual = ChannelRealization(gain2, noise, channel.bandwidth_hz)
+    virtual = ChannelRealization(gain2, noise, channel.bandwidth_hz, channel.alpha)
     # the updates see the SNR gap folded into the direct (j == l) gains
     folded = gain2.copy()
-    folded[diag, diag, :] *= alpha
+    folded[diag, diag, :] *= channel.alpha
     direct = np.sqrt(folded[diag, diag, :])                       # (K, F)
 
     v = np.sqrt(uniform)
     power = v * v            # the objective and the next update share it
     best_power = power
-    best_obj = network_utility(power, virtual, alpha)
+    best_obj = network_utility(power, virtual)
     prev_obj = best_obj
     history = [best_obj]
     converged = False
@@ -223,7 +220,7 @@ def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
         v = _solve_budget(num, den, max_power)
         power = v * v
 
-        obj = network_utility(power, virtual, alpha)
+        obj = network_utility(power, virtual)
         history.append(obj)
         if obj > best_obj:
             best_obj = obj
@@ -233,7 +230,7 @@ def wmmse(channel: ChannelRealization, max_power: float, alpha: float,
             break
         prev_obj = obj
 
-    return WmmseResult(best_power, network_utility(best_power, channel, alpha),
+    return WmmseResult(best_power, network_utility(best_power, channel),
                        converged, iterations, tuple(history))
 
 
@@ -318,17 +315,17 @@ def score(name: str, channel: ChannelRealization, env: PowerControlEnv,
     [s, 1] and the random allocation from [s, 2]. Each solver is looked up
     in this module when called, so a rebound solver is the one that runs.
     """
-    config, alpha = env.config, env.alpha
+    config = env.config
     if name == "ga":
         _, util, generation = ga_optimize(channel, config, ga_config,
                                           np.random.default_rng([sample_seed, 1]))
         return util, {"best_generation": generation}
     if name == "wmmse":
-        res = wmmse(channel, config.max_power, alpha)
+        res = wmmse(channel, config.max_power)
         return res.throughput, {"iterations": res.iterations,
                                 "converged": res.converged}
     if name == "exhaustive":
-        return exhaustive(channel, env.actions, alpha)[1], {}
+        return exhaustive(channel, env.actions)[1], {}
     if name == "maxpower":
         power = max_power_baseline(config, max_power_level)
     elif name == "random":
@@ -336,4 +333,4 @@ def score(name: str, channel: ChannelRealization, env: PowerControlEnv,
                                       np.random.default_rng([sample_seed, 2]))
     else:
         raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")
-    return network_utility(power, channel, alpha), {}
+    return network_utility(power, channel), {}

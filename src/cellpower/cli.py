@@ -8,7 +8,6 @@ import traceback
 import numpy as np
 
 from . import agent, baselines, harness
-from .env import actions_to_csv
 
 
 def _build_spec(args) -> harness.ExperimentSpec:
@@ -44,7 +43,7 @@ def _cmd_baseline(args):
 def _cmd_dump_actions(args):
     spec = _build_spec(args)
     env = harness.build_env(spec)
-    sys.stdout.write(actions_to_csv(env.actions))
+    sys.stdout.write(harness.actions_to_csv(env.actions))
     return 0
 
 

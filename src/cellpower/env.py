@@ -5,7 +5,6 @@ action indices to discrete power vectors, recomputes the network throughput
 and continues only while the throughput strictly increases.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .netmodel import (
     location_indicator,
     network_utility,
     serving_sinr,
-    snr_gap,
     utility_from_sinr,
 )
 
@@ -42,17 +40,6 @@ def enumerate_actions(power_levels, num_subbands: int, max_power: float) -> np.n
     if not len(actions):
         raise ConfigError("no feasible power combination under the budget")
     return actions
-
-
-def actions_to_csv(actions: np.ndarray) -> str:
-    """Action table as CSV: index, per-subband powers, per-cell total."""
-    out = io.StringIO()
-    cols = ",".join(f"p{f}_w" for f in range(actions.shape[1]))
-    out.write(f"action,{cols},total_w\n")
-    for i, row in enumerate(actions):
-        vals = ",".join(repr(float(v)) for v in row)
-        out.write(f"{i},{vals},{repr(float(row.sum()))}\n")
-    return out.getvalue()
 
 
 @dataclass
@@ -78,7 +65,6 @@ class PowerControlEnv:
     def __init__(self, config: ScenarioConfig, terminal_reward: float = -1.0,
                  max_episode_steps: int = 500):
         self.config = config
-        self.alpha = snr_gap(config.target_ber)
         self.actions = enumerate_actions(config.power_levels, config.num_subbands,
                                          config.max_power)
         self.terminal_reward = terminal_reward
@@ -107,7 +93,7 @@ class PowerControlEnv:
         min_power = self.actions[np.zeros_like(joint)]
         ctx = EpisodeContext(location_indicator(distance, self.config.cell_radius),
                              channel, self.actions[joint], joint,
-                             network_utility(min_power, channel, self.alpha))
+                             network_utility(min_power, channel))
         return ctx, self.encode_state(ctx)
 
     def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:
@@ -135,7 +121,7 @@ class PowerControlEnv:
         ctx.current_power = self.actions[joint]
         # one SINR evaluation feeds both the throughput and the CQI state
         sinr = serving_sinr(ctx.current_power, ctx.channel)
-        throughput = utility_from_sinr(sinr, ctx.channel, self.alpha)
+        throughput = utility_from_sinr(sinr, ctx.channel)
         ctx.step_count += 1
         terminal = (throughput <= ctx.previous_throughput
                     or ctx.step_count >= self.max_episode_steps)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 import types
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agent as agent_mod
-from .agent import METHODS, AgentConfig
+from .agent import METHODS, AgentConfig, EpisodeLog
 from .baselines import GAConfig, max_power_baseline
-from .env import PowerControlEnv, actions_to_csv
+from .env import PowerControlEnv
 from .netmodel import ConfigError, ScenarioConfig, check_intervals
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint
 
@@ -72,8 +73,9 @@ SPEC_KEYS = set(_keys("", ExperimentSpec))
 
 
 def parse_kv_file(path) -> dict:
-    """Plain-text `key = value` lines; '#' starts a comment."""
-    values = {}
+    """Plain-text `key = value` lines; '#' starts a comment. A key set
+    twice is a ConfigError."""
+    values, lines = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -82,7 +84,10 @@ def parse_kv_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: {key} already set on line {lines[key]}")
+            lines[key], values[key] = lineno, val.strip()
     return values
 
 
@@ -211,30 +216,37 @@ def _write_text(path, text: str) -> None:
         raise
 
 
+def csv_text(header, rows) -> str:
+    """One comma-separated line for the header and for each row; text is
+    written as is and every other value as its repr."""
+    lines = [",".join(header)]
+    lines += [",".join([v if isinstance(v, str) else repr(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def training_log_csv(episodes: list) -> str:
-    rows = ["step,episode,epsilon,loss,length,throughput_bps,"
-            "q_mean,q_max,gradient_steps,buffer_fill"]
-    for e in episodes:
-        rows.append(f"{e.step},{e.episode},{repr(e.epsilon)},{repr(e.loss)},"
-                    f"{e.length},{repr(e.throughput)},{repr(e.q_mean)},"
-                    f"{repr(e.q_max)},{e.gradient_steps},{e.buffer_fill}")
-    return "\n".join(rows) + "\n"
+    header = [f.name for f in dataclasses.fields(EpisodeLog)]
+    return csv_text(header, map(operator.attrgetter(*header), episodes))
 
 
 def results_csv(records: list) -> str:
     normalized = [m for m in METHODS if m != "ga"]
-    rows = [",".join(["sample", "channel_seed", "dql_action"]
-                     + [f"{m}_bps" for m in METHODS]
-                     + [f"{m}_norm" for m in normalized])]
+    header = (["sample", "channel_seed", "dql_action"] + [f"{m}_bps" for m in METHODS]
+              + [f"{m}_norm" for m in normalized])
+    rows = []
     for i, r in enumerate(records):
         ga = r.throughput["ga"]
-        norm = [r.throughput[m] / ga if ga > 0 else float("nan")
-                for m in normalized]
-        action = "|".join(str(a) for a in r.dql_action)
-        rows.append(",".join([str(i), str(r.channel_seed), action]
-                             + [repr(r.throughput[m]) for m in METHODS]
-                             + [repr(v) for v in norm]))
-    return "\n".join(rows) + "\n"
+        rows.append([i, r.channel_seed, "|".join(str(a) for a in r.dql_action)]
+                    + [r.throughput[m] for m in METHODS]
+                    + [r.throughput[m] / ga if ga > 0 else float("nan") for m in normalized])
+    return csv_text(header, rows)
+
+
+def actions_to_csv(actions: np.ndarray) -> str:
+    """Action table as CSV: index, per-subband powers, per-cell total."""
+    header = ["action"] + [f"p{f}_w" for f in range(actions.shape[1])] + ["total_w"]
+    return csv_text(header, ([i, *row.tolist(), float(row.sum())]
+                             for i, row in enumerate(actions)))
 
 
 def load_network(path, expected_sizes) -> tuple[MLP, RMSprop]:

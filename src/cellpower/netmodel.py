@@ -165,8 +165,8 @@ class ChannelRealization:
     """Frozen link gains for one user drop.
 
     gain[u, k, f] is the linear power gain from BS k to user u on subband f;
-    noise_power is the per-subband receiver noise in watts and bandwidth_hz
-    the subband width used when converting SINR to rate. Users are
+    noise_power is the per-subband receiver noise in watts; the subband
+    width and the M-QAM SNR gap convert SINR to rate. Users are
     cell-major, so the shape fixes the serving map: cell u // U serves
     user u. The last two fields are derived from gain at construction.
     """
@@ -174,6 +174,7 @@ class ChannelRealization:
     gain: np.ndarray       # (K*U, K, F) linear
     noise_power: float     # W per subband
     bandwidth_hz: float
+    alpha: float           # SNR gap: rate = bandwidth_hz * log2(1 + alpha * SINR)
     serving_gain: np.ndarray = field(init=False)       # (K*U, F): gain[u, u // U, f]
     interference_gain: np.ndarray = field(init=False)  # (F, K, K*U): 0 where k serves u
 
@@ -213,7 +214,8 @@ def draw_channel(distance: np.ndarray, config: ScenarioConfig,
     shadow_db = rng.normal(0.0, config.shadowing_sigma, size=pl_db.shape)
     fading = rng.exponential(1.0, size=(*distance.shape, config.num_subbands))
     gain = db_to_linear(-(pl_db + shadow_db))[:, :, None] * fading
-    return ChannelRealization(gain, config.noise_power, config.subband_bandwidth_hz)
+    return ChannelRealization(gain, config.noise_power, config.subband_bandwidth_hz,
+                              snr_gap(config.target_ber))
 
 
 def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
@@ -233,33 +235,31 @@ def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     return np.swapaxes(signal / (channel.noise_power + heard), -1, -2)
 
 
-def _cell_user_rates(sinr, channel, alpha):
+def _cell_user_rates(sinr, channel):
     """Achievable rate of each user on each subband, shape (..., K, U, F),
     bits/s, from serving SINRs of shape (..., K*U, F)."""
-    rate = channel.bandwidth_hz * np.log2(1.0 + alpha * sinr)
+    rate = channel.bandwidth_hz * np.log2(1.0 + channel.alpha * sinr)
     return rate.reshape(*sinr.shape[:-2], channel.num_cells,
                         channel.users_per_cell, channel.num_subbands)
 
 
-def assign_subbands(power: np.ndarray, channel: ChannelRealization,
-                    alpha: float) -> np.ndarray:
+def assign_subbands(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """Give each (cell, subband) to its own rate-maximizing user.
 
     Returns global user indices, shape (K, F); ties go to the lowest index.
     """
-    rates = _cell_user_rates(serving_sinr(power, channel), channel, alpha)
+    rates = _cell_user_rates(serving_sinr(power, channel), channel)
     best = rates.argmax(axis=1)                            # (K, F), first max wins
     offsets = (np.arange(channel.num_cells) * channel.users_per_cell)[:, None]
     return best + offsets
 
 
-def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
-                      alpha: float):
+def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization):
     """Total throughput in bits/s from serving SINRs of shape (..., K*U, F).
 
     A (K*U, F) input gives a float; a batch gives an array of shape (...).
     """
-    rates = _cell_user_rates(sinr, channel, alpha)
+    rates = _cell_user_rates(sinr, channel)
     # the best user of each (cell, subband) as U - 1 elementwise maxima:
     # numpy's max over the short middle axis is several times slower
     best = rates[..., 0, :]
@@ -271,14 +271,13 @@ def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization,
     return float(total) if sinr.ndim == 2 else total
 
 
-def network_utility(power: np.ndarray, channel: ChannelRealization,
-                    alpha: float):
+def network_utility(power: np.ndarray, channel: ChannelRealization):
     """Total network throughput in bits/s under the rate-max subband rule.
 
     A (K, F) allocation gives a float; a batch of shape (..., K, F) gives an
     array of shape (...), equal to the per-allocation values bit for bit.
     """
-    return utility_from_sinr(serving_sinr(power, channel), channel, alpha)
+    return utility_from_sinr(serving_sinr(power, channel), channel)
 
 
 # CQI reporting: SINR in dB floored at -10 dB, then 15 uniform bins over

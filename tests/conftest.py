@@ -110,9 +110,10 @@ def reference_budget_projected(num, den, max_power):
     return v_at(hi)   # feasible side of the bracket
 
 
-def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0) -> ChannelRealization:
+def synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0,
+                      alpha=1.0) -> ChannelRealization:
     return ChannelRealization(np.asarray(gain, dtype=float), noise_power,
-                              bandwidth_hz)
+                              bandwidth_hz, alpha)
 
 
 def synthetic_topology(num_cells, users_per_cell, serving_distance,

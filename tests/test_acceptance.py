@@ -128,8 +128,7 @@ def test_criterion_4_ga_vs_exhaustive():
         rng = np.random.default_rng([1000, seed])
         dist = cp.build_topology(cfg, rng)
         channel = cp.draw_channel(dist, cfg, rng)
-        alpha = cp.snr_gap(cfg.target_ber)
-        _, best = exhaustive(channel, actions, alpha)
+        _, best = exhaustive(channel, actions)
         _, got, _ = ga_optimize(channel, cfg, ga_cfg,
                                 np.random.default_rng([2000, seed]))
         assert got <= best + 1e-6 * best
@@ -145,12 +144,11 @@ def test_criterion_4_ga_vs_exhaustive():
 def test_criterion_5_wmmse_monotonicity():
     t0 = time.time()
     cfg = scenario_preset("scenario1")
-    alpha = cp.snr_gap(cfg.target_ber)
     for seed in range(50):
         rng = np.random.default_rng([3000, seed])
         dist = cp.build_topology(cfg, rng)
         channel = cp.draw_channel(dist, cfg, rng)
-        res = wmmse(channel, cfg.max_power, alpha)
+        res = wmmse(channel, cfg.max_power)
         hist = res.objective_history
         for a, b in zip(hist, hist[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -183,8 +181,8 @@ def test_criterion_7_base_invariance():
         alpha = cp.snr_gap(cfg.target_ber)
         p1 = rng.uniform(0.0, 20.0, size=(2, 2))
         p2 = rng.uniform(1.0, 20.0, size=(2, 2))
-        ratio_log2 = (network_utility(p1, channel, alpha)
-                      / network_utility(p2, channel, alpha))
+        ratio_log2 = (network_utility(p1, channel)
+                      / network_utility(p2, channel))
         ratio_ln = (reference_utility(p1, channel, alpha, log=math.log)
                     / reference_utility(p2, channel, alpha, log=math.log))
         assert abs(ratio_log2 - ratio_ln) < 1e-12

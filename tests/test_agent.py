@@ -309,7 +309,7 @@ class TestTraining:
         assert sum(e.length for e in result.episodes) == 200
         assert [e.episode for e in result.episodes] == list(
             range(1, len(result.episodes) + 1))
-        assert all(e.throughput > 0 for e in result.episodes)
+        assert all(e.throughput_bps > 0 for e in result.episodes)
 
 
     def test_training_log_learning_signal(self, rng):
@@ -360,7 +360,7 @@ class TestTestProtocol:
                           max_power_level=12.8)
         for rec in records:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
-            expected = network_utility(ctx.current_power, ctx.channel, env.alpha)
+            expected = network_utility(ctx.current_power, ctx.channel)
             assert rec.throughput["dql"] == pytest.approx(expected, rel=1e-12)
 
     def test_trained_single_cell_matches_ga_and_exhaustive(self):
@@ -376,7 +376,7 @@ class TestTestProtocol:
                           max_power_level=8.0)
         for rec in records:
             ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
-            _, best = exhaustive(ctx.channel, env.actions, env.alpha)
+            _, best = exhaustive(ctx.channel, env.actions)
             assert rec.throughput["dql"] == pytest.approx(best, rel=1e-12)
             assert rec.throughput["ga"] == pytest.approx(best, rel=1e-12)
 

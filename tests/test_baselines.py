@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cellpower import baselines as baselines_module
+from cellpower.agent import greedy_rollout
 from cellpower.baselines import (
     GAConfig,
     SearchSpaceTooLarge,
@@ -19,6 +20,7 @@ from cellpower.baselines import (
 from cellpower.env import PowerControlEnv, enumerate_actions
 from cellpower.harness import ExperimentSpec, scenario_preset
 from cellpower.netmodel import (
+    ChannelRealization,
     ConfigError,
     ScenarioConfig,
     build_topology,
@@ -26,21 +28,23 @@ from cellpower.netmodel import (
     network_utility,
     snr_gap,
 )
+from cellpower.qnet import MLP
 
 from conftest import (
     reference_budget_projected,
     reference_repair,
+    reference_utility,
     synthetic_channel,
     tiny_config,
     tiny_instance,
 )
 
 
-def brute_force_best(channel, actions, alpha):
+def brute_force_best(channel, actions):
     best = -math.inf
     best_joint = None
     for joint in itertools.product(range(len(actions)), repeat=channel.gain.shape[1]):
-        util = network_utility(actions[list(joint)], channel, alpha)
+        util = network_utility(actions[list(joint)], channel)
         if util > best:
             best = util
             best_joint = joint
@@ -50,22 +54,22 @@ def brute_force_best(channel, actions, alpha):
 class TestGa:
     def test_single_feasible_action(self):
         cfg = tiny_config(power_levels=(1.0,), max_power=3.0)
-        _, channel, alpha = tiny_instance(seed=1, power_levels=(1.0,),
+        _, channel, _ = tiny_instance(seed=1, power_levels=(1.0,),
                                           max_power=3.0)
         power, util, _ = ga_optimize(channel, cfg,
                                      GAConfig(population_size=4, generations=3),
                                      np.random.default_rng(0))
         assert np.array_equal(power, np.ones((2, 2)))
         assert util == pytest.approx(
-            network_utility(np.ones((2, 2)), channel, alpha), rel=1e-12)
+            network_utility(np.ones((2, 2)), channel), rel=1e-12)
 
     def test_finds_exhaustive_optimum_on_small_instances(self):
         cfg = tiny_config()
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         hits = 0
         for seed in range(20):
-            _, channel, alpha = tiny_instance(seed=seed)
-            _, best = brute_force_best(channel, actions, alpha)
+            _, channel, _ = tiny_instance(seed=seed)
+            _, best = brute_force_best(channel, actions)
             _, got, _ = ga_optimize(channel, cfg,
                                     GAConfig(population_size=40, generations=40),
                                     np.random.default_rng(seed))
@@ -118,12 +122,12 @@ class TestGa:
 
     @pytest.mark.parametrize("max_power", [40.0, 26.0])
     def test_throughput_is_utility_of_returned_power(self, max_power):
-        cfg, channel, alpha = tiny_instance(seed=9, max_power=max_power)
+        cfg, channel, _ = tiny_instance(seed=9, max_power=max_power)
         power, util, _ = ga_optimize(channel, cfg,
                                      GAConfig(population_size=30, generations=20),
                                      np.random.default_rng(3))
         assert type(util) is float
-        assert util == network_utility(power, channel, alpha)
+        assert util == network_utility(power, channel)
 
     def test_rerun_to_best_generation_returns_the_same_best(self):
         # the first g generations draw the same numbers whatever the budget,
@@ -159,9 +163,9 @@ class TestExhaustive:
     def test_single_cell_is_best_action_scan(self):
         cfg = tiny_config(num_cells=1)
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, channel, alpha = tiny_instance(seed=6, num_cells=1)
-        _, best = exhaustive(channel, actions, alpha)
-        direct = max(network_utility(actions[[i]], channel, alpha)
+        _, channel, _ = tiny_instance(seed=6, num_cells=1)
+        _, best = exhaustive(channel, actions)
+        direct = max(network_utility(actions[[i]], channel)
                      for i in range(len(actions)))
         assert best == pytest.approx(direct, rel=1e-12)
 
@@ -169,9 +173,9 @@ class TestExhaustive:
         cfg = tiny_config()
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         assert len(actions) == 9
-        _, channel, alpha = tiny_instance(seed=7)
-        _, best = exhaustive(channel, actions, alpha)
-        _, expected = brute_force_best(channel, actions, alpha)   # 81 scans
+        _, channel, _ = tiny_instance(seed=7)
+        _, best = exhaustive(channel, actions)
+        _, expected = brute_force_best(channel, actions)   # 81 scans
         assert best == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_other_solvers(self):
@@ -179,15 +183,15 @@ class TestExhaustive:
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
         sums = {"exhaustive": 0.0, "ga": 0.0, "random": 0.0}
         for seed in range(10):
-            _, channel, alpha = tiny_instance(seed=seed)
-            _, best = exhaustive(channel, actions, alpha)
+            _, channel, _ = tiny_instance(seed=seed)
+            _, best = exhaustive(channel, actions)
             _, ga, _ = ga_optimize(channel, cfg,
                                 GAConfig(population_size=20, generations=10),
                                 np.random.default_rng(seed))
             rand = network_utility(
                 random_power_baseline(actions, 2, np.random.default_rng(seed)),
-                channel, alpha)
-            maxp = network_utility(max_power_baseline(cfg, 12.8), channel, alpha)
+                channel)
+            maxp = network_utility(max_power_baseline(cfg, 12.8), channel)
             assert best >= ga - 1e-9
             assert best >= rand - 1e-9
             assert best >= maxp - 1e-9
@@ -199,15 +203,15 @@ class TestExhaustive:
     def test_cap_enforced(self):
         cfg = tiny_config()
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, channel, alpha = tiny_instance(seed=8)
+        _, channel, _ = tiny_instance(seed=8)
         with pytest.raises(SearchSpaceTooLarge):
-            exhaustive(channel, actions, alpha, cap=80)
+            exhaustive(channel, actions, cap=80)
 
     def test_tie_break_is_lexicographically_smallest(self):
         # all-zero gains make every joint action score zero
         actions = enumerate_actions((1.0, 2.0), 1, 4.0)
-        channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
-        power, util = exhaustive(channel, actions, alpha=0.5)
+        channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0, alpha=0.5)
+        power, util = exhaustive(channel, actions)
         assert util == 0.0
         assert np.array_equal(power, [[1.0], [1.0]])
 
@@ -215,30 +219,30 @@ class TestExhaustive:
     def test_chunk_boundaries_keep_result_and_tie_break(self, monkeypatch, chunk):
         cfg = tiny_config()
         actions = enumerate_actions(cfg.power_levels, cfg.num_subbands, cfg.max_power)
-        _, channel, alpha = tiny_instance(seed=7)
-        whole = exhaustive(channel, actions, alpha)
+        _, channel, _ = tiny_instance(seed=7)
+        whole = exhaustive(channel, actions)
         tie_actions = enumerate_actions((1.0, 2.0), 1, 4.0)
-        tie_channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0)
+        tie_channel = synthetic_channel(np.zeros((2, 2, 1)), noise_power=1.0, alpha=0.5)
         monkeypatch.setattr(baselines_module, "EXHAUSTIVE_CHUNK", chunk)
-        power, util = exhaustive(channel, actions, alpha)
+        power, util = exhaustive(channel, actions)
         assert util == whole[1]
         assert np.array_equal(power, whole[0])
-        power, _ = exhaustive(tie_channel, tie_actions, alpha=0.5)
+        power, _ = exhaustive(tie_channel, tie_actions)
         assert np.array_equal(power, [[1.0], [1.0]])
 
 
 class TestWmmse:
     def test_single_link_uses_full_budget(self):
         gain = np.full((1, 1, 1), 5.0)
-        ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0)
-        res = wmmse(ch, max_power=7.0, alpha=0.5)
+        ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=1.0, alpha=0.5)
+        res = wmmse(ch, max_power=7.0)
         assert res.converged
         assert res.power[0, 0] == pytest.approx(7.0, rel=1e-6)
 
     def test_objective_monotone_and_budget_respected(self):
         for seed in range(10):
-            cfg, channel, alpha = tiny_instance(seed=40 + seed)
-            res = wmmse(channel, cfg.max_power, alpha)
+            cfg, channel, _ = tiny_instance(seed=40 + seed)
+            res = wmmse(channel, cfg.max_power)
             hist = res.objective_history
             for a, b in zip(hist, hist[1:]):
                 assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -252,8 +256,9 @@ class TestWmmse:
         gains[0, 0] = rng.uniform(0.5, 2.0, size=2)
         gains[1, 1] = rng.uniform(0.5, 2.0, size=2)
         noise, alpha, pmax, bandwidth = 1.0, 0.7, 10.0, 1.0
-        ch = synthetic_channel(gains, noise_power=noise, bandwidth_hz=bandwidth)
-        res = wmmse(ch, pmax, alpha)
+        ch = synthetic_channel(gains, noise_power=noise, bandwidth_hz=bandwidth,
+                               alpha=alpha)
+        res = wmmse(ch, pmax)
 
         def cell_best(g):
             grid = np.linspace(0.0, pmax, 4001)
@@ -265,32 +270,31 @@ class TestWmmse:
         assert res.throughput == pytest.approx(expected, rel=0.01)
 
     def test_non_convergence_flag(self):
-        cfg, channel, alpha = tiny_instance(seed=16)
-        res = wmmse(channel, cfg.max_power, alpha, max_iters=1)
+        cfg, channel, _ = tiny_instance(seed=16)
+        res = wmmse(channel, cfg.max_power, max_iters=1)
         assert not res.converged
         assert res.iterations == 1
-        assert res.throughput == network_utility(res.power, channel, alpha)
+        assert res.throughput == network_utility(res.power, channel)
 
     def test_scored_by_network_utility_on_the_real_channel(self):
         for seed in range(10):
-            cfg, channel, alpha = tiny_instance(seed=60 + seed)
-            res = wmmse(channel, cfg.max_power, alpha)
-            assert res.throughput == network_utility(res.power, channel, alpha)
+            cfg, channel, _ = tiny_instance(seed=60 + seed)
+            res = wmmse(channel, cfg.max_power)
+            assert res.throughput == network_utility(res.power, channel)
             # the rate-max assignment is at least as good as the frozen one
             assert res.throughput >= max(res.objective_history) * (1.0 - 1e-12)
             # the frozen assignment is the rate-max one at uniform power
             uniform = np.full_like(res.power, cfg.max_power / cfg.num_subbands)
             assert res.objective_history[0] == pytest.approx(
-                network_utility(uniform, channel, alpha), rel=1e-12)
+                network_utility(uniform, channel), rel=1e-12)
 
     def test_budget_solve_matches_per_cell_bisection_on_scenario1(self, monkeypatch):
         cfg = scenario_preset("scenario1")
-        alpha = snr_gap(cfg.target_ber)
         channels = []
         for seed in range(5):
             rng = np.random.default_rng([seed, 0])
             channels.append(draw_channel(build_topology(cfg, rng), cfg, rng))
-        fast = [wmmse(ch, cfg.max_power, alpha) for ch in channels]
+        fast = [wmmse(ch, cfg.max_power) for ch in channels]
 
         def per_cell(num, den, max_power):
             return np.array([reference_budget_projected(n, d, max_power)
@@ -298,11 +302,11 @@ class TestWmmse:
 
         monkeypatch.setattr(baselines_module, "_solve_budget", per_cell)
         for ch, res in zip(channels, fast):
-            ref = wmmse(ch, cfg.max_power, alpha)
+            ref = wmmse(ch, cfg.max_power)
             np.testing.assert_allclose(res.power, ref.power, rtol=1e-9, atol=0.0)
             assert res.iterations == ref.iterations == 500
             assert np.all(res.power.sum(axis=1) <= cfg.max_power)
-            assert res.throughput == network_utility(res.power, ch, alpha)
+            assert res.throughput == network_utility(res.power, ch)
 
 
 def budget_inputs(rng, num_cells, num_subbands=3, max_power=40.0):
@@ -417,17 +421,100 @@ class TestScore:
                                         np.random.default_rng([77, 1]))
         assert self.run("ga") == (ga, {"best_generation": generation})
         rand = random_power_baseline(env.actions, 2, np.random.default_rng([77, 2]))
-        assert self.run("random") == (network_utility(rand, ch, env.alpha), {})
+        assert self.run("random") == (network_utility(rand, ch), {})
         mx = max_power_baseline(env.config, 12.8)
-        assert self.run("maxpower") == (network_utility(mx, ch, env.alpha), {})
+        assert self.run("maxpower") == (network_utility(mx, ch), {})
         assert self.run("exhaustive") == (
-            exhaustive(ch, env.actions, env.alpha)[1], {})
+            exhaustive(ch, env.actions)[1], {})
 
     def test_wmmse_diagnostics(self):
-        res = wmmse(self.ctx.channel, 40.0, self.env.alpha)
+        res = wmmse(self.ctx.channel, 40.0)
         assert self.run("wmmse") == (res.throughput, {
             "iterations": res.iterations, "converged": res.converged})
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline"):
             self.run("oracle")
+
+
+class TestScoredAtTheChannelsGap:
+    """At target_ber = 1e-3 (SNR gap about 0.283, not the default 0.123),
+    every method's throughput is the brute-force objective at the gap the
+    test computes from the config, so no scorer can use another gap."""
+
+    def setup_method(self):
+        self.env = PowerControlEnv(tiny_config(target_ber=1e-3))
+        self.alpha = snr_gap(self.env.config.target_ber)
+        self.ctx, _ = self.env.reset(np.random.default_rng([91, 0]))
+        self.ga = GAConfig(population_size=8, generations=5)
+
+    def oracle(self, power):
+        return reference_utility(power, self.ctx.channel, self.alpha)
+
+    def run(self, name):
+        return score(name, self.ctx.channel, self.env, 91, self.ga, 12.8)[0]
+
+    def test_channel_carries_the_configs_gap(self):
+        cfg = tiny_config(target_ber=1e-3)
+        rng = np.random.default_rng(5)
+        channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+        assert channel.alpha == snr_gap(1e-3)
+        assert self.ctx.channel.alpha == snr_gap(1e-3)
+
+    def test_channel_without_gap_rejected(self):
+        with pytest.raises(TypeError):
+            ChannelRealization(np.ones((1, 1, 1)), 1.0, 1.0)
+
+    def test_env_reset_and_step(self):
+        ctx = self.ctx
+        min_power = self.env.actions[np.zeros(2, dtype=int)]
+        assert ctx.previous_throughput == pytest.approx(self.oracle(min_power), rel=1e-12)
+        rng = np.random.default_rng(3)
+        while not ctx.terminal:
+            _, _, _, throughput = self.env.step(
+                ctx, rng.integers(0, len(self.env.actions), size=2))
+            assert throughput == pytest.approx(self.oracle(ctx.current_power), rel=1e-12)
+
+    def test_greedy_rollout(self):
+        env = self.env
+        mlp = MLP.init((env.state_size, 6, env.num_actions), np.random.default_rng(4))
+        for seed in range(5):
+            ctx, action, throughput = greedy_rollout(env, mlp,
+                                                     np.random.default_rng([seed, 0]))
+            assert throughput == pytest.approx(
+                reference_utility(env.actions[list(action)], ctx.channel, self.alpha),
+                rel=1e-12)
+
+    def test_reference_solvers(self):
+        env = self.env
+        ga_power, _, _ = ga_optimize(self.ctx.channel, env.config, self.ga,
+                                     np.random.default_rng([91, 1]))
+        assert self.run("ga") == pytest.approx(self.oracle(ga_power), rel=1e-12)
+        assert self.run("maxpower") == pytest.approx(
+            self.oracle(max_power_baseline(env.config, 12.8)), rel=1e-12)
+        rand = random_power_baseline(env.actions, 2, np.random.default_rng([91, 2]))
+        assert self.run("random") == pytest.approx(self.oracle(rand), rel=1e-12)
+        optimum = max(self.oracle(env.actions[list(joint)])
+                      for joint in itertools.product(range(len(env.actions)), repeat=2))
+        assert self.run("exhaustive") == pytest.approx(optimum, rel=1e-12)
+
+    def test_wmmse(self):
+        res = wmmse(self.ctx.channel, self.env.config.max_power)
+        assert res.throughput == pytest.approx(self.oracle(res.power), rel=1e-12)
+        assert self.run("wmmse") == res.throughput
+        # the first objective is on the virtual channel, which copies the gap
+        cfg = self.env.config
+        uniform = np.full_like(res.power, cfg.max_power / cfg.num_subbands)
+        assert res.objective_history[0] == pytest.approx(self.oracle(uniform), rel=1e-12)
+
+    def test_wmmse_water_fills_at_the_channels_gap(self):
+        # one link on two subbands: the optimum is water-filling on
+        # alpha * g_f / noise, which leaves subband 1 silent at the default gap
+        gain = np.array([[[1.0, 0.25]]])
+        ch = synthetic_channel(gain, noise_power=1.0, alpha=self.alpha)
+        floor = 1.0 / (self.alpha * gain[0, 0])             # 3.53 and 14.1
+        level = (12.0 + floor.sum()) / 2                     # 14.8, above both floors
+        res = wmmse(ch, 12.0)
+        assert res.converged
+        np.testing.assert_allclose(res.power[0], level - floor, rtol=0.0, atol=1e-3)
+

@@ -9,11 +9,17 @@ from cellpower import netmodel
 from cellpower.env import (
     EpisodeContext,
     PowerControlEnv,
-    actions_to_csv,
     enumerate_actions,
     level_grid,
 )
-from cellpower.netmodel import ConfigError, ScenarioConfig, network_utility, serving_sinr
+from cellpower.harness import actions_to_csv
+from cellpower.netmodel import (
+    ConfigError,
+    ScenarioConfig,
+    network_utility,
+    serving_sinr,
+    snr_gap,
+)
 
 from conftest import reference_utility, synthetic_channel, synthetic_topology, tiny_config
 
@@ -118,7 +124,8 @@ class TestReset:
         env = PowerControlEnv(tiny_config())
         ctx, _ = env.reset(rng)
         min_power = np.full((2, 2), 6.4)
-        expected = reference_utility(min_power, ctx.channel, env.alpha)
+        expected = reference_utility(min_power, ctx.channel,
+                                     snr_gap(env.config.target_ber))
         assert ctx.previous_throughput == pytest.approx(expected, rel=1e-12)
 
     def test_initial_action_is_feasible(self, rng):
@@ -164,8 +171,7 @@ class TestStep:
                                           max_power=10.0))
         ctx, _ = env.reset(rng)
         ctx.current_power = np.array([[1.0]])
-        ctx.previous_throughput = network_utility(ctx.current_power, ctx.channel,
-                                                  env.alpha)
+        ctx.previous_throughput = network_utility(ctx.current_power, ctx.channel)
         # single cell: rate is monotone in power, so the top level improves
         _, reward, terminal, _ = env.step(ctx, [1])
         assert reward == 1.0
@@ -226,8 +232,7 @@ class TestStep:
         assert len(calls) == 1
         monkeypatch.undo()
         assert np.array_equal(state, env.encode_state(ctx))
-        assert throughput == network_utility(ctx.current_power, ctx.channel,
-                                             env.alpha)
+        assert throughput == network_utility(ctx.current_power, ctx.channel)
 
     def test_one_location_indicator_per_episode(self, rng, monkeypatch):
         calls = []

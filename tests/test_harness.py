@@ -261,7 +261,7 @@ class TestRunExperiment:
         assert len(meta["wmmse_iterations"]) == len(meta["wmmse_converged"]) == 3
         for i, seed in enumerate(seeds):
             ctx, _ = env.reset(np.random.default_rng([seed, 0]))
-            res = wmmse(ctx.channel, spec.config.max_power, env.alpha)
+            res = wmmse(ctx.channel, spec.config.max_power)
             assert meta["wmmse_iterations"][i] == res.iterations
             assert meta["wmmse_converged"][i] is res.converged
 
@@ -318,7 +318,7 @@ class TestRunExperiment:
         def random_rollout(rng):
             from cellpower.netmodel import network_utility
             ctx, _ = env.reset(rng)
-            best = network_utility(ctx.current_power, ctx.channel, env.alpha)
+            best = network_utility(ctx.current_power, ctx.channel)
             while not ctx.terminal:
                 action = rng.integers(0, len(env.actions), size=2)
                 _, _, terminal, thr = env.step(ctx, action)
@@ -356,11 +356,11 @@ class TestPerSampleFairness:
             channel = draw_channel(dist, spec.config, rng)
             maxp = max_power_baseline(spec.config, spec.max_power_level)
             assert rec.throughput["maxpower"] == pytest.approx(
-                network_utility(maxp, channel, env.alpha), rel=1e-12)
+                network_utility(maxp, channel), rel=1e-12)
             rand = random_power_baseline(env.actions, 2,
                                          np.random.default_rng([rec.channel_seed, 2]))
             assert rec.throughput["random"] == pytest.approx(
-                network_utility(rand, channel, env.alpha), rel=1e-12)
+                network_utility(rand, channel), rel=1e-12)
 
     def test_report_means_are_arithmetic_means(self):
         recs = [record(dql=0.5, seed=0), record(dql=0.7, seed=1),
@@ -386,6 +386,15 @@ TINY_CFG = ("scenario = custom\n"
             "power_levels = 6.4, 12.8, 19.2\nmax_power = 40.0\n"
             "train_steps = 0\nn_test_samples = 3\n"
             "ga_population_size = 8\nga_generations = 5\n")
+
+
+def tiny_cfg_with(text):
+    """TINY_CFG with the lines of `text` in place of its own lines for the
+    same keys, so that no key is set twice unless `text` sets it twice."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in TINY_CFG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + text.splitlines()) + "\n"
 
 
 class TestNegativeSizes:
@@ -451,11 +460,12 @@ class TestNegativeSizes:
         ("power_levels = -1, 2", "power_levels"),
         # the bound is ga_population_size, but the fault is ga_elite_count's
         ("ga_elite_count = -1", "ga_elite_count must be in [0, 8)"),
+        ("num_cells = 3\nnum_cells = 4", "exp.cfg:11: num_cells already set on line 10"),
     ])
     def test_config_file_key_named_before_any_output(self, capsys, tmp_path,
                                                       line, key):
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(TINY_CFG + line + "\n")
+        cfg_file.write_text(tiny_cfg_with(line))
         code = cli_main(["compare", "--config", str(cfg_file),
                          "--out", str(tmp_path / "out")])
         assert code == 1
@@ -468,7 +478,7 @@ class TestNegativeSizes:
     def test_non_finite_float_rejected(self, tmp_path, key, value):
         # a float key added without an interval fails here
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(TINY_CFG + f"{key} = {value}\n")
+        cfg_file.write_text(tiny_cfg_with(f"{key} = {value}"))
         with pytest.raises(ConfigError, match=f"^{key} "):
             spec_from_file(cfg_file)
 
@@ -489,9 +499,10 @@ class TestNegativeSizes:
 
     def test_typed_values_and_none_accepted(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(TINY_CFG + "max_power = 40\nhidden_size = none\n"
-                            "checkpoint = none\npower_levels = 12.8\n"
-                            "epsilon_anneal_steps = none\ncheckpoint_interval = none\n")
+        cfg_file.write_text(tiny_cfg_with(
+            "max_power = 40\nhidden_size = none\n"
+            "checkpoint = none\npower_levels = 12.8\n"
+            "epsilon_anneal_steps = none\ncheckpoint_interval = none\n"))
         spec = spec_from_file(cfg_file)
         assert spec.config.max_power == 40
         assert spec.agent.hidden_size is None and spec.checkpoint is None

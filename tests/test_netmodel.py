@@ -281,23 +281,23 @@ class TestInterferenceKernel:
 
 class TestAssignment:
     def test_single_user_cells(self, rng):
-        cfg, channel, alpha = tiny_instance(seed=9, users_per_cell=1)
+        cfg, channel, _ = tiny_instance(seed=9, users_per_cell=1)
         power = np.full((2, 2), 10.0)
-        a = assign_subbands(power, channel, alpha)
+        a = assign_subbands(power, channel)
         assert np.array_equal(a, [[0, 0], [1, 1]])
 
     def test_stronger_gain_wins_without_interference(self):
         gain = np.zeros((2, 1, 1))
         gain[0, 0, 0] = 1.0
         gain[1, 0, 0] = 2.0
-        ch = synthetic_channel(gain, noise_power=1.0)
-        a = assign_subbands(np.array([[1.0]]), ch, alpha=1.0)
+        ch = synthetic_channel(gain, noise_power=1.0, alpha=1.0)
+        a = assign_subbands(np.array([[1.0]]), ch)
         assert a[0, 0] == 1
 
     def test_matches_per_subband_brute_force(self, rng):
         cfg, channel, alpha = tiny_instance(seed=10)
         power = rng.uniform(0.0, 20.0, size=(2, 2))
-        a = assign_subbands(power, channel, alpha)
+        a = assign_subbands(power, channel)
         for k in range(2):
             for f in range(2):
                 rates = {u: math.log2(1 + alpha * reference_sinr(power, channel, u, k, f))
@@ -305,9 +305,9 @@ class TestAssignment:
                 assert rates[a[k, f]] == max(rates.values())
 
     def test_assigned_user_dominates_cellmates(self, rng):
-        cfg, channel, alpha = tiny_instance(seed=11, users_per_cell=4)
+        cfg, channel, _ = tiny_instance(seed=11, users_per_cell=4)
         power = rng.uniform(0.0, 20.0, size=(2, 2))
-        a = assign_subbands(power, channel, alpha)
+        a = assign_subbands(power, channel)
         s = serving_sinr(power, channel)
         for k in range(2):
             for f in range(2):
@@ -317,22 +317,22 @@ class TestAssignment:
 
 class TestNetworkUtility:
     def test_zero_power_zero_utility(self):
-        cfg, channel, alpha = tiny_instance(seed=12)
-        assert network_utility(np.zeros((2, 2)), channel, alpha) == 0.0
+        cfg, channel, _ = tiny_instance(seed=12)
+        assert network_utility(np.zeros((2, 2)), channel) == 0.0
 
     def test_unit_log_argument_gives_bandwidth(self):
         # alpha * SINR = 1  ->  utility = B * log2(2) = B
         alpha = 0.5
         gain = np.ones((1, 1, 1)) * 2.0
-        ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=123.0)
-        assert network_utility(np.array([[1.0]]), ch, alpha) == pytest.approx(123.0)
+        ch = synthetic_channel(gain, noise_power=1.0, bandwidth_hz=123.0, alpha=alpha)
+        assert network_utility(np.array([[1.0]]), ch) == pytest.approx(123.0)
 
     def test_matches_brute_force(self, rng):
         for seed in range(5):
             cfg, channel, alpha = tiny_instance(seed=seed)
             power = rng.uniform(0.0, 20.0, size=(2, 2))
             expected = reference_utility(power, channel, alpha)
-            assert network_utility(power, channel, alpha) == pytest.approx(
+            assert network_utility(power, channel) == pytest.approx(
                 expected, rel=1e-12)
 
     def test_ratio_invariant_to_log_base(self, rng):
@@ -353,12 +353,11 @@ class TestNetworkUtility:
         cfg = ScenarioConfig(num_cells=num_cells)
         rng = np.random.default_rng([num_cells, batch])
         channel = draw_channel(build_topology(cfg, rng), cfg, rng)
-        alpha = snr_gap(cfg.target_ber)
         levels = np.asarray(cfg.power_levels)
         power = levels[rng.integers(0, len(levels), size=(batch, num_cells, cfg.num_subbands))]
-        got = network_utility(power, channel, alpha)
+        got = network_utility(power, channel)
         assert got.shape == (batch,)
-        loop = [network_utility(p, channel, alpha) for p in power]
+        loop = [network_utility(p, channel) for p in power]
         assert all(type(u) is float for u in loop)
         assert got.tolist() == loop
 
@@ -368,9 +367,9 @@ class TestNetworkUtility:
         # swap two users of cell 0 in the gain table
         perm = np.array([1, 0, 2, 3, 4, 5])
         ch2 = synthetic_channel(channel.gain[perm], channel.noise_power,
-                                channel.bandwidth_hz)
-        assert network_utility(power, ch2, alpha) == pytest.approx(
-            network_utility(power, channel, alpha), rel=1e-12)
+                                channel.bandwidth_hz, alpha)
+        assert network_utility(power, ch2) == pytest.approx(
+            network_utility(power, channel), rel=1e-12)
 
 
 class TestBestUserKernel:
@@ -379,10 +378,10 @@ class TestBestUserKernel:
 
     @staticmethod
     def _check(power, channel, alpha):
-        batch = network_utility(power, channel, alpha)
+        batch = network_utility(power, channel)
         assert batch.shape == power.shape[:-2]
         for index in np.ndindex(*power.shape[:-2]):
-            single = network_utility(power[index], channel, alpha)
+            single = network_utility(power[index], channel)
             assert np.array_equal(batch[index], single)
             assert single == pytest.approx(
                 reference_utility(power[index], channel, alpha), rel=1e-12)
@@ -398,12 +397,13 @@ class TestBestUserKernel:
         channel = draw_channel(build_topology(cfg, rng), cfg, rng)
         gain = channel.gain.copy()
         gain[6] = gain[5]                 # users 0 and 1 of cell 1 tie
-        tied = synthetic_channel(gain, channel.noise_power, channel.bandwidth_hz)
+        alpha = snr_gap(cfg.target_ber)
+        tied = synthetic_channel(gain, channel.noise_power, channel.bandwidth_hz, alpha)
         assert np.array_equal(serving_sinr(np.ones((15, 3)), tied)[5],
                               serving_sinr(np.ones((15, 3)), tied)[6])
         levels = np.asarray(cfg.power_levels)
         power = levels[rng.integers(0, len(levels), size=(20, 15, 3))]
-        self._check(power, tied, snr_gap(cfg.target_ber))
+        self._check(power, tied, alpha)
 
     def test_subband_with_zero_power(self, rng):
         cfg, channel, alpha = tiny_instance(seed=22, users_per_cell=4)
@@ -412,9 +412,9 @@ class TestBestUserKernel:
         self._check(power, channel, alpha)
         # the silent subband adds nothing to the first one's rates
         first = synthetic_channel(channel.gain[:, :, :1], channel.noise_power,
-                                  channel.bandwidth_hz)
-        assert network_utility(power, channel, alpha) == pytest.approx(
-            network_utility(power[:, :, :1], first, alpha), rel=1e-15)
+                                  channel.bandwidth_hz, alpha)
+        assert network_utility(power, channel) == pytest.approx(
+            network_utility(power[:, :, :1], first), rel=1e-15)
 
 
 class TestCqi:

@@ -4,9 +4,10 @@ Usage, from the root of a source checkout:
     python3 tools/sameoutputs.py --parent REV --change REV --seed 7
 
 Each revision, which a branch must contain, is exported with
-benchpairs.export into its own directory. There its own
-perfbench/workload.py runs every workload of BENCHMARK.json once with
---seed SEED, at the gradient-step and test-sample budgets that
+benchpairs.export into its own directory, and its commit is printed with
+the line count of its src/cellpower/*.py, the total `wc -l` gives. There
+its own perfbench/workload.py runs every workload of BENCHMARK.json once
+with --seed SEED, at the gradient-step and test-sample budgets that
 perfbench/run.py gives at BENCHMARK.json's run length, with one BLAS
 thread as perfbench/run.py sets. The script then compares each of
 training_log.csv, qnet.ckpt, results.csv and actions.csv byte for byte,
@@ -22,6 +23,7 @@ or is missing on one side, or a run failed.
 """
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -64,6 +66,15 @@ def run_workload(checkout, workload, seed, seconds, out_dir):
         return None
     with open(result_path) as f:
         return json.load(f)
+
+
+def src_lines(checkout):
+    """Newlines in `checkout`'s src/cellpower/*.py, the total of `wc -l`."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "cellpower", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
 
 
 def read(path):
@@ -173,7 +184,8 @@ def main(argv=None):
     try:
         checkouts = [os.path.join(workdir, side) for side in SIDES]
         for side, rev, checkout in zip(SIDES, (args.parent, args.change), checkouts):
-            print(f"{side}: {export(rev, checkout)['commit']}")
+            commit = export(rev, checkout)["commit"]
+            print(f"{side}: {commit}, src/cellpower/*.py {src_lines(checkout)} lines")
         for workload in (w["name"] for w in bench["workloads"]):
             out_dirs = [os.path.join(workdir, "out", side, workload) for side in SIDES]
             for side, checkout, out_dir in zip(SIDES, checkouts, out_dirs):
