@@ -11,6 +11,7 @@ realizations can be evaluated concurrently.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,8 +108,12 @@ def snr_gap(target_ber: float) -> float:
     return -1.5 / math.log(5.0 * target_ber)
 
 
+@lru_cache
 def _hex_spiral(count: int, pitch: float) -> np.ndarray:
-    """First `count` hexagonal grid centers, spiral order from the origin."""
+    """First `count` hexagonal grid centers, spiral order from the origin.
+
+    Built once per (count, pitch) and shared read-only by every drop.
+    """
     dirs = [(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]
     axial = [(0, 0)]
     ring = 1
@@ -121,7 +126,9 @@ def _hex_spiral(count: int, pitch: float) -> np.ndarray:
                 q, r = q + dirs[d][0], r + dirs[d][1]
         ring += 1
     xy = [(pitch * (q + r / 2.0), pitch * r * math.sqrt(3.0) / 2.0) for q, r in axial]
-    return np.array(xy[:count], dtype=float)
+    grid = np.array(xy[:count], dtype=float)
+    grid.flags.writeable = False
+    return grid
 
 
 def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

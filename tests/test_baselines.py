@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cellpower import baselines as baselines_module
-from cellpower.agent import greedy_rollout
+from cellpower.agent import greedy_rollout, sample_seeds
 from cellpower.baselines import (
     GAConfig,
     SearchSpaceTooLarge,
@@ -18,7 +18,7 @@ from cellpower.baselines import (
     wmmse,
 )
 from cellpower.env import PowerControlEnv, enumerate_actions
-from cellpower.harness import ExperimentSpec, scenario_preset
+from cellpower.harness import ExperimentSpec, evaluation_seed, scenario_preset
 from cellpower.netmodel import (
     ChannelRealization,
     ConfigError,
@@ -289,24 +289,76 @@ class TestWmmse:
                 network_utility(uniform, channel), rel=1e-12)
 
     def test_budget_solve_matches_per_cell_bisection_on_scenario1(self, monkeypatch):
+        # every budget solve of five real scenario1 solves, checked call by call
         cfg = scenario_preset("scenario1")
-        channels = []
+        solve = baselines_module._solve_budget
+        calls = []
+
+        def recorded(num, den, max_power):
+            v = solve(num, den, max_power)
+            calls.append((num.copy(), den.copy(), max_power, v.copy()))
+            return v
+
+        monkeypatch.setattr(baselines_module, "_solve_budget", recorded)
         for seed in range(5):
             rng = np.random.default_rng([seed, 0])
-            channels.append(draw_channel(build_topology(cfg, rng), cfg, rng))
-        fast = [wmmse(ch, cfg.max_power) for ch in channels]
-
-        def per_cell(num, den, max_power):
-            return np.array([reference_budget_projected(n, d, max_power)
-                             for n, d in zip(num, den)])
-
-        monkeypatch.setattr(baselines_module, "_solve_budget", per_cell)
-        for ch, res in zip(channels, fast):
-            ref = wmmse(ch, cfg.max_power)
-            np.testing.assert_allclose(res.power, ref.power, rtol=1e-9, atol=0.0)
-            assert res.iterations == ref.iterations == 500
+            ch = draw_channel(build_topology(cfg, rng), cfg, rng)
+            start = len(calls)
+            res = wmmse(ch, cfg.max_power)
+            assert len(calls) - start == res.iterations      # one solve per map
             assert np.all(res.power.sum(axis=1) <= cfg.max_power)
             assert res.throughput == network_utility(res.power, ch)
+        for num, den, max_power, v in calls:
+            ref = np.array([reference_budget_projected(n, d, max_power)
+                            for n, d in zip(num, den)])
+            np.testing.assert_allclose(v, ref, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("max_iters", range(1, 8))
+    def test_map_budget_is_a_bound(self, max_iters):
+        for seed in range(5):
+            cfg, channel, _ = tiny_instance(seed=70 + seed)
+            res = wmmse(channel, cfg.max_power, max_iters=max_iters)
+            assert res.iterations <= max_iters
+            assert res.converged or res.iterations == max_iters
+            hist = res.objective_history
+            assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
+            if max_iters == 1:
+                assert not res.converged and res.iterations == 1
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_stops_at_the_first_cycle_within_tol(self, tol):
+        outcomes = set()
+        for index in range(18):
+            res = wmmse(desk_test_channel(index), DESK_CONFIG.max_power, tol=tol)
+            hist = res.objective_history
+            within = [abs(b - a) <= tol * max(1.0, abs(a))
+                      for a, b in zip(hist, hist[1:])]
+            assert within[-1] == res.converged
+            assert not any(within[:-1])
+            if res.converged:
+                assert res.iterations < 500
+            else:
+                assert res.iterations == 500
+            outcomes.add(res.converged)
+        assert outcomes == ({True, False} if tol == 1e-8 else {True})
+
+    @pytest.mark.parametrize("index, cell", [(2, 2), (46, 0)])
+    def test_extrapolation_keeps_a_cell_that_plain_wmmse_keeps(self, index, cell):
+        # On these channels 500 plain maps end with the cell at 29 and 40 W,
+        # while an extrapolation that is only clipped at zero silences it for
+        # good: zero is a fixed point of the map.
+        res = wmmse(desk_test_channel(index), DESK_CONFIG.max_power)
+        assert res.power[cell].sum() > 1.0
+
+
+DESK_CONFIG = tiny_config(num_cells=3)      # the sample-experiment.cfg network
+
+
+def desk_test_channel(index):
+    """Channel of test sample `index` of a desk run at master seed 0."""
+    seed = sample_seeds(evaluation_seed(0), index + 1)[index]
+    rng = np.random.default_rng([seed, 0])
+    return draw_channel(build_topology(DESK_CONFIG, rng), DESK_CONFIG, rng)
 
 
 def budget_inputs(rng, num_cells, num_subbands=3, max_power=40.0):

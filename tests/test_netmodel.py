@@ -96,6 +96,12 @@ class TestTopology:
         off_diag = d[~np.eye(5, dtype=bool)]
         assert off_diag.min() == pytest.approx(PITCH, rel=1e-9)
 
+    def test_hex_grid_built_once_and_read_only(self):
+        bs = _hex_spiral(5, PITCH)
+        assert _hex_spiral(5, PITCH) is bs
+        with pytest.raises(ValueError):
+            bs[0, 0] = 1.0
+
     def test_user_distance_bounds(self, rng):
         cfg = ScenarioConfig(num_cells=3, users_per_cell=40)
         dist = build_topology(cfg, rng)

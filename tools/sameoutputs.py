@@ -17,9 +17,9 @@ artifact, plus any check the workload reported failed. An artifact that
 differs is sized where both copies line up: for a checkpoint with the
 same header and length, the number of float64 values that differ and the
 largest absolute difference; for a CSV of the same shape, the number of
-fields that differ and the largest relative difference among them; for
-report.json, the fields that differ. It exits 1 when an artifact differs
-or is missing on one side, or a run failed.
+fields that differ, their columns and the largest relative difference
+among them; for report.json, the fields that differ. It exits 1 when an
+artifact differs or is missing on one side, or a run failed.
 """
 
 import argparse
@@ -124,15 +124,16 @@ def checkpoint_difference(parent, change):
 
 
 def csv_difference(parent, change):
-    """How two CSVs' fields differ, or None when their shapes differ or a
-    field that differs is not a number."""
+    """How two CSVs' fields differ, and in which of the parent's header
+    columns, or None when their shapes differ or a field that differs is
+    not a number."""
     tables = [[line.split(",") for line in data.decode().splitlines()]
               for data in (parent, change)]
     if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
         return None
-    count, largest = 0, 0.0
+    count, largest, columns = 0, 0.0, set()
     for row_a, row_b in zip(*tables):
-        for field_a, field_b in zip(row_a, row_b):
+        for column, (field_a, field_b) in enumerate(zip(row_a, row_b)):
             if field_a == field_b:
                 continue
             try:
@@ -140,9 +141,11 @@ def csv_difference(parent, change):
             except ValueError:
                 return None
             count += 1
+            columns.add(column)
             rel = abs(x - y) / max(abs(x), abs(y))
             largest = max(largest, rel if rel == rel else math.inf)   # nan or inf on one side
-    return f"{count} fields, max rel {largest:.3g}"
+    names = " ".join(tables[0][0][column] for column in sorted(columns))
+    return f"{count} fields in {names}, max rel {largest:.3g}"
 
 
 def compare(out_dirs, artifact):
