@@ -70,6 +70,8 @@ def machine():
     return {
         "cpu": model or platform.processor(),
         "cpu_count": os.cpu_count(),
+        # the learner's second thread needs a second usable CPU
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "system": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
