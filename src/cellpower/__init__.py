@@ -14,7 +14,7 @@ from .netmodel import (
 from .env import PowerControlEnv, enumerate_actions
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint, train_batch
 from .replay import ReplayBuffer
-from .agent import AgentConfig, TestRecord, select_joint_action, test, train
+from .agent import AgentConfig, select_joint_action, test, train
 from .baselines import (
     GAConfig,
     WmmseResult,

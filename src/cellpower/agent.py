@@ -200,16 +200,6 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
 METHODS = ("dql", "ga", "wmmse", "maxpower", "random")
 
 
-@dataclass
-class TestRecord:
-    channel_seed: int
-    dql_action: tuple
-    throughput: dict               # method in METHODS -> bits/s
-    wmmse_iterations: int = 0
-    wmmse_converged: bool = False
-    ga_best_generation: int = 0
-
-
 def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
     """One greedy episode; returns the last improving action and its
     throughput (the initial random allocation if the first action fails)."""
@@ -234,22 +224,27 @@ def sample_seeds(seed: int, n_samples: int) -> list:
 
 
 def test(env: PowerControlEnv, mlp: MLP, n_samples: int, seed: int,
-         ga_config: baselines.GAConfig, max_power_level: float) -> list:
+         ga_config: baselines.GAConfig, max_power_level: float) -> dict:
     """Greedy policy vs. GA / WMMSE / max-power / random on shared channels.
 
     Each sample draws a fresh channel from its own recorded seed; every
-    method is evaluated on that same frozen realization.
+    method is evaluated on that same frozen realization. Returns the phase
+    as per-sample columns: `channel_seed`, `dql_action`, `<method>_bps` for
+    each method in METHODS and each name in `baselines.DIAGNOSTICS`.
     """
-    records = []
-    for sample_seed in sample_seeds(seed, n_samples):
+    seeds = sample_seeds(seed, n_samples)
+    phase = {"channel_seed": seeds, "dql_action": [],
+             **{f"{m}_bps": [] for m in METHODS},
+             **{name: [] for name in baselines.DIAGNOSTICS}}
+    for sample_seed in seeds:
         ctx, dql_action, dql_throughput = greedy_rollout(
             env, mlp, np.random.default_rng([sample_seed, 0]))
-        throughput, diagnostics = {"dql": dql_throughput}, {}
+        phase["dql_action"].append(dql_action)
+        phase["dql_bps"].append(dql_throughput)
         for name in METHODS[1:]:
-            throughput[name], diagnostics[name] = baselines.score(
+            throughput, diagnostics = baselines.score(
                 name, ctx.channel, env, sample_seed, ga_config, max_power_level)
-        wm = diagnostics["wmmse"]
-        records.append(TestRecord(sample_seed, dql_action, throughput,
-                                  wm["iterations"], wm["converged"],
-                                  diagnostics["ga"]["best_generation"]))
-    return records
+            phase[f"{name}_bps"].append(throughput)
+            for key, value in diagnostics.items():
+                phase[f"{name}_{key}"].append(value)
+    return phase

@@ -335,6 +335,9 @@ def random_power_baseline(actions: np.ndarray, num_cells: int,
 
 
 BASELINES = ("ga", "wmmse", "maxpower", "random", "exhaustive")
+# The per-sample diagnostics of a test phase: `<solver>_<key>` for each key
+# of the diagnostics that `score` returns for that solver.
+DIAGNOSTICS = ("ga_best_generation", "wmmse_iterations", "wmmse_converged")
 
 
 def score(name: str, channel: ChannelRealization, env: PowerControlEnv,

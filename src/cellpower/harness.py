@@ -16,7 +16,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from .agent import METHODS, AgentConfig, EpisodeLog
-from .baselines import GAConfig, max_power_baseline
+from .baselines import DIAGNOSTICS, GAConfig, max_power_baseline
 from .env import PowerControlEnv
 from .netmodel import ConfigError, ScenarioConfig, check_intervals
 from .qnet import MLP, RMSprop, load_checkpoint, save_checkpoint
@@ -165,7 +165,7 @@ class ComparisonReport:
 
     per_sample: dict                 # method -> list of ratios
     mean: dict                       # method -> mean ratio
-    excluded: int                    # records dropped for non-positive GA throughput
+    excluded: int                    # samples dropped for non-positive GA throughput
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -186,19 +186,19 @@ def _finite_or_null(value):
     return value
 
 
-def normalized_throughput(records: list) -> ComparisonReport:
-    """Without records, or with every record excluded, each mean is NaN."""
+def normalized_throughput(phase: dict) -> ComparisonReport:
+    """Per-sample ratios of a test phase, as `agent.test` returns it.
+    Without samples, or with every sample excluded, each mean is NaN."""
     per_sample = {m: [] for m in METHODS}
     excluded = 0
-    for rec in records:
-        ga = rec.throughput["ga"]
+    for i, ga in enumerate(phase["ga_bps"]):
         if ga <= 0.0:
-            warnings.warn(f"record with channel seed {rec.channel_seed} has "
-                          "non-positive GA throughput; excluded")
+            warnings.warn(f"sample with channel seed {phase['channel_seed'][i]} "
+                          "has non-positive GA throughput; excluded")
             excluded += 1
             continue
         for m in METHODS:
-            per_sample[m].append(rec.throughput[m] / ga)
+            per_sample[m].append(phase[f"{m}_bps"][i] / ga)
     mean = {m: float(np.mean(v)) if v else float("nan")
             for m, v in per_sample.items()}
     return ComparisonReport(per_sample, mean, excluded)
@@ -229,17 +229,16 @@ def training_log_csv(episodes: list) -> str:
     return csv_text(header, map(operator.attrgetter(*header), episodes))
 
 
-def results_csv(records: list) -> str:
+def results_csv(phase: dict) -> str:
     normalized = [m for m in METHODS if m != "ga"]
+    ga = phase["ga_bps"]
+    ratios = [[t / g if g > 0 else float("nan") for t, g in zip(phase[f"{m}_bps"], ga)]
+              for m in normalized]
+    actions = ["|".join(str(a) for a in action) for action in phase["dql_action"]]
     header = (["sample", "channel_seed", "dql_action"] + [f"{m}_bps" for m in METHODS]
               + [f"{m}_norm" for m in normalized])
-    rows = []
-    for i, r in enumerate(records):
-        ga = r.throughput["ga"]
-        rows.append([i, r.channel_seed, "|".join(str(a) for a in r.dql_action)]
-                    + [r.throughput[m] for m in METHODS]
-                    + [r.throughput[m] / ga if ga > 0 else float("nan") for m in normalized])
-    return csv_text(header, rows)
+    return csv_text(header, zip(range(len(ga)), phase["channel_seed"], actions,
+                                *(phase[f"{m}_bps"] for m in METHODS), *ratios))
 
 
 def actions_to_csv(actions: np.ndarray) -> str:
@@ -274,8 +273,9 @@ def evaluation_seed(master_seed: int) -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
-    """Train (or load), evaluate against all baselines on shared channels,
-    and write training_log.csv / results.csv / report.json / checkpoint.
+    """Train (or load), save the checkpoint, evaluate against all baselines
+    on shared channels, and write training_log.csv / results.csv /
+    report.json / actions.csv.
 
     Fully reproducible: all randomness derives from spec.master_seed.
     """
@@ -307,14 +307,13 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             target_rows = result.target_rows_evaluated
             _write_text(os.path.join(spec.output_dir, "training_log.csv"),
                         training_log_csv(episodes))
+    # saved before testing, so that a failed test phase keeps the network
+    save_checkpoint(os.path.join(spec.output_dir, "qnet.ckpt"), mlp, opt)
 
     test_seed = evaluation_seed(spec.master_seed)
-    records = []
-    if spec.n_test_samples > 0:
-        records = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,
-                                 ga_config=spec.ga,
-                                 max_power_level=spec.max_power_level)
-    report = normalized_throughput(records)
+    phase = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,
+                           ga_config=spec.ga, max_power_level=spec.max_power_level)
+    report = normalized_throughput(phase)
     report.metadata = {
         "scenario": spec.scenario,
         "master_seed": spec.master_seed,
@@ -329,18 +328,15 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "gradient_steps": grad_steps,
         "target_rows_evaluated": target_rows,
         "episodes": len(episodes),
-        "wmmse_iterations": [r.wmmse_iterations for r in records],
-        "wmmse_converged": [r.wmmse_converged for r in records],
-        "ga_best_generation": [r.ga_best_generation for r in records],
+        **{name: phase[name] for name in DIAGNOSTICS},
         # both nan when no sample ran (null in report.json)
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
         "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
 
-    _write_text(os.path.join(spec.output_dir, "results.csv"), results_csv(records))
+    _write_text(os.path.join(spec.output_dir, "results.csv"), results_csv(phase))
     _write_text(os.path.join(spec.output_dir, "report.json"), report.to_json())
-    save_checkpoint(os.path.join(spec.output_dir, "qnet.ckpt"), mlp, opt)
     _write_text(os.path.join(spec.output_dir, "actions.csv"),
                 actions_to_csv(env.actions))
     return report

@@ -357,16 +357,14 @@ def load_checkpoint(path) -> tuple[MLP, RMSprop]:
         lr, decay, eps = constants
         shapes = [(n_hidden, n_in), (n_hidden,), (n_out, n_hidden), (n_out,)]
         count = sum(math.prod(shape) for shape in shapes)
-        buffers = []
-        for name in ("parameters", "RMSprop accumulators"):
-            flat = np.fromfile(f, dtype="<f8", count=count)
-            if flat.size != count:
-                raise CheckpointError(
-                    f"{path}: truncated in the {name} "
-                    f"(sizes {n_in}/{n_hidden}/{n_out})")
-            buffers.append(flat)
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after expected payload")
+        # checked before reading: np.fromfile allocates all `count` floats
+        # first, so a corrupt header would ask for any amount of memory
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != 2 * 8 * count:
+            raise CheckpointError(
+                f"{path}: sizes {n_in}/{n_hidden}/{n_out} need {2 * 8 * count} bytes "
+                f"of parameters and RMSprop accumulators, but {left} follow")
+        buffers = [np.fromfile(f, dtype="<f8", count=count) for _ in range(2)]
     mlp = MLP.__new__(MLP)._bind(buffers[0], shapes)
     opt = RMSprop(mlp, learning_rate=float(lr), decay=float(decay), epsilon=float(eps))
     opt.acc = buffers[1]

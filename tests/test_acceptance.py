@@ -68,9 +68,9 @@ def desk_scale_report():
     rng = np.random.default_rng(DESK_SEED)
     mlp = MLP.init((env.state_size, DESK_AGENT.hidden_size, env.num_actions), rng)
     ag.train(env, mlp, DESK_AGENT, rng, agent_optimizer(mlp, DESK_AGENT))
-    records = ag.test(env, mlp, 100, seed=DESK_TEST_SEED, ga_config=DESK_GA,
-                      max_power_level=12.8)
-    return normalized_throughput(records)
+    phase = ag.test(env, mlp, 100, seed=DESK_TEST_SEED, ga_config=DESK_GA,
+                    max_power_level=12.8)
+    return normalized_throughput(phase)
 
 
 @criterion("1. action space: 72 feasible combinations, brute-force checked, <1s")

@@ -338,16 +338,15 @@ class TestTestProtocol:
     def test_record_count_and_seeds(self, rng):
         env = single_link_env()
         mlp = MLP.init((env.state_size, 4, env.num_actions), rng)
-        records = ag.test(env, mlp, 7, seed=3,
-                          ga_config=GAConfig(population_size=8, generations=5),
-                          max_power_level=8.0)
-        assert len(records) == 7
-        assert len({r.channel_seed for r in records}) == 7
+        phase = ag.test(env, mlp, 7, seed=3,
+                        ga_config=GAConfig(population_size=8, generations=5),
+                        max_power_level=8.0)
+        assert all(len(column) == 7 for column in phase.values())
+        assert len(set(phase["channel_seed"])) == 7
         again = ag.test(env, mlp, 7, seed=3,
                         ga_config=GAConfig(population_size=8, generations=5),
                         max_power_level=8.0)
-        assert [r.channel_seed for r in again] == [r.channel_seed for r in records]
-        assert [r.throughput for r in again] == [r.throughput for r in records]
+        assert again == phase
 
     def test_length_one_episode_falls_back_to_initial_allocation(self, rng):
         env = PowerControlEnv(tiny_config())
@@ -355,13 +354,14 @@ class TestTestProtocol:
         # vector, whose throughput equals the reset baseline -> immediate stop
         mlp = MLP(np.zeros((4, env.state_size)), np.zeros(4),
                   np.zeros((env.num_actions, 4)), np.zeros(env.num_actions))
-        records = ag.test(env, mlp, 4, seed=9,
-                          ga_config=GAConfig(population_size=8, generations=5),
-                          max_power_level=12.8)
-        for rec in records:
-            ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
+        phase = ag.test(env, mlp, 4, seed=9,
+                        ga_config=GAConfig(population_size=8, generations=5),
+                        max_power_level=12.8)
+        assert len(phase["dql_bps"]) == 4
+        for seed, dql in zip(phase["channel_seed"], phase["dql_bps"], strict=True):
+            ctx, _ = env.reset(np.random.default_rng([seed, 0]))
             expected = network_utility(ctx.current_power, ctx.channel)
-            assert rec.throughput["dql"] == pytest.approx(expected, rel=1e-12)
+            assert dql == pytest.approx(expected, rel=1e-12)
 
     def test_trained_single_cell_matches_ga_and_exhaustive(self):
         env = single_link_env()
@@ -371,20 +371,24 @@ class TestTestProtocol:
         rng = np.random.default_rng(5)
         mlp = MLP.init((env.state_size, 8, env.num_actions), rng)
         ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
-        records = ag.test(env, mlp, 5, seed=31,
-                          ga_config=GAConfig(population_size=10, generations=10),
-                          max_power_level=8.0)
-        for rec in records:
-            ctx, _ = env.reset(np.random.default_rng([rec.channel_seed, 0]))
+        phase = ag.test(env, mlp, 5, seed=31,
+                        ga_config=GAConfig(population_size=10, generations=10),
+                        max_power_level=8.0)
+        assert len(phase["channel_seed"]) == 5
+        for seed, dql, ga in zip(phase["channel_seed"], phase["dql_bps"],
+                                 phase["ga_bps"], strict=True):
+            ctx, _ = env.reset(np.random.default_rng([seed, 0]))
             _, best = exhaustive(ctx.channel, env.actions)
-            assert rec.throughput["dql"] == pytest.approx(best, rel=1e-12)
-            assert rec.throughput["ga"] == pytest.approx(best, rel=1e-12)
+            assert dql == pytest.approx(best, rel=1e-12)
+            assert ga == pytest.approx(best, rel=1e-12)
 
     def test_all_throughputs_non_negative(self, rng):
         env = single_link_env()
         mlp = MLP.init((env.state_size, 4, env.num_actions), rng)
-        for rec in ag.test(env, mlp, 3, seed=17,
-                           ga_config=GAConfig(population_size=8, generations=4),
-                           max_power_level=8.0):
-            assert list(rec.throughput) == list(ag.METHODS)
-            assert all(v >= 0.0 for v in rec.throughput.values())
+        phase = ag.test(env, mlp, 3, seed=17,
+                        ga_config=GAConfig(population_size=8, generations=4),
+                        max_power_level=8.0)
+        assert [c for c in phase if c.endswith("_bps")] == [f"{m}_bps" for m in ag.METHODS]
+        for m in ag.METHODS:
+            assert len(phase[f"{m}_bps"]) == 3
+            assert all(v >= 0.0 for v in phase[f"{m}_bps"])

@@ -7,6 +7,8 @@ import pytest
 from cellpower import baselines as baselines_module
 from cellpower.agent import greedy_rollout, sample_seeds
 from cellpower.baselines import (
+    BASELINES,
+    DIAGNOSTICS,
     GAConfig,
     SearchSpaceTooLarge,
     _repair_table,
@@ -487,6 +489,13 @@ class TestScore:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline"):
             self.run("oracle")
+
+    def test_diagnostic_names_are_declared(self):
+        # agent.test files each diagnostic under `<solver>_<key>`
+        for name in BASELINES:
+            _, diagnostics = self.run(name)
+            assert [f"{name}_{key}" for key in diagnostics] == [
+                d for d in DIAGNOSTICS if d.startswith(f"{name}_")]
 
 
 class TestScoredAtTheChannelsGap:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from cellpower import agent as ag
+from cellpower import baselines
 from cellpower.agent import METHODS, AgentConfig
-from cellpower.agent import TestRecord as EvalRecord
-from cellpower.baselines import GAConfig, max_power_baseline, wmmse
+from cellpower.baselines import DIAGNOSTICS, GAConfig, ga_optimize, max_power_baseline, wmmse
 from cellpower.cli import main as cli_main
 from cellpower.env import PowerControlEnv
 from cellpower.harness import (
@@ -30,13 +30,20 @@ from cellpower.harness import (
     spec_from_values,
 )
 from cellpower.netmodel import ConfigError, ScenarioConfig
-from cellpower.qnet import MLP, save_checkpoint
+from cellpower.qnet import MLP, load_checkpoint, save_checkpoint
 
 from conftest import agent_optimizer, tiny_config
 
 
 def record(dql=1.0, ga=1.0, wm=1.0, mx=1.0, rnd=1.0, seed=0):
-    return EvalRecord(seed, (0,), dict(zip(ag.METHODS, (dql, ga, wm, mx, rnd))))
+    """One sample of a test phase: its seed, action and throughputs."""
+    return {"channel_seed": seed, "dql_action": (0,),
+            **{f"{m}_bps": v for m, v in zip(ag.METHODS, (dql, ga, wm, mx, rnd))}}
+
+
+def phase(*records):
+    """The records as the per-sample columns that agent.test returns."""
+    return {key: [r[key] for r in records] for key in record()}
 
 
 def small_spec(out_dir, train_steps=0, n_samples=3, seed=5) -> ExperimentSpec:
@@ -54,31 +61,30 @@ def small_spec(out_dir, train_steps=0, n_samples=3, seed=5) -> ExperimentSpec:
 
 class TestNormalizedThroughput:
     def test_identical_to_ga_gives_mean_one(self):
-        report = normalized_throughput([record(dql=5.0, ga=5.0, seed=i)
-                                        for i in range(4)])
+        report = normalized_throughput(phase(*(record(dql=5.0, ga=5.0, seed=i)
+                                               for i in range(4))))
         assert report.mean["dql"] == pytest.approx(1.0)
         assert report.mean["ga"] == 1.0
 
     def test_two_record_arithmetic(self):
-        recs = [record(dql=0.9, ga=1.0, seed=0), record(dql=1.1, ga=1.0, seed=1)]
-        report = normalized_throughput(recs)
+        report = normalized_throughput(phase(record(dql=0.9, ga=1.0, seed=0),
+                                             record(dql=1.1, ga=1.0, seed=1)))
         assert report.mean["dql"] == pytest.approx(1.0)
 
     def test_zero_ga_record_excluded_with_warning(self):
-        recs = [record(seed=0), record(ga=0.0, seed=1)]
-        with pytest.warns(UserWarning):
-            report = normalized_throughput(recs)
+        with pytest.warns(UserWarning, match="channel seed 1 "):
+            report = normalized_throughput(phase(record(seed=0), record(ga=0.0, seed=1)))
         assert report.excluded == 1
         assert len(report.per_sample["dql"]) == 1
 
     def test_empty_records_give_empty_report(self):
-        report = normalized_throughput([])
+        report = normalized_throughput(phase())
         assert report.per_sample == {m: [] for m in METHODS}
         assert all(np.isnan(report.mean[m]) for m in METHODS)
         assert report.excluded == 0
 
     def test_results_csv_columns(self):
-        text = results_csv([record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9)])
+        text = results_csv(phase(record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9)))
         assert text.split("\n") == [
             "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
             "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm",
@@ -238,6 +244,36 @@ class TestRunExperiment:
             assert on_disk["metadata"][name] is None
         assert on_disk["metadata"]["gradient_steps"] == 33
 
+    def test_empty_phase_writes_header_and_empty_diagnostics(self, tmp_path):
+        # the test phase of every `cellpower train` run
+        spec = small_spec(tmp_path / "run", train_steps=40, n_samples=0)
+        run_experiment(spec)
+        assert open(os.path.join(spec.output_dir, "results.csv")).read() == (
+            "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
+            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm\n")
+        meta = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
+        for name in ("ga_best_generation", "wmmse_iterations", "wmmse_converged"):
+            assert meta[name] == []
+
+    def test_failed_test_phase_keeps_the_trained_network(self, tmp_path, monkeypatch):
+        done = small_spec(tmp_path / "done", train_steps=120, n_samples=0)
+        run_experiment(done)
+        expected, _ = load_checkpoint(os.path.join(done.output_dir, "qnet.ckpt"))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(baselines, "score", fail)
+        spec = small_spec(tmp_path / "run", train_steps=120)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            run_experiment(spec)
+        assert os.path.exists(os.path.join(spec.output_dir, "training_log.csv"))
+        kept, _ = load_checkpoint(os.path.join(spec.output_dir, "qnet.ckpt"))
+        assert np.array_equal(kept.flat, expected.flat)
+        initial = MLP.init(kept.layer_sizes, np.random.default_rng([spec.master_seed, 10]))
+        assert not np.array_equal(kept.flat, initial.flat)
+
     def test_target_rows_evaluated_in_metadata_only(self, tmp_path):
         spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
         report = run_experiment(spec)
@@ -258,12 +294,15 @@ class TestRunExperiment:
         with open(os.path.join(spec.output_dir, "results.csv")) as f:
             seeds = [int(line.split(",")[1]) for line in f.read().splitlines()[1:]]
         env = PowerControlEnv(spec.config)
-        assert len(meta["wmmse_iterations"]) == len(meta["wmmse_converged"]) == 3
+        assert all(len(meta[name]) == 3 for name in DIAGNOSTICS)
         for i, seed in enumerate(seeds):
             ctx, _ = env.reset(np.random.default_rng([seed, 0]))
             res = wmmse(ctx.channel, spec.config.max_power)
             assert meta["wmmse_iterations"][i] == res.iterations
             assert meta["wmmse_converged"][i] is res.converged
+            _, _, generation = ga_optimize(ctx.channel, spec.config, spec.ga,
+                                           np.random.default_rng([seed, 1]))
+            assert meta["ga_best_generation"][i] == generation
 
     def test_reference_scenario_dimensions_in_metadata(self, tmp_path):
         spec = small_spec(tmp_path / "run", n_samples=1)
@@ -326,7 +365,6 @@ class TestRunExperiment:
                     best = thr
             return ctx, best
 
-        from cellpower.baselines import ga_optimize
         seeds = np.random.default_rng(77).integers(0, 2 ** 63 - 1, size=25)
         ratios = []
         for s in (int(v) for v in seeds):
@@ -348,24 +386,26 @@ class TestPerSampleFairness:
         env = PowerControlEnv(spec.config)
         mlp = MLP.init((env.state_size, 8, env.num_actions),
                        np.random.default_rng(0))
-        records = ag.test(env, mlp, 4, seed=55, ga_config=spec.ga,
-                          max_power_level=spec.max_power_level)
-        for rec in records:
-            rng = np.random.default_rng([rec.channel_seed, 0])
+        test_phase = ag.test(env, mlp, 4, seed=55, ga_config=spec.ga,
+                             max_power_level=spec.max_power_level)
+        assert len(test_phase["channel_seed"]) == 4
+        for seed, maxpower_bps, random_bps in zip(test_phase["channel_seed"],
+                                                  test_phase["maxpower_bps"],
+                                                  test_phase["random_bps"], strict=True):
+            rng = np.random.default_rng([seed, 0])
             dist = build_topology(spec.config, rng)
             channel = draw_channel(dist, spec.config, rng)
             maxp = max_power_baseline(spec.config, spec.max_power_level)
-            assert rec.throughput["maxpower"] == pytest.approx(
+            assert maxpower_bps == pytest.approx(
                 network_utility(maxp, channel), rel=1e-12)
             rand = random_power_baseline(env.actions, 2,
-                                         np.random.default_rng([rec.channel_seed, 2]))
-            assert rec.throughput["random"] == pytest.approx(
+                                         np.random.default_rng([seed, 2]))
+            assert random_bps == pytest.approx(
                 network_utility(rand, channel), rel=1e-12)
 
     def test_report_means_are_arithmetic_means(self):
-        recs = [record(dql=0.5, seed=0), record(dql=0.7, seed=1),
-                record(dql=1.2, seed=2)]
-        report = normalized_throughput(recs)
+        report = normalized_throughput(phase(record(dql=0.5, seed=0), record(dql=0.7, seed=1),
+                                             record(dql=1.2, seed=2)))
         assert report.mean["dql"] == pytest.approx(
             sum(report.per_sample["dql"]) / 3)
 

@@ -579,14 +579,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_corrupt_header_rejected(self, tmp_path, rng):
+    # the oversized header implies a 32 TB payload, and np.fromfile allocates
+    # what it is asked to read before reading it
+    @pytest.mark.parametrize("sizes", [(0, 4, 2), (10 ** 6, 10 ** 6, 10 ** 6)],
+                             ids=["zero_input", "oversized"])
+    def test_corrupt_header_rejected(self, tmp_path, rng, sizes):
         mlp = MLP.init((3, 4, 2), rng)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
         data = bytearray(path.read_bytes())
-        data[8:16] = np.array([0], dtype="<i8").tobytes()     # input size 0
+        data[8:32] = np.array(sizes, dtype="<i8").tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="net.ckpt"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path, rng):
