@@ -107,31 +107,28 @@ def bellman_targets(target_net: MLP, buffer: ReplayBuffer, rows: np.ndarray,
     return y, len(stale)
 
 
-@dataclass
-class EpisodeLog:
-    step: int          # global env step at which the episode ended
-    episode: int
-    epsilon: float
-    loss: float        # mean training loss over the episode (nan before training starts)
-    length: int
-    throughput_bps: float  # peak throughput reached within the episode
-    q_mean: float      # mean over the episode's steps and cells of max_a Q_k(s, a)
-    q_max: float       # the largest of those greedy values
-    gradient_steps: int  # cumulative, at the episode's end
-    buffer_fill: int     # replay transitions held at the episode's end
-
-
-@dataclass
-class TrainResult:
-    episodes: list
-    gradient_steps: int
-    target_rows_evaluated: int   # next states the target network evaluated
+# Columns of the training log, one entry per episode, in the order of
+# training_log.csv.
+TRAINING_LOG = (
+    "step",            # global env step at which the episode ended
+    "episode",
+    "epsilon",
+    "loss",            # mean training loss over the episode (nan before training starts)
+    "length",
+    "throughput_bps",  # peak throughput reached within the episode
+    "q_mean",          # mean over the episode's steps and cells of max_a Q_k(s, a)
+    "q_max",           # the largest of those greedy values
+    "gradient_steps",  # cumulative, at the episode's end
+    "buffer_fill",     # replay transitions held at the episode's end
+)
 
 
 def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
-          rng: np.random.Generator, opt: RMSprop, on_step=None) -> TrainResult:
+          rng: np.random.Generator, opt: RMSprop, on_step=None) -> tuple[dict, int]:
     """Run episodic epsilon-greedy training until config.train_steps env
     steps, replaying from a ring of config.replay_capacity transitions.
+    Returns the training log, a dict of the TRAINING_LOG columns, and the
+    number of next states the target network evaluated.
 
     on_step, if given, is called after every environment step as
     on_step(step, grad_steps, mlp, target); used for interval checkpoints
@@ -142,7 +139,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
     buffer = ReplayBuffer(config.replay_capacity)
     target = mlp.clone()
 
-    episodes = []
+    log = {name: [] for name in TRAINING_LOG}
     step = 0
     grad_steps = 0
     target_rows = 0
@@ -188,11 +185,11 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
 
         mean_loss = float(np.mean(ep_losses)) if ep_losses else float("nan")
         greedy = np.concatenate(ep_greedy)
-        episodes.append(EpisodeLog(step, episode, config.epsilon_at(step),
-                                   mean_loss, ep_len, ep_peak,
-                                   float(greedy.mean()), float(greedy.max()),
-                                   grad_steps, len(buffer)))
-    return TrainResult(episodes, grad_steps, target_rows)
+        row = (step, episode, config.epsilon_at(step), mean_loss, ep_len, ep_peak,
+               float(greedy.mean()), float(greedy.max()), grad_steps, len(buffer))
+        for name, value in zip(TRAINING_LOG, row, strict=True):
+            log[name].append(value)
+    return log, target_rows
 
 
 # The compared methods: the greedy policy, then the reference solvers that

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 import time
 import types
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agent as agent_mod
-from .agent import METHODS, AgentConfig, EpisodeLog
+from .agent import METHODS, AgentConfig
 from .baselines import DIAGNOSTICS, GAConfig, max_power_baseline
 from .env import PowerControlEnv
 from .netmodel import ConfigError, ScenarioConfig, check_intervals
@@ -46,7 +45,9 @@ class ExperimentSpec:
     max_power_level: float = 12.8
     terminal_reward: float = -1.0
     max_episode_steps: int = 500
-    checkpoint: str | None = None    # resume/evaluate instead of fresh training
+    # a network to evaluate: a run with a checkpoint never trains, and
+    # ignores train_steps and checkpoint_interval
+    checkpoint: str | None = None
     checkpoint_interval: int | None = None   # env steps between periodic saves
 
     def __post_init__(self):
@@ -216,36 +217,34 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-def csv_text(header, rows) -> str:
-    """One comma-separated line for the header and for each row; text is
-    written as is and every other value as its repr."""
-    lines = [",".join(header)]
-    lines += [",".join([v if isinstance(v, str) else repr(v) for v in row]) for row in rows]
+def csv_text(columns: dict) -> str:
+    """A table of equal-length columns as CSV: the keys are the header and
+    row i holds entry i of every column; text is written as is and every
+    other value as its repr. Columns of different lengths are a ValueError."""
+    lines = [",".join(columns)]
+    lines += [",".join([v if isinstance(v, str) else repr(v) for v in row])
+              for row in zip(*columns.values(), strict=True)]
     return "\n".join(lines) + "\n"
 
 
-def training_log_csv(episodes: list) -> str:
-    header = [f.name for f in dataclasses.fields(EpisodeLog)]
-    return csv_text(header, map(operator.attrgetter(*header), episodes))
-
-
 def results_csv(phase: dict) -> str:
-    normalized = [m for m in METHODS if m != "ga"]
     ga = phase["ga_bps"]
-    ratios = [[t / g if g > 0 else float("nan") for t, g in zip(phase[f"{m}_bps"], ga)]
-              for m in normalized]
-    actions = ["|".join(str(a) for a in action) for action in phase["dql_action"]]
-    header = (["sample", "channel_seed", "dql_action"] + [f"{m}_bps" for m in METHODS]
-              + [f"{m}_norm" for m in normalized])
-    return csv_text(header, zip(range(len(ga)), phase["channel_seed"], actions,
-                                *(phase[f"{m}_bps"] for m in METHODS), *ratios))
+    return csv_text({
+        "sample": range(len(ga)),
+        "channel_seed": phase["channel_seed"],
+        "dql_action": ["|".join(str(a) for a in action) for action in phase["dql_action"]],
+        **{f"{m}_bps": phase[f"{m}_bps"] for m in METHODS},
+        **{f"{m}_norm": [t / g if g > 0 else float("nan")
+                         for t, g in zip(phase[f"{m}_bps"], ga, strict=True)]
+           for m in METHODS if m != "ga"},
+    })
 
 
 def actions_to_csv(actions: np.ndarray) -> str:
     """Action table as CSV: index, per-subband powers, per-cell total."""
-    header = ["action"] + [f"p{f}_w" for f in range(actions.shape[1])] + ["total_w"]
-    return csv_text(header, ([i, *row.tolist(), float(row.sum())]
-                             for i, row in enumerate(actions)))
+    return csv_text({"action": range(len(actions)),
+                     **{f"p{f}_w": actions[:, f].tolist() for f in range(actions.shape[1])},
+                     "total_w": actions.sum(axis=1).tolist()})
 
 
 def load_network(path, expected_sizes) -> tuple[MLP, RMSprop]:
@@ -284,8 +283,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     env = build_env(spec)
     sizes = network_sizes(spec, env)
 
-    episodes = []
-    grad_steps = target_rows = 0
+    log, target_rows = {}, 0
     if spec.checkpoint:
         mlp, opt = load_network(spec.checkpoint, sizes)
     else:
@@ -295,18 +293,14 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         if spec.agent.train_steps > 0:
             on_step = None
             if spec.checkpoint_interval:
-                def on_step(step, gs, net, target, _opt=opt):
+                def on_step(step, gs, net, target):
                     if step % spec.checkpoint_interval == 0:
                         save_checkpoint(os.path.join(
-                            spec.output_dir, f"qnet_step{step}.ckpt"), net, _opt)
-            result = agent_mod.train(env, mlp, spec.agent,
-                                     np.random.default_rng([spec.master_seed, 11]),
-                                     opt=opt, on_step=on_step)
-            episodes = result.episodes
-            grad_steps = result.gradient_steps
-            target_rows = result.target_rows_evaluated
-            _write_text(os.path.join(spec.output_dir, "training_log.csv"),
-                        training_log_csv(episodes))
+                            spec.output_dir, f"qnet_step{step}.ckpt"), net, opt)
+            log, target_rows = agent_mod.train(
+                env, mlp, spec.agent, np.random.default_rng([spec.master_seed, 11]),
+                opt=opt, on_step=on_step)
+            _write_text(os.path.join(spec.output_dir, "training_log.csv"), csv_text(log))
     # saved before testing, so that a failed test phase keeps the network
     save_checkpoint(os.path.join(spec.output_dir, "qnet.ckpt"), mlp, opt)
 
@@ -325,9 +319,9 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "actions_per_cell": len(env.actions),
         "n_test_samples": spec.n_test_samples,
         "train_steps": 0 if spec.checkpoint else spec.agent.train_steps,
-        "gradient_steps": grad_steps,
+        "gradient_steps": log["gradient_steps"][-1] if log else 0,
         "target_rows_evaluated": target_rows,
-        "episodes": len(episodes),
+        "episodes": len(log["episode"]) if log else 0,
         **{name: phase[name] for name in DIAGNOSTICS},
         # both nan when no sample ran (null in report.json)
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,

@@ -233,11 +233,12 @@ class TestTargetCache:
             return y, evaluated
 
         monkeypatch.setattr(ag, "bellman_targets", checked)
-        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
-        assert len(calls) == result.gradient_steps
-        assert result.target_rows_evaluated == sum(calls)
+        log, target_rows = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        gradient_steps = log["gradient_steps"][-1]
+        assert len(calls) == gradient_steps
+        assert target_rows == sum(calls)
         # between clones the cache is hit: fewer rows than draws
-        assert 0 < sum(calls) < result.gradient_steps * cfg.batch_size
+        assert 0 < sum(calls) < gradient_steps * cfg.batch_size
 
 
 class TestTraining:
@@ -260,10 +261,10 @@ class TestTraining:
         cfg = AgentConfig(train_steps=50, batch_size=8, train_start=8,
                           target_update_steps=10)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        log, _ = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         # the first gradient step comes at the env step that fills the buffer
         # to train_start, and every later env step takes one more
-        assert result.gradient_steps == cfg.train_steps - cfg.train_start + 1
+        assert log["gradient_steps"][-1] == cfg.train_steps - cfg.train_start + 1
 
     def test_target_network_changes_only_at_clone_instants(self, rng):
         env = single_link_env()
@@ -305,11 +306,10 @@ class TestTraining:
         cfg = AgentConfig(train_steps=200, batch_size=8, train_start=8,
                           target_update_steps=20)
         mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
-        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
-        assert sum(e.length for e in result.episodes) == 200
-        assert [e.episode for e in result.episodes] == list(
-            range(1, len(result.episodes) + 1))
-        assert all(e.throughput_bps > 0 for e in result.episodes)
+        log, _ = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        assert sum(log["length"]) == 200
+        assert log["episode"] == list(range(1, len(log["episode"]) + 1))
+        assert all(t > 0 for t in log["throughput_bps"])
 
 
     def test_training_log_learning_signal(self, rng):
@@ -320,18 +320,21 @@ class TestTraining:
         # record the action values of every step's single-state forward pass
         forward, seen = mlp.forward, []
         mlp.forward = lambda state: seen.append(forward(state)) or seen[-1]
-        result = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
-        last = result.episodes[-1]
-        assert last.gradient_steps == result.gradient_steps
-        assert len(seen) == last.step == cfg.train_steps
+        counted = []    # the trainer's own gradient-step count, after each env step
+        log, _ = ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg),
+                          on_step=lambda step, gs, net, target: counted.append(gs))
+        assert log["gradient_steps"][-1] == counted[-1]
+        assert len(seen) == log["step"][-1] == cfg.train_steps
         start = 0
-        for e in result.episodes:
-            assert e.buffer_fill == min(e.step, cfg.replay_capacity)
+        for step, length, q_mean, q_max, buffer_fill in zip(
+                log["step"], log["length"], log["q_mean"], log["q_max"],
+                log["buffer_fill"], strict=True):
+            assert buffer_fill == min(step, cfg.replay_capacity)
             greedy = [q.reshape(2, -1).max(axis=1)
-                      for q in seen[start:start + e.length]]
-            assert e.q_mean == pytest.approx(np.mean(greedy), rel=1e-12)
-            assert e.q_max == np.max(greedy)
-            start += e.length
+                      for q in seen[start:start + length]]
+            assert q_mean == pytest.approx(np.mean(greedy), rel=1e-12)
+            assert q_max == np.max(greedy)
+            start += length
 
 
 class TestTestProtocol:

@@ -19,6 +19,7 @@ from cellpower.harness import (
     ExperimentSpec,
     build_env,
     config_hash,
+    csv_text,
     load_network,
     network_sizes,
     normalized_throughput,
@@ -89,6 +90,15 @@ class TestNormalizedThroughput:
             "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
             "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm",
             "0,9,0,2.0,4.0,3.0,1.0,1.0,0.5,0.75,0.25,0.25", ""]
+
+    def test_csv_text_needs_equal_length_columns(self):
+        assert csv_text({"a": [], "b": []}) == "a,b\n"
+        with pytest.raises(ValueError):
+            csv_text({"a": [1, 2], "b": [3]})
+        short = phase(record(seed=1), record(seed=2))
+        short["channel_seed"].pop()
+        with pytest.raises(ValueError):
+            results_csv(short)
 
 
 class TestPresets:
@@ -335,6 +345,27 @@ class TestRunExperiment:
                           "q_mean,q_max,gradient_steps,buffer_fill")
         assert rows
         assert int(rows[-1].split(",")[0]) == 120
+
+    def test_training_log_columns_match_report(self, tmp_path, monkeypatch):
+        returned, train = [], ag.train
+
+        def recorded(*args, **kwargs):
+            returned.append(train(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(ag, "train", recorded)
+        spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
+        run_experiment(spec)
+        [(log, _)] = returned
+        episodes = len(log["episode"])
+        assert list(log) == list(ag.TRAINING_LOG)
+        assert all(len(log[name]) == episodes for name in ag.TRAINING_LOG)
+        meta = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
+        assert meta["gradient_steps"] == log["gradient_steps"][-1]
+        assert meta["episodes"] == episodes
+        # the columns that perfbench/checks.py reads from training_log.csv
+        assert {"step", "episode", "loss", "length"} <= set(ag.TRAINING_LOG)
 
     def test_interval_checkpoints_written(self, tmp_path):
         spec = small_spec(tmp_path / "run", train_steps=100)
