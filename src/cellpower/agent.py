@@ -98,7 +98,7 @@ def bellman_targets(target_net: MLP, buffer: ReplayBuffer, rows: np.ndarray,
     # about 1.5 MiB of memory together
     stale = sorted(set(rows[bootstrap & ~buffer.fresh[rows]].tolist()))
     if stale:
-        q_next = target_net.forward(buffer.next_state[stale])
+        q_next = target_net.forward(buffer.states(stale, offset=1))
         buffer.target_max[stale] = q_next.reshape(
             len(stale), num_cells, -1).max(axis=2)
         buffer.fresh[stale] = True
@@ -136,7 +136,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
     """
     num_cells = env.config.num_cells
     train_start = config.resolved_train_start()
-    buffer = ReplayBuffer(config.replay_capacity)
+    buffer = ReplayBuffer(config.replay_capacity, env.state_scale)
     target = mlp.clone()
 
     log = {name: [] for name in TRAINING_LOG}

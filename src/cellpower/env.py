@@ -11,6 +11,7 @@ import numpy as np
 
 from .netmodel import (
     BUDGET_TOL,
+    CQI_LEVELS,
     ChannelRealization,
     ConfigError,
     ScenarioConfig,
@@ -69,6 +70,8 @@ class PowerControlEnv:
                                          config.max_power)
         self.terminal_reward = terminal_reward
         self.max_episode_steps = max_episode_steps
+        per_user = [float(CQI_LEVELS)] * config.num_subbands + [1.0]  # encode_state divisors
+        self.state_scale = np.array(per_user * (config.num_cells * config.users_per_cell))
 
     @property
     def state_size(self) -> int:
@@ -104,7 +107,7 @@ class PowerControlEnv:
         """
         if sinr is None:
             sinr = serving_sinr(ctx.current_power, ctx.channel)
-        cqi = cqi_quantize_array(sinr) / 15.0                   # (K*U, F)
+        cqi = cqi_quantize_array(sinr) / float(CQI_LEVELS)     # (K*U, F)
         return np.concatenate([cqi, ctx.edge[:, None]], axis=1).reshape(-1)
 
     def step(self, ctx: EpisodeContext, joint_action):

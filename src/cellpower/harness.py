@@ -150,13 +150,15 @@ def spec_from_values(values: dict) -> ExperimentSpec:
 
 
 def config_hash(spec: ExperimentSpec) -> str:
-    parts = []
-    for prefix, cfg in (("scenario", spec.config), ("agent", spec.agent),
-                        ("ga", spec.ga)):
-        for f in dataclasses.fields(cfg):
-            parts.append(f"{prefix}.{f.name}={getattr(cfg, f.name)!r}")
-    for name in sorted(SPEC_KEYS - {"output_dir", "checkpoint"}):
-        parts.append(f"{name}={getattr(spec, name)!r}")
+    ignored, parts = {"output_dir", "checkpoint"}, []
+    if spec.checkpoint:    # its bytes stand in for the keys a checkpoint run ignores
+        ignored |= {"agent.train_steps", "checkpoint_interval"}
+        with open(spec.checkpoint, "rb") as f:
+            parts.append(f"checkpoint={hashlib.file_digest(f, 'sha256').hexdigest()}")
+    parts += [f"{prefix}.{f.name}={getattr(cfg, f.name)!r}" for prefix, cfg in
+              (("scenario", spec.config), ("agent", spec.agent), ("ga", spec.ga))
+              for f in dataclasses.fields(cfg) if f"{prefix}.{f.name}" not in ignored]
+    parts += [f"{name}={getattr(spec, name)!r}" for name in SPEC_KEYS - ignored]
     return hashlib.sha256("\n".join(sorted(parts)).encode()).hexdigest()
 
 

@@ -4,54 +4,63 @@ import numpy as np
 
 
 class ReplayBuffer:
-    """Ring of row-aligned arrays, allocated by the first push (which fixes
-    the widths) with np.empty, so a row costs memory once written.
-    Push i writes row i % capacity, overwriting the oldest once full.
+    """Ring of transitions that stores each state once, as uint8 codes that
+    decode bit for bit: entry j is code j / scale[j], with `scale` the env's
+    state_scale. Push p fills row p % capacity, records p in `push_no` and
+    keeps its state in code slot p % (capacity + 1) and its next state in
+    the following slot, which is push p + 1's state (unless row p is
+    terminal: then push p + 1 overwrites it, and no target reads it).
+    `target_max` (capacity, K) caches the target network's per-cell block
+    maxima at each next state, valid where `fresh` is set."""
 
-    Five arrays hold the transitions: state, action, reward, next_state and
-    terminal. Two more cache the frozen target network's view of each next
-    state for agent.bellman_targets: `target_max` (capacity, K) holds its
-    per-cell block maxima, valid only where `fresh` is set. A push clears
-    its row's flag; the trainer clears every flag when it clones the
-    target network.
-    """
-
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, scale: np.ndarray):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.pushes = 0
-        self.state = self.action = self.reward = None
-        self.next_state = self.terminal = None
-        self.target_max = self.fresh = None
+        self.capacity, self.scale, self.pushes = capacity, scale, 0
+        self.codes = None    # the first push makes it and the rest with np.empty
 
     def __len__(self):
         return min(self.pushes, self.capacity)
 
+    def _encode(self, s: np.ndarray, name: str) -> np.ndarray:
+        """The codes of float64 state `s`; a ValueError unless they decode to it."""
+        codes = (s * self.scale).astype(np.uint8)
+        decoded = codes / self.scale
+        if decoded.tobytes() != s.tobytes():    # bit for bit, and cheaper than .any()
+            j = np.flatnonzero(decoded.view(np.int64) != s.view(np.int64))[0]
+            raise ValueError(f"{name} column {j} is {s[j]!r}, not a code in 0..255 "
+                             f"over {self.scale[j]:g}")
+        return codes
+
     def push(self, state, action, reward, next_state, terminal) -> None:
-        c = self.capacity
-        if self.state is None:
-            self.state = np.empty((c, len(state)))
-            self.action = np.empty((c, len(action)), dtype=int)
-            self.reward = np.empty(c)
-            self.next_state = np.empty((c, len(next_state)))
-            self.terminal = np.empty(c, dtype=bool)
-            self.target_max = np.empty((c, len(action)))
-            self.fresh = np.empty(c, dtype=bool)
-        i = self.pushes % c
-        self.state[i] = state
-        self.action[i] = action
-        self.reward[i] = reward
-        self.next_state[i] = next_state
-        self.terminal[i] = terminal
-        self.fresh[i] = False
+        c, k = self.capacity, len(action)
+        if self.codes is None:
+            self.codes = np.empty((c + 1, len(self.scale)), np.uint8)
+            self.push_no, self.action = np.empty(c, np.int64), np.empty((c, k), int)
+            self.reward, self.target_max = np.empty(c), np.empty((c, k))
+            self.terminal, self.fresh = np.empty(c, bool), np.empty(c, bool)
+        p, i = self.pushes, self.pushes % c
+        s = np.asarray(state, dtype=np.float64)
+        if p and not self.terminal[(p - 1) % c]:       # then s is in its slot already
+            if s.tobytes() != self._next:
+                raise ValueError(f"push {p}'s state is not the next state of push {p - 1}")
+        else:
+            self.codes[p % (c + 1)] = self._encode(s, "state")
+        s = np.asarray(next_state, dtype=np.float64)
+        self.codes[(p + 1) % (c + 1)], self._next = self._encode(s, "next_state"), s.tobytes()
+        self.push_no[i], self.action[i], self.reward[i] = p, action, reward
+        self.terminal[i], self.fresh[i] = terminal, False
         self.pushes += 1
+
+    def states(self, rows, offset: int) -> np.ndarray:
+        """The float64 states (offset 0) or next states (offset 1) of rows `rows`."""
+        slots = self.push_no[rows] + offset if offset else self.push_no[rows]
+        return self.codes.take(slots % (self.capacity + 1), axis=0) / self.scale
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
         """(states, actions, rows) of batch_size rows drawn uniformly with
-        replacement; `rows` are their row numbers, which index reward,
-        next_state, terminal and the target cache."""
+        replacement; `rows` index reward, terminal, states and target_max."""
         if batch_size > len(self):
             raise ValueError(f"buffer holds {len(self)} < batch size {batch_size}")
         rows = rng.integers(0, len(self), size=batch_size)
-        return self.state[rows], self.action[rows], rows
+        return self.states(rows, offset=0), self.action[rows], rows

@@ -228,28 +228,35 @@ def test_criterion_9_episode_semantics():
 @criterion("10. replay model-equivalence (1e5 ops) and stable target hashes (1e4 steps)")
 def test_criterion_10_replay_and_target():
     # replay: mirror a naive list model through 1e5 mixed push/sample ops;
-    # push number i is written into every field of its row
+    # push number i is written into the action and reward of its row, and
+    # its state and next state code i and i + 1 as base-16 digits
+    scale = np.array([15.0, 1.0])       # a CQI column and a cell-edge column
+
+    def coded(ids):
+        return (np.asarray(ids)[..., None] // 16 ** np.arange(2) % 16) / scale
+
     def push_numbers(rows):
         states, actions, rewards, next_states, terminals = rows
-        assert np.array_equal(states[:, 0], rewards)
+        assert np.array_equal(states, coded(rewards.astype(int)))
         assert np.array_equal(actions[:, 0], rewards)
-        assert np.array_equal(next_states[:, 0], rewards + 0.5)
+        assert np.array_equal(next_states, coded(rewards.astype(int) + 1))
         assert np.array_equal(terminals, rewards % 2 == 1)
         return [int(r) for r in rewards]
 
     def stored(buf):
-        n = len(buf)
-        return sorted(push_numbers((buf.state[:n], buf.action[:n], buf.reward[:n],
-                                    buf.next_state[:n], buf.terminal[:n])))
+        rows = np.arange(len(buf))
+        return sorted(push_numbers((buf.states(rows, offset=0), buf.action[rows],
+                                    buf.reward[rows], buf.states(rows, offset=1),
+                                    buf.terminal[rows])))
 
     rng = np.random.default_rng(17)
-    buf = ReplayBuffer(37)
+    buf = ReplayBuffer(37, scale)
     mirror = []
     counter = 0
     for _ in range(100_000):
         if len(buf) == 0 or rng.random() < 0.6:
-            buf.push(np.full(2, float(counter)), (counter,), float(counter),
-                     np.full(2, counter + 0.5), counter % 2 == 1)
+            buf.push(coded(counter), (counter,), float(counter),
+                     coded(counter + 1), counter % 2 == 1)
             mirror.append(counter)
             counter += 1
         else:
@@ -257,7 +264,7 @@ def test_criterion_10_replay_and_target():
                 int(rng.integers(1, min(len(buf), 8) + 1)), rng)
             recent = set(mirror[-37:])
             assert all(item in recent for item in push_numbers(
-                (states, actions, buf.reward[rows], buf.next_state[rows],
+                (states, actions, buf.reward[rows], buf.states(rows, offset=1),
                  buf.terminal[rows])))
         if counter % 997 == 0:
             assert stored(buf) == mirror[-37:]

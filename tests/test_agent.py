@@ -110,22 +110,27 @@ class TestEpsilonSchedule:
 
 def filled_buffer(rng, net, n, terminals=None, exact=False):
     """A replay buffer holding n two-cell transitions with random rewards
-    and next states (small integers if `exact`) for `net`, and about a
-    third of them terminal unless `terminals` is given."""
+    and random code-grid next states for `net` (small integers if `exact`,
+    else CQI indices over 15), each push starting from the previous push's
+    next state, and about a third of them terminal unless `terminals` is
+    given."""
     in_size = net.layer_sizes[0]
     if terminals is None:
         terminals = rng.random(n) < 1 / 3
-    buf = ReplayBuffer(n)
+    scale = np.full(in_size, 1.0 if exact else 15.0)
+    buf = ReplayBuffer(n, scale)
+    state = np.zeros(in_size)
     for terminal in terminals:
-        next_state = (rng.integers(-4, 5, size=in_size).astype(float) if exact
-                      else rng.random(in_size))
-        buf.push(np.zeros(in_size), np.zeros(2, dtype=int),
+        next_state = (rng.integers(0, 9, size=in_size) if exact
+                      else rng.integers(1, 16, size=in_size)) / scale
+        buf.push(state, np.zeros(2, dtype=int),
                  rng.choice([-1.0, 1.0]), next_state, terminal)
+        state = next_state
     return buf
 
 
 def uncached_targets(net, buf, rows, discount, num_cells=2):
-    return reference_bellman_targets(net, buf.reward[rows], buf.next_state[rows],
+    return reference_bellman_targets(net, buf.reward[rows], buf.states(rows, offset=1),
                                      buf.terminal[rows], discount, num_cells)
 
 
@@ -153,7 +158,7 @@ class TestBellmanTargets:
         gamma = 0.97
         y, _ = bellman_targets(net, buf, np.arange(6), gamma, 2)
         for i in range(6):
-            q = net.forward(buf.next_state[i])
+            q = net.forward(buf.states(i, offset=1))
             for k in range(2):
                 expected = buf.reward[i] if buf.terminal[i] else (
                     buf.reward[i] + gamma * max(q[4 * k: 4 * (k + 1)]))
@@ -202,7 +207,7 @@ class TestTargetCache:
         rows = np.arange(4)
         assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 4
         assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 0
-        buf.push(np.zeros(6), (0, 0), 1.0, np.full(6, 3.0), False)   # row 0
+        buf.push(buf.states(3, offset=1), (0, 0), 1.0, np.full(6, 3.0), False)   # row 0
         y, evaluated = bellman_targets(net, buf, rows, 0.9, 2)
         assert evaluated == 1
         np.testing.assert_array_equal(y, uncached_targets(net, buf, rows, 0.9))

@@ -207,6 +207,32 @@ class TestConfigHash:
         assert config_hash(other) != h0
         assert config_hash(copy.deepcopy(spec)) == h0
 
+    def test_checkpoint_run_hashes_the_network_not_ignored_keys(self, tmp_path):
+        # a checkpoint run evaluates the file's network and never trains, so
+        # its hash follows the checkpoint's bytes and not train_steps or
+        # checkpoint_interval
+        paths = []
+        for steps in (40, 80):
+            trained = small_spec(tmp_path / f"train{steps}", train_steps=steps,
+                                 n_samples=0)
+            run_experiment(trained)
+            paths.append(os.path.join(trained.output_dir, "qnet.ckpt"))
+
+        def hashed(path, train_steps, interval=None):
+            spec = small_spec(tmp_path / "eval", train_steps=train_steps)
+            spec.checkpoint, spec.checkpoint_interval = path, interval
+            return config_hash(spec)
+
+        assert hashed(paths[0], 100) != hashed(paths[1], 100)
+        assert hashed(paths[0], 100) == hashed(paths[0], 200) == hashed(paths[0], 100, 50)
+        # a training run still hashes both keys
+        spec = small_spec(tmp_path / "train", train_steps=100)
+        h0 = config_hash(spec)
+        spec.agent.train_steps = 200
+        assert config_hash(spec) != h0
+        spec.checkpoint_interval = 50
+        assert config_hash(spec) not in {h0, hashed(paths[0], 200)}
+
 
 class TestRunExperiment:
     def test_artifacts_and_metadata(self, tmp_path):

@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
 
+from cellpower.env import PowerControlEnv
+from cellpower.harness import scenario_preset
 from cellpower.replay import ReplayBuffer
 
-STATE_SIZE = 3
+from conftest import tiny_config
+
+# two CQI columns and a cell-edge column, as in encode_state
+STATE_SCALE = np.array([15.0, 15.0, 1.0])
+STATE_SIZE = len(STATE_SCALE)
 NUM_CELLS = 2
 
 
+def coded(ids):
+    """The states whose codes are the base-16 digits of push numbers `ids`
+    (modulo 16^STATE_SIZE), least significant first."""
+    ids = np.asarray(ids)
+    return (ids[..., None] // 16 ** np.arange(STATE_SIZE) % 16) / STATE_SCALE
+
+
 def push(buf, i):
-    """Push transition number i, with i written into every field."""
-    buf.push(np.full(STATE_SIZE, float(i)), np.full(NUM_CELLS, i), float(i),
-             np.full(STATE_SIZE, i + 0.5), i % 2 == 1)
+    """Push transition number i: i is written into its action and reward,
+    its state codes i and its next state i + 1, so consecutive pushes
+    chain, and odd pushes are terminal."""
+    buf.push(coded(i), np.full(NUM_CELLS, i), float(i), coded(i + 1), i % 2 == 1)
 
 
 def push_numbers(rows):
@@ -20,10 +34,9 @@ def push_numbers(rows):
     states, actions, rewards, next_states, terminals = rows
     ids = rewards.astype(int)
     assert np.array_equal(rewards, ids)
-    assert np.array_equal(states, np.repeat(ids[:, None], STATE_SIZE, axis=1))
+    assert np.array_equal(states, coded(ids))
     assert np.array_equal(actions, np.repeat(ids[:, None], NUM_CELLS, axis=1))
-    assert np.array_equal(next_states,
-                          np.repeat(ids[:, None] + 0.5, STATE_SIZE, axis=1))
+    assert np.array_equal(next_states, coded(ids + 1))
     assert np.array_equal(terminals, ids % 2 == 1)
     return [int(i) for i in ids]
 
@@ -32,43 +45,43 @@ def sampled(buf, batch):
     """A sample's (states, actions, rows) with the rows' rewards, next
     states and terminal flags read from the buffer."""
     states, actions, rows = batch
-    return (states, actions, buf.reward[rows], buf.next_state[rows],
+    return (states, actions, buf.reward[rows], buf.states(rows, offset=1),
             buf.terminal[rows])
 
 
 def stored(buf):
     """Push numbers of the rows the buffer holds, in row order."""
-    n = len(buf)
-    return push_numbers((buf.state[:n], buf.action[:n], buf.reward[:n],
-                         buf.next_state[:n], buf.terminal[:n]))
+    rows = np.arange(len(buf))
+    return push_numbers((buf.states(rows, offset=0), buf.action[rows], buf.reward[rows],
+                         buf.states(rows, offset=1), buf.terminal[rows]))
 
 
 def test_push_to_empty():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, STATE_SCALE)
     push(buf, 0)
     assert len(buf) == 1
     assert stored(buf) == [0]
 
 
 def test_fifo_eviction():
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, STATE_SCALE)
     for i in range(3):
         push(buf, i)
     assert sorted(stored(buf)) == [1, 2]
 
 
 def test_size_saturates_at_capacity():
-    buf = ReplayBuffer(5)
+    buf = ReplayBuffer(5, STATE_SCALE)
     for i in range(5):
         push(buf, i)
     assert len(buf) == 5
-    push(buf, 99)
+    push(buf, 5)
     assert len(buf) == 5
 
 
 def test_model_equivalence_against_naive_list(rng):
     """Contents always equal the last min(N, pushes) items."""
-    buf = ReplayBuffer(7)
+    buf = ReplayBuffer(7, STATE_SCALE)
     mirror = []
     for i in range(500):
         push(buf, i)
@@ -77,7 +90,7 @@ def test_model_equivalence_against_naive_list(rng):
 
 
 def test_sample_returns_only_stored_items(rng):
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, STATE_SCALE)
     for i in range(25):
         push(buf, i)
     held = set(stored(buf))
@@ -86,7 +99,7 @@ def test_sample_returns_only_stored_items(rng):
 
 
 def test_sample_returns_row_aligned_arrays(rng):
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, STATE_SCALE)
     for i in range(10):
         push(buf, i)
     states, actions, rows = buf.sample(6, rng)
@@ -100,20 +113,20 @@ def test_sample_returns_row_aligned_arrays(rng):
 
 
 def test_sample_single_element(rng):
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, STATE_SCALE)
     push(buf, 0)
     assert push_numbers(sampled(buf, buf.sample(1, rng))) == [0]
 
 
 def test_underfull_buffer_signals_not_ready(rng):
-    buf = ReplayBuffer(100)
+    buf = ReplayBuffer(100, STATE_SCALE)
     push(buf, 1)
     with pytest.raises(ValueError):
         buf.sample(2, rng)
 
 
 def test_sampling_is_uniform(rng):
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, STATE_SCALE)
     for i in range(10):
         push(buf, i)
     draws = 100_000
@@ -126,4 +139,94 @@ def test_sampling_is_uniform(rng):
 
 def test_bad_capacity_rejected():
     with pytest.raises(ValueError):
-        ReplayBuffer(0)
+        ReplayBuffer(0, STATE_SCALE)
+
+
+@pytest.mark.parametrize("field", ["state", "next_state"])
+@pytest.mark.parametrize("column, value", [
+    (0, 0.5),            # between two CQI codes
+    (1, -1 / 15),        # a negative code
+    (2, 0.5),            # between the edge bit's codes
+    (2, 256.0),          # past the largest uint8 code
+    (0, np.nextafter(1 / 15, 1)),   # one ulp above a CQI code
+])
+def test_off_grid_state_rejected(field, column, value):
+    buf = ReplayBuffer(4, STATE_SCALE)
+    push(buf, 0)
+    push(buf, 1)            # terminal, so push 2 may start anywhere
+    fields = {"state": coded(2), "next_state": coded(3)}
+    fields[field][column] = value
+    with pytest.raises(ValueError, match=f"^{field} column {column} is"):
+        buf.push(fields["state"], np.zeros(NUM_CELLS, dtype=int), 2.0,
+                 fields["next_state"], False)
+    assert buf.pushes == 2
+    assert stored(buf) == [0, 1]
+    push(buf, 2)
+    assert stored(buf) == [0, 1, 2]
+
+
+def test_state_after_non_terminal_row_must_be_its_next_state():
+    buf = ReplayBuffer(4, STATE_SCALE)
+    push(buf, 0)            # not terminal: push 1 must start at coded(1)
+    with pytest.raises(ValueError, match="not the next state of push 0"):
+        buf.push(coded(5), np.zeros(NUM_CELLS, dtype=int), 1.0, coded(6), True)
+    assert stored(buf) == [0]
+    push(buf, 1)            # terminal: the next push may start anywhere
+    buf.push(coded(7), np.full(NUM_CELLS, 2), 2.0, coded(8), False)
+    # push 2 overwrote push 1's next state, which no target reads
+    assert np.array_equal(buf.states(1, offset=1), coded(7))
+    assert np.array_equal(buf.states(2, offset=0), coded(7))
+
+
+@pytest.mark.parametrize("config", [tiny_config(num_cells=3),   # the desk network
+                                    scenario_preset("scenario1")],
+                         ids=["desk", "scenario1"])
+def test_env_states_round_trip_bit_for_bit(config, rng):
+    # real episodes through a ring that wraps several times: every held
+    # row gives back its state, and its next state unless it is terminal
+    # and a later push started a new episode on its slot
+    env = PowerControlEnv(config, max_episode_steps=4)
+    capacity = 9
+    buf = ReplayBuffer(capacity, env.state_scale)
+    pushed = []                 # (state, next_state, terminal) of each push
+    while len(pushed) < 5 * capacity:
+        ctx, state = env.reset(rng)
+        while not ctx.terminal:
+            action = rng.integers(0, len(env.actions), size=config.num_cells)
+            next_state, reward, terminal, _ = env.step(ctx, action)
+            buf.push(state, action, reward, next_state, terminal)
+            pushed.append((state, next_state, terminal))
+            state = next_state
+            rows = np.arange(len(buf))
+            held = buf.push_no[rows]
+            assert sorted(held) == list(range(len(pushed)))[-capacity:]
+            assert np.array_equal(buf.states(rows, offset=0),
+                                  np.array([pushed[p][0] for p in held]))
+            nexts = buf.states(rows, offset=1)
+            for row, p in zip(rows, held):
+                if p + 1 < len(pushed):
+                    # a terminal row's slot is the next push's first state
+                    assert np.array_equal(nexts[row], pushed[p + 1][0])
+                if not pushed[p][2] or p + 1 == len(pushed):
+                    assert np.array_equal(nexts[row], pushed[p][1])
+    assert sum(t for _, _, t in pushed) >= 5
+    for _ in range(5):
+        states, _, rows = buf.sample(capacity, rng)
+        assert np.array_equal(states, np.array([pushed[p][0] for p in buf.push_no[rows]]))
+
+
+def test_states_take_one_byte_per_entry_and_slot():
+    # a ring of capacity C at state width W holds its states in (C + 1) * W
+    # bytes: whatever else it stores must not grow with W
+    capacity = 50
+
+    def held_bytes(width):
+        buf = ReplayBuffer(capacity, np.full(width, 15.0))
+        state = np.zeros(width)
+        for i in range(capacity + 3):
+            buf.push(state, np.zeros(NUM_CELLS, dtype=int), 1.0, state, False)
+        assert buf.codes.nbytes == (capacity + 1) * width
+        return sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray)
+                   and a is not buf.scale)
+
+    assert held_bytes(300) - held_bytes(27) == (capacity + 1) * (300 - 27)
