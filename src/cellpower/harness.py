@@ -46,7 +46,7 @@ class ExperimentSpec:
     terminal_reward: float = -1.0
     max_episode_steps: int = 500
     # a network to evaluate: a run with a checkpoint never trains, and
-    # ignores train_steps and checkpoint_interval
+    # ignores checkpoint_interval and every agent key but hidden_size
     checkpoint: str | None = None
     checkpoint_interval: int | None = None   # env steps between periodic saves
 
@@ -151,8 +151,12 @@ def spec_from_values(values: dict) -> ExperimentSpec:
 
 def config_hash(spec: ExperimentSpec) -> str:
     ignored, parts = {"output_dir", "checkpoint"}, []
-    if spec.checkpoint:    # its bytes stand in for the keys a checkpoint run ignores
-        ignored |= {"agent.train_steps", "checkpoint_interval"}
+    if spec.checkpoint:
+        # its bytes stand in for the keys a checkpoint run ignores: it never
+        # trains, and of the agent keys only hidden_size is checked (against
+        # the checkpoint, by load_network)
+        ignored |= {f"agent.{f.name}" for f in dataclasses.fields(spec.agent)
+                    if f.name != "hidden_size"} | {"checkpoint_interval"}
         with open(spec.checkpoint, "rb") as f:
             parts.append(f"checkpoint={hashlib.file_digest(f, 'sha256').hexdigest()}")
     parts += [f"{prefix}.{f.name}={getattr(cfg, f.name)!r}" for prefix, cfg in
@@ -289,7 +293,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     if spec.checkpoint:
         mlp, opt = load_network(spec.checkpoint, sizes)
     else:
-        mlp = MLP.init(sizes, np.random.default_rng([spec.master_seed, 10]))
+        mlp = MLP.init(sizes, np.random.default_rng([spec.master_seed, 10]), np.float32)
         opt = RMSprop(mlp, spec.agent.learning_rate, spec.agent.rmsprop_decay,
                       spec.agent.rmsprop_epsilon)
         if spec.agent.train_steps > 0:

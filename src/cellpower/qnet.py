@@ -1,8 +1,12 @@
 """One-hidden-layer MLP with hand-written backprop and RMSprop.
 
-Everything is float64 numpy; small enough that tight finite-difference
-gradient checks hold. The network maps a flat state to K blocks of m
-action values: q = W2 relu(W1 s + b1) + b2.
+The network maps a flat state to K blocks of m action values:
+q = W2 relu(W1 s + b1) + b2. It computes in the element type of its
+parameter buffer, float32 or float64: the accumulators, the gradient and
+the scratch rows take that type, and inputs are cast to it. Training runs
+float32, which halves the bytes each step streams through W1 and W2; the
+tests' oracles (finite differences, the bitwise learner reference, the
+target cache) build float64 networks, where tight tolerances hold.
 
 W1, b1, W2 and b2 are views into one contiguous buffer, `MLP.flat`, laid
 out in the checkpoint's payload order. The RMSprop accumulators and the
@@ -30,13 +34,15 @@ through the same operations either way, so the results are the same bit
 for bit.
 
 Checkpoint layout (little-endian, flat binary):
-  8 bytes   magic b"CPQNET1\\n"
+  8 bytes   magic, which names the element type of the arrays:
+            b"CPQNET1\\n" float64 (<f8), b"CPQNET2\\n" float32 (<f4)
   3 int64   layer sizes: input, hidden, output
   3 float64 optimizer learning_rate, decay, epsilon
-  float64 arrays, row-major, in order:
+  arrays of the element type, row-major, in order:
     W1 (hidden x input), b1 (hidden), W2 (output x hidden), b2 (output),
     then the four RMSprop accumulators in the same shapes.
-  That is the parameter buffer followed by the accumulator buffer.
+  That is the parameter buffer followed by the accumulator buffer, each
+  in the network's own precision.
 """
 
 import functools
@@ -45,14 +51,16 @@ import os
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"CPQNET1\n"
+# Each checkpoint magic and the element type of the arrays it heads.
+CHECKPOINT_DTYPES = {b"CPQNET1\n": np.dtype("<f8"), b"CPQNET2\n": np.dtype("<f4")}
 
 # Elements per block of the RMSprop update: each block's nine passes over
-# parameters, accumulators, gradient and two scratch rows (5 x 256 KiB)
-# stay in cache. On a 2-vCPU Xeon with 2 MiB of L2 per core, an isolated
-# dense update of the 3.0M-parameter scenario3 network took 8.3-8.5 ms
-# with this block size, 9.9-10.5 ms with 8k and 11.0-11.1 ms with 128k
-# (the host's speed drifts: it has also run the 32k update in 5.5 ms).
+# parameters, accumulators, gradient and two scratch rows (5 x 256 KiB in
+# float64, 5 x 128 KiB in float32) stay in cache. On a 2-vCPU Xeon with
+# 2 MiB of L2 per core, an isolated dense float64 update of the
+# 3.0M-parameter scenario3 network took 8.3-8.5 ms with this block size,
+# 9.9-10.5 ms with 8k and 11.0-11.1 ms with 128k (the host's speed
+# drifts: it has also run the 32k update in 5.5 ms).
 # The block size also decides whether a step is dense or compacted (see
 # train_batch), and so the last bits of its results.
 UPDATE_BLOCK = 32_768
@@ -74,8 +82,11 @@ def _views(flat, shapes):
 
 class MLP:
     def __init__(self, w1, b1, w2, b2):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2)]
-        self._bind(np.concatenate([a.ravel() for a in arrays]),
+        """A network in the precision of the arrays given: float32 if they
+        are float32, float64 for anything else."""
+        arrays = [np.asarray(a) for a in (w1, b1, w2, b2)]
+        dtype = np.float32 if np.result_type(*arrays) == np.float32 else np.float64
+        self._bind(np.concatenate([a.ravel() for a in arrays], dtype=dtype),
                    [a.shape for a in arrays])
 
     def _bind(self, flat, shapes):
@@ -86,14 +97,17 @@ class MLP:
         return self
 
     @classmethod
-    def init(cls, layer_sizes, rng: np.random.Generator) -> "MLP":
-        """He-normal weights (std sqrt(2/fan_in)), zero biases."""
+    def init(cls, layer_sizes, rng: np.random.Generator,
+             dtype=np.float64) -> "MLP":
+        """He-normal weights (std sqrt(2/fan_in)), zero biases, in `dtype`;
+        the draws are float64 in either precision, then cast."""
         n_in, n_hidden, n_out = layer_sizes
         if min(n_in, n_hidden, n_out) < 1:
             raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
         w1 = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_hidden, n_in))
         w2 = rng.normal(0.0, np.sqrt(2.0 / n_hidden), size=(n_out, n_hidden))
-        return cls(w1, np.zeros(n_hidden), w2, np.zeros(n_out))
+        return cls(w1.astype(dtype), np.zeros(n_hidden, dtype),
+                   w2.astype(dtype), np.zeros(n_out, dtype))
 
     @property
     def layer_sizes(self) -> tuple[int, int, int]:
@@ -101,7 +115,7 @@ class MLP:
 
     def forward(self, state: np.ndarray) -> np.ndarray:
         """Action values; accepts one state (in,) or a batch (n, in)."""
-        x = np.asarray(state, dtype=np.float64)
+        x = np.asarray(state, dtype=self.flat.dtype)
         single = x.ndim == 1
         if single:
             x = x[None, :]
@@ -142,7 +156,7 @@ class RMSprop:
         # least one row, even one wider than UPDATE_BLOCK), 4-5 for the
         # hidden half's formula temporaries
         width = min(max(UPDATE_BLOCK, mlp.w2.shape[1]), mlp.flat.size)
-        self._scratch = np.empty((6, width))
+        self._scratch = np.empty((6, width), dtype=mlp.flat.dtype)
 
     def apply(self, mlp: MLP, grad: np.ndarray, live: np.ndarray) -> None:
         """Update mlp.flat from the flat gradient `grad`, whose W2 and b2
@@ -222,7 +236,7 @@ def backprop(mlp: MLP, states: np.ndarray, grad_q: np.ndarray,
     size and layout, which is returned. The output layer's gradients are
     `_output_grad`'s.
     """
-    x = np.asarray(states, dtype=np.float64)
+    x = np.asarray(states, dtype=mlp.flat.dtype)
     dw1, db1 = _views(out, mlp._shapes[:2])
     dz1 = (grad_q @ w2) * (z1 > 0.0)
     np.matmul(dz1.T, x, out=dw1)
@@ -275,9 +289,9 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     layer's half on the worker thread, if there is one, and returns once
     both halves are done. Returns the pre-update loss.
     """
-    x = np.asarray(states, dtype=np.float64)
+    x = np.asarray(states, dtype=mlp.flat.dtype)
     acts = np.asarray(actions, dtype=int)
-    y = np.asarray(targets, dtype=np.float64)
+    y = np.asarray(targets, dtype=mlp.flat.dtype)
     n, num_cells = acts.shape
 
     # the live set, and each selected unit's column among the live ones
@@ -332,21 +346,25 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
 
 
 def save_checkpoint(path, mlp: MLP, opt: RMSprop) -> None:
+    """Write the network and its accumulators in their own precision."""
+    dtype = mlp.flat.dtype.newbyteorder("<")
+    magic = next(m for m, t in CHECKPOINT_DTYPES.items() if t == dtype)
     sizes = np.array(mlp.layer_sizes, dtype="<i8")
     hyper = np.array([opt.learning_rate, opt.decay, opt.epsilon], dtype="<f8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
+        f.write(magic)
         sizes.tofile(f)
         hyper.tofile(f)
         for flat in (mlp.flat, opt.acc):
-            np.asarray(flat, dtype="<f8").tofile(f)
+            np.asarray(flat, dtype=dtype).tofile(f)
 
 
 def load_checkpoint(path) -> tuple[MLP, RMSprop]:
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        magic = f.read(8)
+        if magic not in CHECKPOINT_DTYPES:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
+        dtype = CHECKPOINT_DTYPES[magic]
         sizes = np.fromfile(f, dtype="<i8", count=3)
         if sizes.size != 3 or np.any(sizes < 1):
             raise CheckpointError(f"{path}: corrupt size header {sizes}")
@@ -360,11 +378,12 @@ def load_checkpoint(path) -> tuple[MLP, RMSprop]:
         # checked before reading: np.fromfile allocates all `count` floats
         # first, so a corrupt header would ask for any amount of memory
         left = os.fstat(f.fileno()).st_size - f.tell()
-        if left != 2 * 8 * count:
+        need = 2 * dtype.itemsize * count
+        if left != need:
             raise CheckpointError(
-                f"{path}: sizes {n_in}/{n_hidden}/{n_out} need {2 * 8 * count} bytes "
-                f"of parameters and RMSprop accumulators, but {left} follow")
-        buffers = [np.fromfile(f, dtype="<f8", count=count) for _ in range(2)]
+                f"{path}: sizes {n_in}/{n_hidden}/{n_out} need {need} bytes "
+                f"of {dtype} parameters and RMSprop accumulators, but {left} follow")
+        buffers = [np.fromfile(f, dtype=dtype, count=count) for _ in range(2)]
     mlp = MLP.__new__(MLP)._bind(buffers[0], shapes)
     opt = RMSprop(mlp, learning_rate=float(lr), decay=float(decay), epsilon=float(eps))
     opt.acc = buffers[1]

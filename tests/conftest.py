@@ -268,14 +268,16 @@ def reference_bellman_targets(target_net, rewards, next_states, terminals,
     return y
 
 
-def reference_checkpoint_bytes(params, acc, learning_rate, decay, epsilon):
-    """The documented checkpoint format, written field by field."""
+def reference_checkpoint_bytes(params, acc, learning_rate, decay, epsilon,
+                               dtype="<f8"):
+    """The documented checkpoint format, written field by field, with arrays
+    of element type `dtype`: "<f8" under magic CPQNET1, "<f4" under CPQNET2."""
     n_hidden, n_in = params[0].shape
     n_out = params[2].shape[0]
-    return (b"CPQNET1\n"
+    return ({"<f8": b"CPQNET1\n", "<f4": b"CPQNET2\n"}[dtype]
             + np.array([n_in, n_hidden, n_out], dtype="<i8").tobytes()
             + np.array([learning_rate, decay, epsilon], dtype="<f8").tobytes()
-            + b"".join(np.asarray(a, dtype="<f8").tobytes()
+            + b"".join(np.asarray(a, dtype=dtype).tobytes()
                        for a in list(params) + list(acc)))
 
 

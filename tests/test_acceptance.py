@@ -66,7 +66,9 @@ DESK_TEST_SEED = 123
 def desk_scale_report():
     env = PowerControlEnv(DESK_CONFIG)
     rng = np.random.default_rng(DESK_SEED)
-    mlp = MLP.init((env.state_size, DESK_AGENT.hidden_size, env.num_actions), rng)
+    # in the precision run_experiment trains at
+    mlp = MLP.init((env.state_size, DESK_AGENT.hidden_size, env.num_actions), rng,
+                   np.float32)
     ag.train(env, mlp, DESK_AGENT, rng, agent_optimizer(mlp, DESK_AGENT))
     phase = ag.test(env, mlp, 100, seed=DESK_TEST_SEED, ga_config=DESK_GA,
                     max_power_level=12.8)

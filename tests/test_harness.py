@@ -233,6 +233,23 @@ class TestConfigHash:
         spec.checkpoint_interval = 50
         assert config_hash(spec) not in {h0, hashed(paths[0], 200)}
 
+    def test_checkpoint_run_hashes_no_agent_key_but_hidden_size(self, tmp_path):
+        # the optimizer constants come from the checkpoint and the run never
+        # trains; load_network checks hidden_size against the file
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"any network")
+        spec = small_spec(tmp_path / "eval")
+        spec.checkpoint = str(path)
+        h0 = config_hash(spec)
+        for key, value in (("learning_rate", 2 * spec.agent.learning_rate),
+                           ("epsilon_end", 0.3)):
+            other = copy.deepcopy(spec)
+            setattr(other.agent, key, value)
+            assert config_hash(other) == h0, key
+        other = copy.deepcopy(spec)
+        other.agent.hidden_size = 7
+        assert config_hash(other) != h0
+
 
 class TestRunExperiment:
     def test_artifacts_and_metadata(self, tmp_path):
@@ -371,6 +388,15 @@ class TestRunExperiment:
                           "q_mean,q_max,gradient_steps,buffer_fill")
         assert rows
         assert int(rows[-1].split(",")[0]) == 120
+
+    def test_network_trains_and_is_saved_in_float32(self, tmp_path):
+        spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
+        run_experiment(spec)
+        path = os.path.join(spec.output_dir, "qnet.ckpt")
+        assert open(path, "rb").read(8) == b"CPQNET2\n"
+        mlp, opt = load_checkpoint(path)
+        assert mlp.flat.dtype == opt.acc.dtype == np.float32
+        assert np.any(opt.acc > 0.0)
 
     def test_training_log_columns_match_report(self, tmp_path, monkeypatch):
         returned, train = [], ag.train

@@ -54,6 +54,21 @@ class TestInit:
         with pytest.raises(ValueError):
             MLP.init((0, 5, 5), rng)
 
+    def test_float32_init_casts_the_float64_draws(self):
+        net32 = MLP.init((5, 8, 4), np.random.default_rng(3), np.float32)
+        net64 = MLP.init((5, 8, 4), np.random.default_rng(3))
+        assert net32.flat.dtype == np.float32 and net64.flat.dtype == np.float64
+        assert np.array_equal(net32.flat, net64.flat.astype(np.float32))
+
+    def test_arrays_keep_float32_anything_else_is_float64(self):
+        arrays = [np.ones(shape, np.float32) for shape in ((8, 5), (8,), (4, 8), (4,))]
+        assert MLP(*arrays).flat.dtype == np.float32
+        assert MLP(*arrays).clone().flat.dtype == np.float32
+        assert MLP(*arrays[:3], [0, 0, 0, 0]).flat.dtype == np.float64
+        assert MLP(*(a.tolist() for a in arrays)).flat.dtype == np.float64
+        # float64 input is cast to the network's precision
+        assert MLP(*arrays).forward(np.ones(5)).dtype == np.float32
+
 
 class TestForward:
     def test_zero_weights_zero_output(self):
@@ -264,6 +279,47 @@ class TestFlatLearnerOracle:
         save_checkpoint(path, mlp, opt)
         assert path.read_bytes() == reference_checkpoint_bytes(
             params, acc, **self.HYPER)
+
+
+class TestPrecision:
+    """One step of a float32 network against a float64 network with the same
+    weights and accumulators (float32 values, held exactly by both)."""
+
+    HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
+
+    @pytest.mark.parametrize("sizes, cells, compacted", [
+        ((7, 12, 6), 2, False), ((20, 256, 200), 10, True)],
+        ids=["dense", "compacted"])
+    def test_one_step_agrees_to_float32_precision(self, rng, sizes, cells,
+                                                  compacted):
+        net32 = MLP.init(sizes, rng, np.float32)
+        net64 = MLP(*(a.astype(np.float64)
+                      for a in (net32.w1, net32.b1, net32.w2, net32.b2)))
+        opts = [RMSprop(net, **self.HYPER) for net in (net32, net64)]
+        acc = rng.random(net32.flat.size).astype(np.float32)
+        for opt in opts:
+            opt.acc[:] = acc
+        n, block = 4, sizes[2] // cells
+        states = rng.normal(size=(n, sizes[0]))
+        actions = rng.integers(0, block, size=(n, cells))
+        targets = rng.normal(size=(n, cells))
+        live = np.unique(actions + np.arange(cells) * block)
+        assert ((sizes[2] - live.size) * sizes[1] >= UPDATE_BLOCK) == compacted
+
+        before = net64.flat.copy()
+        loss32, loss64 = (train_batch(net, opt, states, actions, targets, block)
+                          for net, opt in zip((net32, net64), opts))
+        assert net32.flat.dtype == opts[0].acc.dtype == opts[0].grad.dtype == np.float32
+        assert net64.flat.dtype == opts[1].acc.dtype == np.float64
+        eps32 = np.finfo(np.float32).eps
+        assert loss32 == pytest.approx(loss64, rel=100 * eps32)
+        # each step is lr * g / (sqrt(acc) + eps); the float32 parameter it
+        # lands on is rounded to half an ulp of itself
+        step32, step64 = net32.flat - before, net64.flat - before
+        assert np.any(step64 != 0.0)
+        np.testing.assert_allclose(step32, step64, rtol=1e-4,
+                                   atol=eps32 * np.abs(before).max())
+        np.testing.assert_allclose(opts[0].acc, opts[1].acc, rtol=16 * eps32)
 
 
 class TestLiveSetStep:
@@ -573,10 +629,50 @@ class TestCheckpoint:
         assert lopt.epsilon == opt.epsilon
         assert np.array_equal(opt.acc, lopt.acc)
 
+    def test_float32_round_trip_bit_exact(self, tmp_path, rng):
+        mlp = MLP.init((7, 12, 6), rng, np.float32)
+        opt = RMSprop(mlp, learning_rate=0.003, decay=0.9, epsilon=1e-5)
+        train_batch(mlp, opt, rng.normal(size=(4, 7)),
+                    rng.integers(0, 3, size=(4, 2)), rng.normal(size=(4, 2)), 3)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, mlp, opt)
+        assert path.read_bytes() == reference_checkpoint_bytes(
+            split_flat(mlp.flat, mlp), split_flat(opt.acc, mlp),
+            0.003, 0.9, 1e-5, dtype="<f4")
+        loaded, lopt = load_checkpoint(path)
+        assert loaded.flat.dtype == lopt.acc.dtype == lopt.grad.dtype == np.float32
+        assert np.array_equal(loaded.flat, mlp.flat)
+        assert np.array_equal(lopt.acc, opt.acc)
+        assert (lopt.learning_rate, lopt.decay, lopt.epsilon) == (0.003, 0.9, 1e-5)
+
+    def test_float64_file_loads_as_float64(self, tmp_path, rng):
+        mlp = MLP.init((7, 12, 6), rng)
+        acc = rng.random(mlp.flat.size)
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(reference_checkpoint_bytes(
+            split_flat(mlp.flat, mlp), split_flat(acc, mlp), 0.003, 0.9, 1e-5))
+        loaded, lopt = load_checkpoint(path)
+        assert loaded.flat.dtype == lopt.acc.dtype == np.float64
+        assert np.array_equal(loaded.flat, mlp.flat)
+        assert np.array_equal(lopt.acc, acc)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(CheckpointError):
+        for magic in (b"NOTACKPT", b"CPQNET3\n", b"CPQNET1\r"):
+            path.write_bytes(magic + b"\x00" * 64)
+            with pytest.raises(CheckpointError, match="bad magic"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype, other", [(np.float32, b"CPQNET1\n"),
+                                              (np.float64, b"CPQNET2\n")])
+    def test_magic_of_the_other_precision_rejected(self, tmp_path, rng, dtype,
+                                                   other):
+        # the length check counts elements of the magic's own type
+        mlp = MLP.init((3, 4, 2), rng, dtype)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, mlp, agent_optimizer(mlp, AgentConfig()))
+        path.write_bytes(other + path.read_bytes()[8:])
+        with pytest.raises(CheckpointError, match="bytes"):
             load_checkpoint(path)
 
     # the oversized header implies a 32 TB payload, and np.fromfile allocates

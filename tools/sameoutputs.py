@@ -15,11 +15,12 @@ and report.json as parsed JSON without metadata.wall_time_s, in both the
 training and the test phase, and prints one line per workload and
 artifact, plus any check the workload reported failed. An artifact that
 differs is sized where both copies line up: for a checkpoint with the
-same header and length, the number of float64 values that differ and the
-largest absolute difference; for a CSV of the same shape, the number of
-fields that differ, their columns and the largest relative difference
-among them; for report.json, the fields that differ. It exits 1 when an
-artifact differs or is missing on one side, or a run failed.
+same header and length, the number of values that differ, in the element
+type its magic names, and the largest absolute difference; for a CSV of
+the same shape, the number of fields that differ, their columns and the
+largest relative difference among those that are numbers; for
+report.json, the fields that differ. It exits 1 when an artifact differs
+or is missing on one side, or a run failed.
 """
 
 import argparse
@@ -44,6 +45,8 @@ ARTIFACTS = ("training_log.csv", "qnet.ckpt", "results.csv", "actions.csv",
              "report.json")
 PHASES = ("train", "test")
 CHECKPOINT_HEADER = 56   # magic, three int64 layer sizes, three float64 constants
+# the element type of the arrays after each checkpoint magic (cellpower.qnet's)
+CHECKPOINT_DTYPES = {b"CPQNET1\n": "<f8", b"CPQNET2\n": "<f4"}
 
 
 def run_workload(checkout, workload, seed, seconds, out_dir):
@@ -111,22 +114,26 @@ def report_difference(parent, change):
 
 
 def checkpoint_difference(parent, change):
-    """How two checkpoints' float64 payloads differ, or None when their
-    headers or lengths differ."""
+    """How two checkpoints' payloads differ, in the element type their magic
+    names, or None when their headers or lengths differ or the magic is
+    unknown."""
     if (parent[:CHECKPOINT_HEADER] != change[:CHECKPOINT_HEADER]
-            or len(parent) != len(change)):
+            or len(parent) != len(change)
+            or parent[:8] not in CHECKPOINT_DTYPES):
         return None
-    a, b = (np.frombuffer(data, dtype="<f8", offset=CHECKPOINT_HEADER)
+    dtype = CHECKPOINT_DTYPES[parent[:8]]
+    a, b = (np.frombuffer(data, dtype=dtype, offset=CHECKPOINT_HEADER)
             for data in (parent, change))
     differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
     largest = float(np.max(np.abs(a[differ] - b[differ]), initial=0.0))
-    return f"{np.count_nonzero(differ)} of {a.size} float64 values, max abs {largest:.3g}"
+    return (f"{np.count_nonzero(differ)} of {a.size} {np.dtype(dtype).name} values, "
+            f"max abs {largest:.3g}")
 
 
 def csv_difference(parent, change):
     """How two CSVs' fields differ, and in which of the parent's header
-    columns, or None when their shapes differ or a field that differs is
-    not a number."""
+    columns, or None when their shapes differ. Fields that are not numbers
+    are counted but not sized."""
     tables = [[line.split(",") for line in data.decode().splitlines()]
               for data in (parent, change)]
     if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
@@ -136,12 +143,12 @@ def csv_difference(parent, change):
         for column, (field_a, field_b) in enumerate(zip(row_a, row_b)):
             if field_a == field_b:
                 continue
+            count += 1
+            columns.add(column)
             try:
                 x, y = float(field_a), float(field_b)
             except ValueError:
-                return None
-            count += 1
-            columns.add(column)
+                continue
             rel = abs(x - y) / max(abs(x), abs(y))
             largest = max(largest, rel if rel == rel else math.inf)   # nan or inf on one side
     names = " ".join(tables[0][0][column] for column in sorted(columns))
