@@ -22,17 +22,6 @@ gradient rows of the live units packed into the first L rows of the W2
 region and the first L entries of the b2 region. The rest of those two
 regions is neither written nor read.
 
-Once dL/dq is known, a compacted step has two halves over disjoint
-memory: the hidden layer (`backprop`, then `RMSprop.apply`, on W1 and
-b1) and the output layer (`_output_grad`, then `RMSprop._apply_output`,
-on the W2 and b2 rows). When the process may use more CPUs than it
-runs threads, the output half runs on one worker thread while the caller
-runs the hidden half; numpy releases the interpreter lock in BLAS and in
-ufuncs on large arrays, so the two overlap. A dense step runs on the
-caller alone, and `RMSprop.apply` updates all of it. Each element goes
-through the same operations either way, so the results are the same bit
-for bit.
-
 Checkpoint layout (little-endian, flat binary):
   8 bytes   magic, which names the element type of the arrays:
             b"CPQNET1\\n" float64 (<f8), b"CPQNET2\\n" float32 (<f4)
@@ -45,7 +34,6 @@ Checkpoint layout (little-endian, flat binary):
   in the network's own precision.
 """
 
-import functools
 import math
 import os
 
@@ -139,9 +127,6 @@ class RMSprop:
     step's live set only decay. `acc` shares the network's flat layout;
     `grad` (the buffer a training step writes its gradient into) has it
     too, with the W2 and b2 gradients packed as the module docstring says.
-    On a compacted step `apply` updates W1 and b1 and `_apply_output` the
-    W2 and b2 rows; each uses scratch rows of its own, so the two may run
-    on different threads.
     """
 
     def __init__(self, mlp: MLP, learning_rate: float, decay: float,
@@ -151,30 +136,25 @@ class RMSprop:
         self.epsilon = epsilon
         self.acc = np.zeros_like(mlp.flat)
         self.grad = np.empty_like(mlp.flat)
-        # rows 0-1 for the output half's formula temporaries, 2-3 for the
-        # live rows it gathers from a block of W2 rows (a block holds at
-        # least one row, even one wider than UPDATE_BLOCK), 4-5 for the
-        # hidden half's formula temporaries
+        # two rows for the formula's temporaries and two for the live rows
+        # gathered from a block of W2 rows; a block holds at least one row,
+        # even one wider than UPDATE_BLOCK
         width = min(max(UPDATE_BLOCK, mlp.w2.shape[1]), mlp.flat.size)
-        self._scratch = np.empty((6, width), dtype=mlp.flat.dtype)
+        self._scratch = np.empty((4, width), dtype=mlp.flat.dtype)
 
     def apply(self, mlp: MLP, grad: np.ndarray, live: np.ndarray) -> None:
         """Update mlp.flat from the flat gradient `grad`, whose W2 and b2
-        gradients are packed for the sorted output units `live`, UPDATE_BLOCK
-        elements at a time: W1 and b1, and W2 and b2 too when every output
-        is live. Otherwise W2 and b2 are `_apply_output`'s."""
+        gradients are packed for the sorted output units `live`. W1 and b1
+        are updated UPDATE_BLOCK elements at a time; unless every output
+        is live, W2 and b2 are updated in blocks of whole rows, one row per
+        output unit."""
         # with every output live the gradient is unpacked: one dense pass
         dense = (mlp.flat.size if live.size == len(mlp.b2)
                  else mlp.w1.size + mlp.b1.size)
         for start in range(0, dense, UPDATE_BLOCK):
             block = slice(start, min(start + UPDATE_BLOCK, dense))
-            self._step(mlp.flat[block], self.acc[block], grad[block],
-                       self._scratch[4:])
-
-    def _apply_output(self, mlp: MLP, grad: np.ndarray, live: np.ndarray) -> None:
-        """Update W2 and b2 as `apply` leaves them to, in blocks of whole
-        rows, one row per output unit; nothing when every output is live."""
-        if live.size == len(mlp.b2):
+            self._step(mlp.flat[block], self.acc[block], grad[block])
+        if dense == mlp.flat.size:
             return
         _, _, acc_w2, acc_b2 = _views(self.acc, mlp._shapes)
         _, _, grad_w2, grad_b2 = _views(grad, mlp._shapes)
@@ -201,17 +181,17 @@ class RMSprop:
             np.take(p_rows, local, axis=0, out=p_live, mode="clip")
             np.take(a_rows, local, axis=0, out=a_live, mode="clip")
             a_rows *= self.decay
-            self._step(p_live, a_live, g[j0:j1], self._scratch[:2])
+            self._step(p_live, a_live, g[j0:j1])
             p_rows[local] = p_live
             a_rows[local] = a_live
 
-    def _step(self, p, a, g, tmp):
-        """The class formulas on one block, in place, with the two scratch
-        rows `tmp`. They are evaluated left to right, as whole-array numpy
-        expressions would be, so the result is bit-for-bit theirs."""
+    def _step(self, p, a, g):
+        """The class formulas on one block, in place. They are evaluated
+        left to right, as whole-array numpy expressions would be, so the
+        result is bit-for-bit theirs."""
         lr, decay, eps = self.learning_rate, self.decay, self.epsilon
-        s = tmp[0, :g.size].reshape(g.shape)
-        t = tmp[1, :g.size].reshape(g.shape)
+        s = self._scratch[0, :g.size].reshape(g.shape)
+        t = self._scratch[1, :g.size].reshape(g.shape)
         a *= decay
         np.multiply(g, 1.0 - decay, out=s)
         s *= g
@@ -224,56 +204,26 @@ class RMSprop:
 
 
 def backprop(mlp: MLP, states: np.ndarray, grad_q: np.ndarray,
-             z1: np.ndarray, w2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The hidden layer's gradients for a loss whose dL/dq is grad_q, (n, L),
-    on L output units whose W2 rows are w2, (L, hidden), and zero on every
-    other unit: every unit when w2 is all of W2, the live set of a
-    compacted step otherwise. W1's backward pass runs over those L rows
-    alone.
+             h: np.ndarray, w2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Parameter gradients for a loss whose dL/dq is grad_q, (n, L), on L
+    output units whose W2 rows are w2, (L, hidden), and zero on every other
+    unit: every unit when w2 is all of W2, the live set of a compacted step
+    otherwise. W1's backward pass runs over those L rows alone.
 
-    z1 is the forward pass's hidden pre-activation `states @ W1.T + b1`.
-    The W1 and b1 gradients are written into `out`, a buffer of mlp.flat's
-    size and layout, which is returned. The output layer's gradients are
-    `_output_grad`'s.
+    h is the forward pass's hidden activations `relu(states @ W1.T + b1)`.
+    The gradients are written into `out`, a buffer of mlp.flat's size and
+    layout, with the W2 and b2 gradients of the L units packed (see the
+    module docstring); `out` is returned.
     """
     x = np.asarray(states, dtype=mlp.flat.dtype)
-    dw1, db1 = _views(out, mlp._shapes[:2])
-    dz1 = (grad_q @ w2) * (z1 > 0.0)
+    dw1, db1, dw2, db2 = _views(out, mlp._shapes)
+    n_live = len(w2)
+    np.matmul(grad_q.T, h, out=dw2[:n_live])
+    np.sum(grad_q, axis=0, out=db2[:n_live])
+    dz1 = (grad_q @ w2) * (h > 0.0)
     np.matmul(dz1.T, x, out=dw1)
     np.sum(dz1, axis=0, out=db1)
     return out
-
-
-def _output_grad(mlp: MLP, grad_q: np.ndarray, h: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """The W2 and b2 gradients of backprop's L units, from the hidden
-    activations h = relu(z1), packed into the first L rows of the W2
-    region of `out` and the first L entries of its b2 region. Returns
-    `out`."""
-    _, _, dw2, db2 = _views(out, mlp._shapes)
-    n_live = grad_q.shape[1]
-    np.matmul(grad_q.T, h, out=dw2[:n_live])
-    np.sum(grad_q, axis=0, out=db2[:n_live])
-    return out
-
-
-@functools.cache
-def _output_worker():
-    """The one worker thread that runs compacted steps' output-layer
-    halves, started by the first such step. None, and the caller runs both
-    halves, unless the process may use more CPUs than it runs threads:
-    OpenBLAS starts one thread per CPU unless told otherwise (for example
-    by OPENBLAS_NUM_THREADS=1), and a worker competing with those made
-    scenario3 training 14-23% slower than no worker."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):    # no affinity masks, or no /proc
-        return None
-    if threads >= cpus:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="qnet-output")
 
 
 def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
@@ -285,9 +235,7 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     gradient flows only through the K selected units of each sample, so
     the output layer's forward pass, gradient and update, and W1's
     backward pass, run on the batch's live set alone, unless the rows left
-    out are too few to pay for that. A compacted step runs its output
-    layer's half on the worker thread, if there is one, and returns once
-    both halves are done. Returns the pre-update loss.
+    out are too few to pay for that. Returns the pre-update loss.
     """
     x = np.asarray(states, dtype=mlp.flat.dtype)
     acts = np.asarray(actions, dtype=int)
@@ -300,8 +248,7 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     selected = np.zeros(n_out, dtype=bool)
     selected[units] = True
     live = np.flatnonzero(selected)
-    compacted = (n_out - live.size) * n_hidden >= UPDATE_BLOCK
-    if compacted:
+    if (n_out - live.size) * n_hidden >= UPDATE_BLOCK:
         w2, b2 = np.take(mlp.w2, live, axis=0), mlp.b2[live]
         cols = (np.cumsum(selected) - 1)[units]
     else:
@@ -310,10 +257,9 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
         # leave those rows exactly as the compacted step would
         live, w2, b2, cols = np.arange(n_out), mlp.w2, mlp.b2, units
 
-    # MLP.forward's arithmetic on the live units, keeping z1 and the hidden
-    # activations for the backward pass
-    z1 = x @ mlp.w1.T + mlp.b1
-    h = np.maximum(z1, 0.0)
+    # MLP.forward's arithmetic on the live units, keeping the hidden
+    # activations for backprop
+    h = np.maximum(x @ mlp.w1.T + mlp.b1, 0.0)
     q = h @ w2.T + b2
     rows = np.repeat(np.arange(n), num_cells)
     diff = q[rows, cols].reshape(n, num_cells) - y
@@ -324,24 +270,7 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     # a sample's K units lie in distinct blocks, so no (row, col) repeats
     grad_q = np.zeros_like(q)
     grad_q[rows, cols] = (2.0 * diff / diff.size).reshape(-1)
-
-    # a compacted step's backprop multiplies a copy of the live W2 rows,
-    # which the output half leaves alone; a dense step's W2 update is
-    # apply's, after backprop
-    def output_half():
-        opt._apply_output(mlp, _output_grad(mlp, grad_q, h, opt.grad), live)
-
-    worker = _output_worker() if compacted else None
-    if worker is None:
-        output_half()
-        opt.apply(mlp, backprop(mlp, x, grad_q, z1, w2, opt.grad), live)
-        return loss
-    future = worker.submit(output_half)
-    try:
-        opt.apply(mlp, backprop(mlp, x, grad_q, z1, w2, opt.grad), live)
-    finally:
-        future.exception()       # join the worker, even if this half raised
-    future.result()              # raise the worker half's exception, if any
+    opt.apply(mlp, backprop(mlp, x, grad_q, h, w2, opt.grad), live)
     return loss
 
 

@@ -173,12 +173,11 @@ def split_flat(flat, mlp):
 
 def finite_difference_max_error(mlp, states, actions, targets, block_size,
                                 h=1e-5):
-    """Max relative error of the learner's gradients vs central
-    differences, over every entry of W1, b1, W2 and b2. backprop gives the
-    W1 and b1 gradients, _output_grad the W2 and b2 gradients packed for
-    the live units; those are unpacked here with zeros outside the live
-    set, which the central differences must match too."""
-    from cellpower.qnet import _output_grad, backprop
+    """Max relative error of backprop gradients vs central differences,
+    over every entry of W1, b1, W2 and b2. backprop returns the W2 and b2
+    gradients packed for the live units; they are unpacked here with zeros
+    outside the live set, which the central differences must match too."""
+    from cellpower.qnet import backprop
 
     q = mlp.forward(states)
     n, num_cells = actions.shape
@@ -187,12 +186,10 @@ def finite_difference_max_error(mlp, states, actions, targets, block_size,
     diff = q[rows, cols].reshape(n, num_cells) - targets
     grad_q = np.zeros_like(q)
     np.add.at(grad_q, (rows, cols), (2.0 * diff / diff.size).reshape(-1))
-    z1 = states @ mlp.w1.T + mlp.b1
+    hidden = np.maximum(states @ mlp.w1.T + mlp.b1, 0.0)
     live = np.unique(cols)
-    out = backprop(mlp, states, grad_q[:, live], z1, mlp.w2[live],
-                   np.full_like(mlp.flat, np.nan))
-    packed = split_flat(_output_grad(mlp, grad_q[:, live], np.maximum(z1, 0.0),
-                                     out), mlp)
+    packed = split_flat(backprop(mlp, states, grad_q[:, live], hidden, mlp.w2[live],
+                                 np.full_like(mlp.flat, np.nan)), mlp)
     grads = packed[:2]
     for packed_grad in packed[2:]:
         full = np.zeros_like(packed_grad)

@@ -1,20 +1,15 @@
 import os
-import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from cellpower import qnet
 from cellpower.agent import AgentConfig
 from cellpower.qnet import (
     MLP,
     UPDATE_BLOCK,
     CheckpointError,
     RMSprop,
-    _output_grad,
     backprop,
     load_checkpoint,
     save_checkpoint,
@@ -129,9 +124,9 @@ class TestTrainBatch:
         s, y = 1.7, 0.3
         q = mlp.forward(np.array([s]))[0]
         x = np.array([[s]])
-        z1, grad_q = x @ mlp.w1.T + mlp.b1, np.array([[2.0 * (q - y)]])
-        out = backprop(mlp, x, grad_q, z1, mlp.w2, np.empty_like(mlp.flat))
-        grads = split_flat(_output_grad(mlp, grad_q, np.maximum(z1, 0.0), out), mlp)
+        h, grad_q = np.maximum(x @ mlp.w1.T + mlp.b1, 0.0), np.array([[2.0 * (q - y)]])
+        grads = split_flat(backprop(mlp, x, grad_q, h, mlp.w2, np.empty_like(mlp.flat)),
+                           mlp)
         assert grads[2][0, 0] == pytest.approx(2.0 * (q - y) * s, rel=1e-12)
         # and through the hidden unit: dL/dw1 = 2 (q - y) w2 s
         assert grads[0][0, 0] == pytest.approx(2.0 * (q - y) * 0.7 * s, rel=1e-12)
@@ -158,15 +153,14 @@ class TestTrainBatch:
         whole = selected_unit_loss(mlp, states, actions, targets, block)
         assert whole == pytest.approx(np.mean(per_sample), rel=1e-12)
 
-    def test_non_finite_loss_raises(self, rng, output_worker):
+    def test_non_finite_loss_raises(self, rng):
         mlp, states, actions, targets, block = self._random_problem(rng)
         targets[0, 0] = np.inf
         with pytest.raises(FloatingPointError):
             train_batch(mlp, agent_optimizer(mlp, AgentConfig()), states, actions,
                         targets, block)
-        # on a network wide enough for a compacted step, whose output half
-        # runs on the worker, the loss is checked before either half starts:
-        # nothing is written, even once the worker is joined
+        # on a network wide enough for a compacted step the loss is checked
+        # before any update: nothing is written
         mlp, states, actions, targets, block = self._random_problem(
             rng, n=64, sizes=(100, 720, 360), num_cells=5)
         targets[3, 2] = np.nan
@@ -175,8 +169,24 @@ class TestTrainBatch:
         flat, acc = mlp.flat.copy(), opt.acc.copy()
         with pytest.raises(FloatingPointError):
             train_batch(mlp, opt, states, actions, targets, block)
-        output_worker.shutdown(wait=True)
         assert np.array_equal(mlp.flat, flat) and np.array_equal(opt.acc, acc)
+
+    def test_compacted_step_starts_no_thread(self, rng, monkeypatch):
+        # a scenario1-width step on a process that reports CPUs to spare:
+        # the step still runs on the calling thread alone
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count the process's threads")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        mlp, states, actions, targets, block = self._random_problem(
+            rng, n=64, sizes=(100, 720, 360), num_cells=5)
+        live = np.unique(actions + np.arange(5) * block)
+        assert (360 - live.size) * 720 >= UPDATE_BLOCK
+        opt = agent_optimizer(mlp, AgentConfig())
+        threads = threading.active_count(), len(os.listdir("/proc/self/task"))
+        train_batch(mlp, opt, states, actions, targets, block)
+        assert (threading.active_count(),
+                len(os.listdir("/proc/self/task"))) == threads
 
     def test_training_reduces_loss(self, rng):
         mlp, states, actions, targets, block = self._random_problem(rng, n=16)
@@ -199,7 +209,6 @@ class TestRmsprop:
             before = mlp.flat.copy()
             acc_before = [a.copy() for a in split_flat(opt.acc, mlp)]
             opt.apply(mlp, np.zeros_like(mlp.flat), np.array(live))
-            opt._apply_output(mlp, np.zeros_like(mlp.flat), np.array(live))
             assert np.array_equal(mlp.flat, before)
             for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
                 assert np.allclose(a, b * opt.decay)
@@ -411,183 +420,6 @@ class TestLiveSetStep:
         result = self._step_both(rng, sizes, np.full((8, 1), 40))
         assert result[-1].tolist() == [40]
         self._assert_matches_reference(*result)
-
-
-@pytest.fixture
-def output_worker(monkeypatch):
-    """A worker thread of the test's own in place of qnet's, so that a
-    compacted step runs its output half on a second thread even on a host
-    with one usable CPU. It is joined when the test ends."""
-    pool = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(qnet, "_output_worker", lambda: pool)
-    yield pool
-    pool.shutdown(wait=True)
-
-
-class TestOutputWorker:
-    """A compacted step runs its output-layer half on the worker thread
-    while the caller runs the hidden-layer half. The halves touch disjoint
-    memory and run the same operations wherever they run, so a step with
-    the worker must match the step without it bit for bit, and it returns
-    only once both halves are done, also when one of them raises."""
-
-    HYPER = dict(learning_rate=0.01, decay=0.9, epsilon=1e-6)
-
-    @staticmethod
-    def _batches(rng, sizes, actions, steps=3):
-        """`steps` batches of normal states and targets, with the actions
-        that actions(rng) draws."""
-        out = []
-        for _ in range(steps):
-            acts = actions(rng)
-            out.append((rng.normal(size=(len(acts), sizes[0])), acts,
-                        rng.normal(size=acts.shape)))
-        return out
-
-    def _train(self, monkeypatch, pool, sizes, batches, block):
-        """Train a fresh network on `batches` with `pool` as the worker (None:
-        no worker). Returns the network, its optimizer, the losses, the
-        thread that ran each step's output half and, per step, whether the
-        W2 rows that backprop multiplied share memory with mlp.flat."""
-        monkeypatch.setattr(qnet, "_output_worker", lambda: pool)
-        threads, shared = [], []
-
-        def spy_output_grad(*args):
-            threads.append(threading.get_ident())
-            return _output_grad(*args)
-
-        def spy_backprop(mlp, states, grad_q, z1, w2, out):
-            shared.append(np.shares_memory(w2, mlp.flat))
-            return backprop(mlp, states, grad_q, z1, w2, out)
-
-        monkeypatch.setattr(qnet, "_output_grad", spy_output_grad)
-        monkeypatch.setattr(qnet, "backprop", spy_backprop)
-        mlp = MLP.init(sizes, np.random.default_rng(7))
-        opt = RMSprop(mlp, **self.HYPER)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)      # switch threads as often as it can
-        try:
-            losses = [train_batch(mlp, opt, *batch, block) for batch in batches]
-        finally:
-            sys.setswitchinterval(interval)
-        return mlp, opt, losses, threads, shared
-
-    @pytest.mark.parametrize("case", ["scenario1", "scenario3", "few_live",
-                                      "single_unit"])
-    def test_same_bits_with_and_without_the_worker(self, case, monkeypatch,
-                                                   output_worker):
-        """scenario1 and scenario3 width with random actions, then
-        TestLiveSetStep's shapes: few live units, among them a whole block
-        of W2 rows, and a single live unit."""
-        rng = np.random.default_rng(11)
-        if case == "scenario1":
-            sizes, cells = (100, 720, 360), 5
-            actions = lambda r: r.integers(0, 72, size=(64, cells))
-        elif case == "scenario3":
-            sizes, cells = (300, 2160, 1080), 15
-            actions = lambda r: r.integers(0, 72, size=(64, cells))
-        elif case == "few_live":
-            sizes, cells = (300, 2160, 1080), 15
-            actions = TestLiveSetStep()._few_units
-        else:
-            sizes, cells = (300, 2160, 72), 1
-            actions = lambda r: np.full((8, 1), 40)
-        batches = self._batches(rng, sizes, actions)
-        block = sizes[2] // cells
-        mlp, opt, losses, threads, shared = self._train(
-            monkeypatch, output_worker, sizes, batches, block)
-        ref_mlp, ref_opt, ref_losses, ref_threads, _ = self._train(
-            monkeypatch, None, sizes, batches, block)
-        main = threading.get_ident()
-        assert len(threads) == 3 and main not in threads
-        assert ref_threads == [main] * 3
-        assert not any(shared)
-        assert losses == ref_losses
-        assert np.array_equal(mlp.flat, ref_mlp.flat)
-        assert np.array_equal(opt.acc, ref_opt.acc)
-
-    def test_dense_step_runs_inline(self, rng, monkeypatch, output_worker):
-        # the desk network's W2 is one update block: every step is dense,
-        # and its backprop multiplies W2 itself
-        sizes = (27, 108, 27)
-        batches = self._batches(rng, sizes, lambda r: r.integers(0, 9, size=(64, 3)))
-        *_, threads, shared = self._train(monkeypatch, output_worker, sizes,
-                                          batches, 9)
-        assert threads == [threading.get_ident()] * 3 and all(shared)
-
-    def _scenario1_step(self, rng):
-        sizes = (100, 720, 360)
-        mlp = MLP.init(sizes, rng)
-        opt = RMSprop(mlp, **self.HYPER)
-        (batch,) = self._batches(rng, sizes, lambda r: r.integers(0, 72, size=(64, 5)),
-                                 steps=1)
-        return mlp, opt, batch, mlp.flat.copy()
-
-    def test_worker_failure_raised_after_the_callers_half(self, rng, monkeypatch,
-                                                          output_worker):
-        mlp, opt, batch, before = self._scenario1_step(rng)
-
-        def fail(*args):
-            raise RuntimeError("output half failed")
-
-        done = []
-        apply = RMSprop.apply
-        monkeypatch.setattr(qnet, "_output_grad", fail)
-        monkeypatch.setattr(RMSprop, "apply",
-                            lambda self, *args: (apply(self, *args), done.append(1)))
-        with pytest.raises(RuntimeError, match="output half failed"):
-            train_batch(mlp, opt, *batch, 72)
-        assert done == [1]
-        w1, b1, w2, b2 = split_flat(mlp.flat, mlp)
-        w1_0, b1_0, w2_0, b2_0 = split_flat(before, mlp)
-        assert np.all(w1 != w1_0)        # the caller's half ran to the end
-        assert np.array_equal(w2, w2_0) and np.array_equal(b2, b2_0)
-
-    def test_caller_failure_joins_the_worker(self, rng, monkeypatch,
-                                             output_worker):
-        mlp, opt, batch, before = self._scenario1_step(rng)
-        started = threading.Event()
-
-        def slow_output_grad(*args):
-            started.set()
-            time.sleep(0.05)
-            return _output_grad(*args)
-
-        def fail(*args):
-            assert started.wait(timeout=10)
-            raise RuntimeError("hidden half failed")
-
-        monkeypatch.setattr(qnet, "_output_grad", slow_output_grad)
-        monkeypatch.setattr(qnet, "backprop", fail)
-        with pytest.raises(RuntimeError, match="hidden half failed"):
-            train_batch(mlp, opt, *batch, 72)
-        on_return = mlp.flat.copy()
-        output_worker.shutdown(wait=True)
-        # the worker had finished its update of W2 before the error left
-        assert np.array_equal(mlp.flat, on_return)
-        w2, w2_0 = split_flat(mlp.flat, mlp)[2], split_flat(before, mlp)[2]
-        assert np.any(w2 != w2_0)
-
-    @pytest.mark.parametrize("cpus, threads, threaded", [
-        (1, 1, False),     # one usable CPU
-        (2, 2, False),     # BLAS runs a thread per CPU already
-        (2, 1, True),      # BLAS limited to the calling thread
-        (4, 2, True),
-    ])
-    def test_worker_needs_a_cpu_the_process_leaves_free(
-            self, cpus, threads, threaded, monkeypatch):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity masks on this platform")
-        listdir = os.listdir
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(os, "listdir", lambda path: (
-            [str(i) for i in range(threads)] if path == "/proc/self/task"
-            else listdir(path)))
-        qnet._output_worker.cache_clear()
-        try:
-            assert (qnet._output_worker() is not None) == threaded
-        finally:
-            qnet._output_worker.cache_clear()
 
 
 class TestClone:

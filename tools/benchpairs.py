@@ -70,7 +70,7 @@ def machine():
     return {
         "cpu": model or platform.processor(),
         "cpu_count": os.cpu_count(),
-        # the learner's second thread needs a second usable CPU
+        # CPUs in this process's affinity mask, which may be fewer than cpu_count
         "usable_cpus": len(os.sched_getaffinity(0)),
         "system": platform.platform(),
         "python": platform.python_version(),
