@@ -42,15 +42,16 @@ import numpy as np
 # Each checkpoint magic and the element type of the arrays it heads.
 CHECKPOINT_DTYPES = {b"CPQNET1\n": np.dtype("<f8"), b"CPQNET2\n": np.dtype("<f4")}
 
-# Elements per block of the RMSprop update: each block's nine passes over
-# parameters, accumulators, gradient and two scratch rows (5 x 256 KiB in
-# float64, 5 x 128 KiB in float32) stay in cache. On a 2-vCPU Xeon with
-# 2 MiB of L2 per core, an isolated dense float64 update of the
-# 3.0M-parameter scenario3 network took 8.3-8.5 ms with this block size,
-# 9.9-10.5 ms with 8k and 11.0-11.1 ms with 128k (the host's speed
-# drifts: it has also run the 32k update in 5.5 ms).
-# The block size also decides whether a step is dense or compacted (see
-# train_batch), and so the last bits of its results.
+# Elements per block of the RMSprop update. A dense block's nine passes
+# (its decay, then the step) over parameters, accumulators, gradient and
+# two scratch rows (5 x 256 KiB in float64, 5 x 128 KiB in float32) stay
+# in cache, as does a compacted update's chunk of gathered live W2 rows,
+# at most one block, or one row. On a 2-vCPU Xeon with 2 MiB of L2 per
+# core, an isolated dense float64 update of the 3.0M-parameter scenario3
+# network took 8.3-8.5 ms with this block size, 9.9-10.5 ms with 8k and
+# 11.0-11.1 ms with 128k (the host's speed drifts: it has also run the 32k
+# update in 5.5 ms). The block size also decides whether a step is dense
+# or compacted (see train_batch), and so the last bits of its results.
 UPDATE_BLOCK = 32_768
 
 
@@ -123,10 +124,11 @@ class RMSprop:
         p  -= lr * g / (sqrt(acc) + eps)
 
     A zero gradient leaves p unchanged bit for bit and adds exactly +0 to
-    the decayed accumulator, so the W2 rows and b2 entries outside a
-    step's live set only decay. `acc` shares the network's flat layout;
-    `grad` (the buffer a training step writes its gradient into) has it
-    too, with the W2 and b2 gradients packed as the module docstring says.
+    the decayed accumulator, so a compacted update decays all of W2's and
+    b2's accumulators, then steps only the rows of the step's live set.
+    `acc` shares the network's flat layout; `grad` (the buffer a training
+    step writes its gradient into) has it too, with the W2 and b2
+    gradients packed as the module docstring says.
     """
 
     def __init__(self, mlp: MLP, learning_rate: float, decay: float,
@@ -136,63 +138,46 @@ class RMSprop:
         self.epsilon = epsilon
         self.acc = np.zeros_like(mlp.flat)
         self.grad = np.empty_like(mlp.flat)
-        # two rows for the formula's temporaries and two for the live rows
-        # gathered from a block of W2 rows; a block holds at least one row,
-        # even one wider than UPDATE_BLOCK
+        # two rows for the formula's temporaries; a block holds at least one
+        # W2 row, even one wider than UPDATE_BLOCK
         width = min(max(UPDATE_BLOCK, mlp.w2.shape[1]), mlp.flat.size)
-        self._scratch = np.empty((4, width), dtype=mlp.flat.dtype)
+        self._scratch = np.empty((2, width), dtype=mlp.flat.dtype)
 
     def apply(self, mlp: MLP, grad: np.ndarray, live: np.ndarray) -> None:
         """Update mlp.flat from the flat gradient `grad`, whose W2 and b2
         gradients are packed for the sorted output units `live`. W1 and b1
         are updated UPDATE_BLOCK elements at a time; unless every output
-        is live, W2 and b2 are updated in blocks of whole rows, one row per
-        output unit."""
+        is live, W2's and b2's accumulators then decay, and the live rows
+        are stepped in gathered chunks of at most one block."""
         # with every output live the gradient is unpacked: one dense pass
         dense = (mlp.flat.size if live.size == len(mlp.b2)
                  else mlp.w1.size + mlp.b1.size)
         for start in range(0, dense, UPDATE_BLOCK):
             block = slice(start, min(start + UPDATE_BLOCK, dense))
-            self._step(mlp.flat[block], self.acc[block], grad[block])
+            a = self.acc[block]
+            a *= self.decay
+            self._step(mlp.flat[block], a, grad[block])
         if dense == mlp.flat.size:
             return
-        _, _, acc_w2, acc_b2 = _views(self.acc, mlp._shapes)
-        _, _, grad_w2, grad_b2 = _views(grad, mlp._shapes)
-        self._update_rows(mlp.w2, acc_w2, grad_w2, live)
-        self._update_rows(mlp.b2.reshape(-1, 1), acc_b2.reshape(-1, 1),
-                          grad_b2.reshape(-1, 1), live)
-
-    def _update_rows(self, p, a, g, live):
-        """Update the rows `live` of p and a (one row per output unit) from
-        the gradient rows packed at the top of g; every other row only
-        decays. Each block of rows gathers its live rows (none, some or
-        all) into scratch rows, decays the whole block, updates the gathered
-        rows and writes them back over their decayed accumulators."""
-        rows, width = p.shape
-        step = max(1, UPDATE_BLOCK // width)
-        starts = range(0, rows, step)
-        cuts = np.searchsorted(live, [*starts, rows]).tolist()
-        for r0, j0, j1 in zip(starts, cuts, cuts[1:]):
-            p_rows, a_rows = p[r0:r0 + step], a[r0:r0 + step]
-            local = live[j0:j1] - r0
-            size = (j1 - j0) * width
-            p_live = self._scratch[2, :size].reshape(-1, width)
-            a_live = self._scratch[3, :size].reshape(-1, width)
-            np.take(p_rows, local, axis=0, out=p_live, mode="clip")
-            np.take(a_rows, local, axis=0, out=a_live, mode="clip")
-            a_rows *= self.decay
-            self._step(p_live, a_live, g[j0:j1])
-            p_rows[local] = p_live
-            a_rows[local] = a_live
+        regions = zip((mlp.w2, mlp.b2), _views(self.acc, mlp._shapes)[2:],
+                      _views(grad, mlp._shapes)[2:])
+        for p, a, g in regions:
+            p, a, g = (x.reshape(len(mlp.b2), -1) for x in (p, a, g))
+            a *= self.decay
+            rows = max(1, UPDATE_BLOCK // p.shape[1])
+            for j in range(0, live.size, rows):
+                index = live[j:j + rows]
+                p_live, a_live = p[index], a[index]
+                self._step(p_live, a_live, g[j:j + index.size])
+                p[index], a[index] = p_live, a_live
 
     def _step(self, p, a, g):
-        """The class formulas on one block, in place. They are evaluated
-        left to right, as whole-array numpy expressions would be, so the
-        result is bit-for-bit theirs."""
+        """The class formulas on one block whose accumulators have already
+        decayed, in place. They are evaluated left to right, as whole-array
+        numpy expressions would be, so the result is bit-for-bit theirs."""
         lr, decay, eps = self.learning_rate, self.decay, self.epsilon
         s = self._scratch[0, :g.size].reshape(g.shape)
         t = self._scratch[1, :g.size].reshape(g.shape)
-        a *= decay
         np.multiply(g, 1.0 - decay, out=s)
         s *= g
         a += s

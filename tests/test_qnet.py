@@ -211,7 +211,40 @@ class TestRmsprop:
             opt.apply(mlp, np.zeros_like(mlp.flat), np.array(live))
             assert np.array_equal(mlp.flat, before)
             for a, b in zip(split_flat(opt.acc, mlp), acc_before):   # accumulators only decay
-                assert np.allclose(a, b * opt.decay)
+                assert np.array_equal(a, b * opt.decay)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_compacted_update_equals_dense_update(self, rng, dtype):
+        # the update is elementwise, so on any inputs a compacted update
+        # from a packed gradient equals, bit for bit, a dense one from the
+        # unpacked gradient, whose rows outside the live set are zero
+        sizes = (8, 700, 100)
+        n_out, chunk = sizes[2], UPDATE_BLOCK // sizes[1]
+        some = [np.sort(rng.choice(n_out, size, replace=False))
+                for size in (chunk, chunk + 1)]
+        for live in ([37], [0, n_out - 1], *some, np.delete(np.arange(n_out), 58)):
+            live = np.asarray(live)
+            nets = [MLP.init(sizes, rng, dtype)]
+            nets[0].flat[:] = rng.normal(size=nets[0].flat.size)
+            before = nets[0].flat.copy()
+            nets.append(nets[0].clone())
+            opts = [RMSprop(net, learning_rate=0.01, decay=0.9, epsilon=1e-6)
+                    for net in nets]
+            opts[0].acc[:] = opts[1].acc[:] = rng.random(nets[0].flat.size)
+            dense = rng.normal(size=nets[0].flat.size).astype(dtype)
+            packed = dense.copy()
+            dead = np.setdiff1d(np.arange(n_out), live)
+            for d, p in zip(split_flat(dense, nets[0])[2:],
+                            split_flat(packed, nets[0])[2:]):
+                p[:live.size] = d[live]
+                p[live.size:] = np.nan       # never read
+                d[dead] = 0.0
+            opts[0].apply(nets[0], packed, live)
+            opts[1].apply(nets[1], dense, np.arange(n_out))
+            assert np.array_equal(nets[0].flat, nets[1].flat)
+            assert np.array_equal(opts[0].acc, opts[1].acc)
+            moved = nets[0].w2 != split_flat(before, nets[0])[2]
+            assert moved[live].any(axis=1).all() and not moved[dead].any()
 
 
 class TestFlatLearnerOracle:
@@ -372,9 +405,9 @@ class TestLiveSetStep:
 
     def _few_units(self, rng, n=16):
         """Each cell but the first picks one of two actions; the first picks
-        units 0-14, which fill a whole block of W2 rows (UPDATE_BLOCK // 2160
-        rows). So 29 to 43 of the 1080 units are live, and the update meets
-        blocks with no, some and only live rows."""
+        units 0-14, as many rows as a chunk of the update holds
+        (UPDATE_BLOCK // 2160). So 29 to 43 of the 1080 units are live, and
+        they span several chunks."""
         actions = 5 + 11 * rng.integers(0, 2, size=(n, self.CELLS))
         actions[:, 0] = np.arange(n) % 15
         return actions
@@ -419,6 +452,15 @@ class TestLiveSetStep:
         sizes = (self.SIZES[0], self.SIZES[1], self.SIZES[2] // self.CELLS)
         result = self._step_both(rng, sizes, np.full((8, 1), 40))
         assert result[-1].tolist() == [40]
+        self._assert_matches_reference(*result)
+
+    def test_output_row_wider_than_update_block(self, rng):
+        # a W2 row wider than an update block: every chunk is one row
+        sizes = (4, UPDATE_BLOCK + 1000, 4)
+        actions = np.tile([[0, 1], [1, 1]], (4, 1))
+        result = self._step_both(rng, sizes, actions)
+        assert result[-1].tolist() == [0, 1, 3]
+        assert (sizes[2] - 3) * sizes[1] >= UPDATE_BLOCK       # compacted
         self._assert_matches_reference(*result)
 
 
