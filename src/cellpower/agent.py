@@ -69,14 +69,12 @@ def select_joint_action(q_values: np.ndarray, epsilon: float, num_cells: int,
                         rng: np.random.Generator | None) -> np.ndarray:
     """Per-cell index: explore uniformly with probability epsilon, else the
     argmax of that cell's block (ties to the lowest index)."""
-    q = np.asarray(q_values)
-    block = q.shape[0] // num_cells
-    choice = np.empty(num_cells, dtype=int)
-    for k in range(num_cells):
-        if epsilon > 0.0 and rng.random() < epsilon:
-            choice[k] = rng.integers(0, block)
-        else:
-            choice[k] = int(np.argmax(q[k * block:(k + 1) * block]))
+    q = np.asarray(q_values).reshape(num_cells, -1)
+    choice = q.argmax(axis=1)
+    if epsilon > 0.0:
+        for k in range(num_cells):
+            if rng.random() < epsilon:
+                choice[k] = rng.integers(0, q.shape[1])
     return choice
 
 
@@ -102,7 +100,7 @@ def bellman_targets(target_net: MLP, buffer: ReplayBuffer, rows: np.ndarray,
         buffer.target_max[stale] = q_next.reshape(
             len(stale), num_cells, -1).max(axis=2)
         buffer.fresh[stale] = True
-    y = np.repeat(buffer.reward[rows, None], num_cells, axis=1)
+    y = buffer.reward[rows, None].repeat(num_cells, axis=1)
     y[bootstrap] += discount * buffer.target_max[rows[bootstrap]]
     return y, len(stale)
 
@@ -136,7 +134,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
     """
     num_cells = env.config.num_cells
     train_start = config.resolved_train_start()
-    buffer = ReplayBuffer(config.replay_capacity, env.state_scale)
+    buffer = ReplayBuffer(config.replay_capacity, env.state_scale, len(env.actions))
     target = mlp.clone()
 
     log = {name: [] for name in TRAINING_LOG}
@@ -183,10 +181,12 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
             if on_step is not None:
                 on_step(step, grad_steps, mlp, target)
 
-        mean_loss = float(np.mean(ep_losses)) if ep_losses else float("nan")
-        greedy = np.concatenate(ep_greedy)
+        losses, greedy = np.asarray(ep_losses), np.concatenate(ep_greedy)
+        # np.mean's sum and division, without its wrappers
+        mean_loss = float(np.add.reduce(losses) / losses.size) if ep_losses else math.nan
         row = (step, episode, config.epsilon_at(step), mean_loss, ep_len, ep_peak,
-               float(greedy.mean()), float(greedy.max()), grad_steps, len(buffer))
+               float(np.add.reduce(greedy) / greedy.size), float(greedy.max()),
+               grad_steps, len(buffer))
         for name, value in zip(TRAINING_LOG, row, strict=True):
             log[name].append(value)
     return log, target_rows

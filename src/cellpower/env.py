@@ -19,7 +19,6 @@ from .netmodel import (
     cqi_quantize_array,
     draw_channel,
     location_indicator,
-    network_utility,
     serving_sinr,
     utility_from_sinr,
 )
@@ -92,12 +91,13 @@ class PowerControlEnv:
         distance = build_topology(self.config, rng)
         channel = draw_channel(distance, self.config, rng)
         joint = rng.integers(0, len(self.actions), size=self.config.num_cells)
-        # row 0 is the all-lowest-level combination, feasible by config invariant
-        min_power = self.actions[np.zeros_like(joint)]
+        # row 0 is the all-lowest-level combination, feasible by config invariant;
+        # one SINR pass over it and the start allocation gives the baseline and state
+        power = self.actions[[np.zeros_like(joint), joint]]
+        sinr = serving_sinr(power, channel)
         ctx = EpisodeContext(location_indicator(distance, self.config.cell_radius),
-                             channel, self.actions[joint], joint,
-                             network_utility(min_power, channel))
-        return ctx, self.encode_state(ctx)
+                             channel, power[1], joint, utility_from_sinr(sinr[0], channel))
+        return ctx, self.encode_state(ctx, sinr[1])
 
     def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:
         """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit.
@@ -114,11 +114,11 @@ class PowerControlEnv:
         """Apply K action indices; returns (next_state, reward, terminal, throughput)."""
         if ctx.terminal:
             raise RuntimeError("episode already terminated; reset first")
-        joint = np.asarray(joint_action, dtype=int)
-        if joint.shape != (self.config.num_cells,):
-            raise ValueError(f"expected {self.config.num_cells} action indices")
-        if np.any(joint < 0) or np.any(joint >= len(self.actions)):
-            raise ValueError("action index out of range")
+        joint = np.asarray(joint_action)
+        if (joint.shape != (self.config.num_cells,) or joint.dtype.kind not in "iu"
+                or joint.min() < 0 or joint.max() >= len(self.actions)):
+            raise ValueError(f"expected {self.config.num_cells} integer action indices "
+                             f"in [0, {len(self.actions)}), got {joint_action!r}")
 
         ctx.current_action = joint
         ctx.current_power = self.actions[joint]

@@ -159,12 +159,15 @@ def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
             break
         checked = len(draws)
         draws = np.append(draws, rng.uniform(size=more))
-    draws = np.delete(draws, rejected)
+    if rejected:
+        draws = np.delete(draws, rejected)
     radius = config.cell_radius * np.sqrt(draws[0::2])
     angle = 2.0 * math.pi * draws[1::2]
-    users = (np.repeat(bs, config.users_per_cell, axis=0)
-             + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1))
-    return np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
+    x = bs[:, 0].repeat(config.users_per_cell) + radius * np.cos(angle)
+    y = bs[:, 1].repeat(config.users_per_cell) + radius * np.sin(angle)
+    # np.linalg.norm's arithmetic over the (x, y) offsets, one axis at a time
+    dx, dy = x[:, None] - bs[:, 0], y[:, None] - bs[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,8 @@ def serving_sinr(power: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """
     per_subband = np.swapaxes(power, -1, -2)                              # (..., F, K)
     heard = (per_subband[..., None, :] @ channel.interference_gain)[..., 0, :]  # (..., F, K*U)
-    signal = channel.serving_gain.T * np.repeat(per_subband, channel.users_per_cell, axis=-1)
-    return np.swapaxes(signal / (channel.noise_power + heard), -1, -2)
+    signal = channel.serving_gain.T * per_subband.repeat(channel.users_per_cell, axis=-1)
+    return (signal / (channel.noise_power + heard)).swapaxes(-1, -2)
 
 
 def _cell_user_rates(sinr, channel):
@@ -274,7 +277,7 @@ def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization):
         best = np.maximum(best, rates[..., u, :])
     # sum each allocation's K*F best rates as one flat row, so that a batch
     # adds in the same order as a single allocation
-    total = best.reshape(*best.shape[:-2], -1).sum(axis=-1)
+    total = np.add.reduce(best.reshape(*best.shape[:-2], -1), axis=-1)
     return float(total) if sinr.ndim == 2 else total
 
 

@@ -204,10 +204,10 @@ def backprop(mlp: MLP, states: np.ndarray, grad_q: np.ndarray,
     dw1, db1, dw2, db2 = _views(out, mlp._shapes)
     n_live = len(w2)
     np.matmul(grad_q.T, h, out=dw2[:n_live])
-    np.sum(grad_q, axis=0, out=db2[:n_live])
+    np.add.reduce(grad_q, axis=0, out=db2[:n_live])
     dz1 = (grad_q @ w2) * (h > 0.0)
     np.matmul(dz1.T, x, out=dw1)
-    np.sum(dz1, axis=0, out=db1)
+    np.add.reduce(dz1, axis=0, out=db1)
     return out
 
 
@@ -227,34 +227,34 @@ def train_batch(mlp: MLP, opt: RMSprop, states, actions, targets,
     y = np.asarray(targets, dtype=mlp.flat.dtype)
     n, num_cells = acts.shape
 
-    # the live set, and each selected unit's column among the live ones
+    # the live set, and each selected unit's column among the live ones. Unless
+    # the rows left out (at most n_out - K) would fill an update block, the step
+    # stays dense: cheaper, and it leaves those rows as a compacted step would
     n_out, n_hidden = mlp.w2.shape
     units = (acts + np.arange(num_cells) * block_size).reshape(-1)
-    selected = np.zeros(n_out, dtype=bool)
-    selected[units] = True
-    live = np.flatnonzero(selected)
-    if (n_out - live.size) * n_hidden >= UPDATE_BLOCK:
-        w2, b2 = np.take(mlp.w2, live, axis=0), mlp.b2[live]
-        cols = (np.cumsum(selected) - 1)[units]
-    else:
-        # the rows left out would not fill one update block, which costs
-        # less than compacting: take the dense step, whose zero gradients
-        # leave those rows exactly as the compacted step would
-        live, w2, b2, cols = np.arange(n_out), mlp.w2, mlp.b2, units
+    live, w2, b2, cols = np.arange(n_out), mlp.w2, mlp.b2, units
+    if (n_out - num_cells) * n_hidden >= UPDATE_BLOCK:
+        selected = np.zeros(n_out, dtype=bool)
+        selected[units] = True
+        if (n_out - np.count_nonzero(selected)) * n_hidden >= UPDATE_BLOCK:
+            live = np.flatnonzero(selected)
+            w2, b2 = np.take(mlp.w2, live, axis=0), mlp.b2[live]
+            cols = (np.cumsum(selected) - 1)[units]
 
     # MLP.forward's arithmetic on the live units, keeping the hidden
     # activations for backprop
     h = np.maximum(x @ mlp.w1.T + mlp.b1, 0.0)
     q = h @ w2.T + b2
-    rows = np.repeat(np.arange(n), num_cells)
-    diff = q[rows, cols].reshape(n, num_cells) - y
-    loss = float(np.mean(diff ** 2))
+    rows, cols = np.arange(n)[:, None], cols.reshape(n, num_cells)
+    diff = q[rows, cols] - y
+    # np.mean(diff ** 2)'s sum and division, without its wrappers
+    loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss: {loss}")
 
     # a sample's K units lie in distinct blocks, so no (row, col) repeats
-    grad_q = np.zeros_like(q)
-    grad_q[rows, cols] = (2.0 * diff / diff.size).reshape(-1)
+    grad_q = np.zeros(q.shape, q.dtype)
+    grad_q[rows, cols] = 2.0 * diff / diff.size
     opt.apply(mlp, backprop(mlp, x, grad_q, h, w2, opt.grad), live)
     return loss
 

@@ -10,13 +10,16 @@ class ReplayBuffer:
     keeps its state in code slot p % (capacity + 1) and its next state in
     the following slot, which is push p + 1's state (unless row p is
     terminal: then push p + 1 overwrites it, and no target reads it).
+    A row's K action indices, each in 0..num_actions - 1 as the env has
+    checked, are kept in the smallest unsigned type that holds them.
     `target_max` (capacity, K) caches the target network's per-cell block
     maxima at each next state, valid where `fresh` is set."""
 
-    def __init__(self, capacity: int, scale: np.ndarray):
+    def __init__(self, capacity: int, scale: np.ndarray, num_actions: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity, self.scale, self.pushes = capacity, scale, 0
+        self.action_type = np.min_scalar_type(num_actions - 1)
         self.codes = None    # the first push makes it and the rest with np.empty
 
     def __len__(self):
@@ -36,8 +39,8 @@ class ReplayBuffer:
         c, k = self.capacity, len(action)
         if self.codes is None:
             self.codes = np.empty((c + 1, len(self.scale)), np.uint8)
-            self.push_no, self.action = np.empty(c, np.int64), np.empty((c, k), int)
-            self.reward, self.target_max = np.empty(c), np.empty((c, k))
+            self.push_no, self.reward = np.empty(c, np.int64), np.empty(c)
+            self.action, self.target_max = np.empty((c, k), self.action_type), np.empty((c, k))
             self.terminal, self.fresh = np.empty(c, bool), np.empty(c, bool)
         p, i = self.pushes, self.pushes % c
         s = np.asarray(state, dtype=np.float64)

@@ -150,6 +150,21 @@ def reference_drop(config, rng):
     return bs, users, dist
 
 
+def reference_select(q_values, epsilon, num_cells, rng):
+    """Per-cell epsilon-greedy selection as a loop over the cells: cell k
+    draws one uniform, and when it is below epsilon an index in its block;
+    otherwise it takes its block's argmax, ties to the lowest index."""
+    q = np.asarray(q_values)
+    block = q.shape[0] // num_cells
+    choice = np.empty(num_cells, dtype=int)
+    for k in range(num_cells):
+        if epsilon > 0.0 and rng.random() < epsilon:
+            choice[k] = rng.integers(0, block)
+        else:
+            choice[k] = int(np.argmax(q[k * block:(k + 1) * block]))
+    return choice
+
+
 def selected_unit_loss(mlp, states, actions, targets, block_size):
     """The training loss recomputed from scratch: mean squared error over the
     K selected output units of each sample."""

@@ -252,7 +252,7 @@ def test_criterion_10_replay_and_target():
                                     buf.terminal[rows])))
 
     rng = np.random.default_rng(17)
-    buf = ReplayBuffer(37, scale)
+    buf = ReplayBuffer(37, scale, 2 ** 17)      # push i stores action i
     mirror = []
     counter = 0
     for _ in range(100_000):

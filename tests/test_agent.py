@@ -12,7 +12,7 @@ from cellpower.netmodel import network_utility
 from cellpower.qnet import MLP
 from cellpower.replay import ReplayBuffer
 
-from conftest import agent_optimizer, reference_bellman_targets, tiny_config
+from conftest import agent_optimizer, reference_bellman_targets, reference_select, tiny_config
 
 
 def single_link_env(**overrides):
@@ -37,6 +37,23 @@ class TestSelectJointAction:
         shifted = q + 123.456
         assert np.array_equal(select_joint_action(q, 0.0, 2, None),
                               select_joint_action(shifted, 0.0, 2, None))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("num_cells, block", [(1, 4), (3, 9), (15, 72)])
+    def test_same_actions_and_draws_as_per_cell_loop(self, epsilon, num_cells, block):
+        for seed in range(1000):
+            # small integer values, so most blocks have tied maxima
+            q = np.random.default_rng([seed, 1]).integers(
+                0, 4, size=num_cells * block).astype(np.float32)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = select_joint_action(q, epsilon, num_cells, rng)
+            want = reference_select(q, epsilon, num_cells, ref_rng)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+            if epsilon == 0.0:      # each cell's first maximum
+                blocks = q.reshape(num_cells, block)
+                for k, a in enumerate(got):
+                    assert blocks[k, a] == blocks[k].max() > blocks[k, :a].max(initial=-1)
 
     def test_full_exploration_is_uniform(self, rng):
         q = np.zeros(8)   # 2 cells x 4 actions
@@ -118,7 +135,7 @@ def filled_buffer(rng, net, n, terminals=None, exact=False):
     if terminals is None:
         terminals = rng.random(n) < 1 / 3
     scale = np.full(in_size, 1.0 if exact else 15.0)
-    buf = ReplayBuffer(n, scale)
+    buf = ReplayBuffer(n, scale, net.layer_sizes[2] // 2)
     state = np.zeros(in_size)
     for terminal in terminals:
         next_state = (rng.integers(0, 9, size=in_size) if exact

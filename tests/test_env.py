@@ -128,6 +128,28 @@ class TestReset:
                                      snr_gap(env.config.target_ber))
         assert ctx.previous_throughput == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("config", [tiny_config(), tiny_config(num_cells=3),
+                                        ScenarioConfig()], ids=["tiny", "desk", "scenario1"])
+    def test_one_serving_sinr_per_reset(self, config, rng, monkeypatch):
+        env = PowerControlEnv(config)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return serving_sinr(*args, **kwargs)
+
+        for _ in range(20):
+            # count the calls made directly and through network_utility
+            monkeypatch.setattr(env_module, "serving_sinr", counted)
+            monkeypatch.setattr(netmodel, "serving_sinr", counted)
+            calls.clear()
+            ctx, state = env.reset(rng)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            min_power = env.actions[np.zeros(config.num_cells, dtype=int)]
+            assert ctx.previous_throughput == network_utility(min_power, ctx.channel)
+            assert state.tobytes() == env.encode_state(ctx).tobytes()
+
     def test_initial_action_is_feasible(self, rng):
         env = PowerControlEnv(tiny_config())
         ctx, _ = env.reset(rng)
@@ -203,6 +225,14 @@ class TestStep:
             env.step(ctx, [0])
         with pytest.raises(ValueError):
             env.step(ctx, [0, len(env.actions)])
+        with pytest.raises(ValueError):
+            env.step(ctx, [-1, 0])
+        # indices of a non-integer type are rejected, not truncated
+        with pytest.raises(ValueError, match="integer action indices"):
+            env.step(ctx, [1.7, 0.2])
+        with pytest.raises(ValueError, match="integer action indices"):
+            env.step(ctx, [True, False])
+        assert ctx.step_count == 0 and not ctx.terminal
 
     def test_deterministic_throughput_within_episode(self):
         env = PowerControlEnv(tiny_config())

@@ -171,6 +171,33 @@ class TestTrainBatch:
             train_batch(mlp, opt, states, actions, targets, block)
         assert np.array_equal(mlp.flat, flat) and np.array_equal(opt.acc, acc)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes, num_cells, compacted", [
+        ((27, 108, 27), 3, False),      # the desk network, whose steps are dense
+        ((100, 720, 360), 5, True),     # scenario1 width, a live set of about 215
+    ], ids=["dense", "compacted"])
+    def test_loss_is_numpy_mean_bit_for_bit(self, rng, dtype, sizes, num_cells,
+                                            compacted):
+        mlp = MLP.init(sizes, rng, dtype)
+        n, block = 64, sizes[2] // num_cells
+        states = rng.integers(1, 16, size=(n, sizes[0])) / 15.0
+        actions = rng.integers(0, block, size=(n, num_cells))
+        targets = rng.normal(size=(n, num_cells))
+        # the forward pass of the step, over the live units when compacted
+        x, y = states.astype(dtype), targets.astype(dtype)
+        h = np.maximum(x @ mlp.w1.T + mlp.b1, 0.0)
+        units = actions + np.arange(num_cells) * block
+        live = np.unique(units) if compacted else np.arange(sizes[2])
+        q = h @ np.take(mlp.w2, live, axis=0).T + mlp.b2[live]
+        diff = q[np.arange(n)[:, None], np.searchsorted(live, units)] - y
+        assert diff.dtype == dtype
+        opt = agent_optimizer(mlp, AgentConfig())
+        opt.grad[:] = np.nan
+        loss = train_batch(mlp, opt, states, actions, targets, block)
+        # a compacted step leaves the b2 gradient past the live entries unwritten
+        assert np.isnan(split_flat(opt.grad, mlp)[3]).any() == compacted
+        assert loss.hex() == float(np.mean(diff ** 2)).hex()
+
     def test_compacted_step_starts_no_thread(self, rng, monkeypatch):
         # a scenario1-width step on a process that reports CPUs to spare:
         # the step still runs on the calling thread alone

@@ -11,6 +11,8 @@ from conftest import tiny_config
 STATE_SCALE = np.array([15.0, 15.0, 1.0])
 STATE_SIZE = len(STATE_SCALE)
 NUM_CELLS = 2
+# push i stores action i, so the pushes of these tests need a wide action type
+NUM_ACTIONS = 2 ** 16
 
 
 def coded(ids):
@@ -57,21 +59,21 @@ def stored(buf):
 
 
 def test_push_to_empty():
-    buf = ReplayBuffer(4, STATE_SCALE)
+    buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
     push(buf, 0)
     assert len(buf) == 1
     assert stored(buf) == [0]
 
 
 def test_fifo_eviction():
-    buf = ReplayBuffer(2, STATE_SCALE)
+    buf = ReplayBuffer(2, STATE_SCALE, NUM_ACTIONS)
     for i in range(3):
         push(buf, i)
     assert sorted(stored(buf)) == [1, 2]
 
 
 def test_size_saturates_at_capacity():
-    buf = ReplayBuffer(5, STATE_SCALE)
+    buf = ReplayBuffer(5, STATE_SCALE, NUM_ACTIONS)
     for i in range(5):
         push(buf, i)
     assert len(buf) == 5
@@ -81,7 +83,7 @@ def test_size_saturates_at_capacity():
 
 def test_model_equivalence_against_naive_list(rng):
     """Contents always equal the last min(N, pushes) items."""
-    buf = ReplayBuffer(7, STATE_SCALE)
+    buf = ReplayBuffer(7, STATE_SCALE, NUM_ACTIONS)
     mirror = []
     for i in range(500):
         push(buf, i)
@@ -90,7 +92,7 @@ def test_model_equivalence_against_naive_list(rng):
 
 
 def test_sample_returns_only_stored_items(rng):
-    buf = ReplayBuffer(10, STATE_SCALE)
+    buf = ReplayBuffer(10, STATE_SCALE, NUM_ACTIONS)
     for i in range(25):
         push(buf, i)
     held = set(stored(buf))
@@ -99,7 +101,7 @@ def test_sample_returns_only_stored_items(rng):
 
 
 def test_sample_returns_row_aligned_arrays(rng):
-    buf = ReplayBuffer(10, STATE_SCALE)
+    buf = ReplayBuffer(10, STATE_SCALE, NUM_ACTIONS)
     for i in range(10):
         push(buf, i)
     states, actions, rows = buf.sample(6, rng)
@@ -108,25 +110,25 @@ def test_sample_returns_row_aligned_arrays(rng):
     assert actions.shape == (6, NUM_CELLS)
     assert rewards.shape == terminals.shape == rows.shape == (6,)
     assert states.dtype == next_states.dtype == rewards.dtype == np.float64
-    assert actions.dtype == rows.dtype == int
+    assert actions.dtype == np.uint16 and rows.dtype == int
     assert terminals.dtype == bool
 
 
 def test_sample_single_element(rng):
-    buf = ReplayBuffer(3, STATE_SCALE)
+    buf = ReplayBuffer(3, STATE_SCALE, NUM_ACTIONS)
     push(buf, 0)
     assert push_numbers(sampled(buf, buf.sample(1, rng))) == [0]
 
 
 def test_underfull_buffer_signals_not_ready(rng):
-    buf = ReplayBuffer(100, STATE_SCALE)
+    buf = ReplayBuffer(100, STATE_SCALE, NUM_ACTIONS)
     push(buf, 1)
     with pytest.raises(ValueError):
         buf.sample(2, rng)
 
 
 def test_sampling_is_uniform(rng):
-    buf = ReplayBuffer(10, STATE_SCALE)
+    buf = ReplayBuffer(10, STATE_SCALE, NUM_ACTIONS)
     for i in range(10):
         push(buf, i)
     draws = 100_000
@@ -137,9 +139,23 @@ def test_sampling_is_uniform(rng):
     assert np.all(np.abs(freq - 0.1) < 0.01)
 
 
+@pytest.mark.parametrize("num_actions, dtype", [(9, np.uint8), (72, np.uint8),
+                                                (256, np.uint8), (257, np.uint16)])
+def test_actions_take_the_smallest_unsigned_type(num_actions, dtype, rng):
+    buf = ReplayBuffer(8, STATE_SCALE, num_actions)
+    pushed = rng.integers(0, num_actions, size=(8, NUM_CELLS))
+    pushed[0] = num_actions - 1, 0
+    for i, action in enumerate(pushed):
+        buf.push(coded(i), action, float(i), coded(i + 1), False)
+    assert buf.action.dtype == dtype
+    for _ in range(5):
+        _, actions, rows = buf.sample(8, rng)
+        assert np.array_equal(actions, pushed[rows])     # row i holds push i
+
+
 def test_bad_capacity_rejected():
     with pytest.raises(ValueError):
-        ReplayBuffer(0, STATE_SCALE)
+        ReplayBuffer(0, STATE_SCALE, NUM_ACTIONS)
 
 
 @pytest.mark.parametrize("field", ["state", "next_state"])
@@ -151,7 +167,7 @@ def test_bad_capacity_rejected():
     (0, np.nextafter(1 / 15, 1)),   # one ulp above a CQI code
 ])
 def test_off_grid_state_rejected(field, column, value):
-    buf = ReplayBuffer(4, STATE_SCALE)
+    buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
     push(buf, 0)
     push(buf, 1)            # terminal, so push 2 may start anywhere
     fields = {"state": coded(2), "next_state": coded(3)}
@@ -166,7 +182,7 @@ def test_off_grid_state_rejected(field, column, value):
 
 
 def test_state_after_non_terminal_row_must_be_its_next_state():
-    buf = ReplayBuffer(4, STATE_SCALE)
+    buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
     push(buf, 0)            # not terminal: push 1 must start at coded(1)
     with pytest.raises(ValueError, match="not the next state of push 0"):
         buf.push(coded(5), np.zeros(NUM_CELLS, dtype=int), 1.0, coded(6), True)
@@ -187,7 +203,7 @@ def test_env_states_round_trip_bit_for_bit(config, rng):
     # and a later push started a new episode on its slot
     env = PowerControlEnv(config, max_episode_steps=4)
     capacity = 9
-    buf = ReplayBuffer(capacity, env.state_scale)
+    buf = ReplayBuffer(capacity, env.state_scale, len(env.actions))
     pushed = []                 # (state, next_state, terminal) of each push
     while len(pushed) < 5 * capacity:
         ctx, state = env.reset(rng)
@@ -221,7 +237,7 @@ def test_states_take_one_byte_per_entry_and_slot():
     capacity = 50
 
     def held_bytes(width):
-        buf = ReplayBuffer(capacity, np.full(width, 15.0))
+        buf = ReplayBuffer(capacity, np.full(width, 15.0), NUM_ACTIONS)
         state = np.zeros(width)
         for i in range(capacity + 3):
             buf.push(state, np.zeros(NUM_CELLS, dtype=int), 1.0, state, False)

@@ -10,9 +10,10 @@ encode_state gives. It then pushes those episodes in turn into a
 ReplayBuffer of AgentConfig's default capacity until the ring is full,
 as agent.train would. Each preset prints one line: the state width, the
 bytes of the ring's arrays whose rows are states (its state storage), the
-bytes of all its arrays, and the growth of ru_maxrss over the fill in
-MiB. The arrays are made with np.empty, so the growth counts only pages
-the pushes wrote (the target cache is never written here).
+bytes of its action array, the bytes of all its arrays, and the growth of
+ru_maxrss over the fill in MiB. The arrays are made with np.empty, so the
+growth counts only pages the pushes wrote (the target cache is never
+written here).
 """
 
 import argparse
@@ -49,7 +50,7 @@ def measure(preset):
             pool.append((state, action, reward, next_state, terminal))
             state = next_state
     capacity = AgentConfig().replay_capacity
-    buf = ReplayBuffer(capacity, env.state_scale)
+    buf = ReplayBuffer(capacity, env.state_scale, len(env.actions))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     while len(buf) < capacity:
         for transition in pool[:capacity - len(buf)]:
@@ -59,6 +60,7 @@ def measure(preset):
     state_bytes = sum(a.nbytes for a in arrays if a.shape[-1] == env.state_size)
     print(f"{preset:9s}  width {env.state_size:3d}  rows {len(buf):,}  "
           f"state storage {state_bytes / 2 ** 20:7.1f} MiB  "
+          f"actions ({buf.action.dtype}) {buf.action.nbytes / 2 ** 20:5.2f} MiB  "
           f"all arrays {sum(a.nbytes for a in arrays) / 2 ** 20:7.1f} MiB  "
           f"ru_maxrss growth {(after - before) / 1024:7.1f} MiB", flush=True)
 
