@@ -24,6 +24,6 @@ from .baselines import (
     random_power_baseline,
     wmmse,
 )
-from .harness import ComparisonReport, ExperimentSpec, normalized_throughput, run_experiment
+from .harness import ExperimentSpec, run_experiment
 
 __version__ = "0.1.0"

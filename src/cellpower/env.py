@@ -99,14 +99,9 @@ class PowerControlEnv:
                              channel, power[1], joint, utility_from_sinr(sinr[0], channel))
         return ctx, self.encode_state(ctx, sinr[1])
 
-    def encode_state(self, ctx: EpisodeContext, sinr=None) -> np.ndarray:
-        """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit.
-
-        `sinr` is the serving SINR at ctx.current_power when the caller
-        already has it; otherwise it is computed here.
-        """
-        if sinr is None:
-            sinr = serving_sinr(ctx.current_power, ctx.channel)
+    def encode_state(self, ctx: EpisodeContext, sinr: np.ndarray) -> np.ndarray:
+        """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit;
+        `sinr` is the serving SINR at ctx.current_power."""
         cqi = cqi_quantize_array(sinr) / float(CQI_LEVELS)     # (K*U, F)
         return np.concatenate([cqi, ctx.edge[:, None]], axis=1).reshape(-1)
 

@@ -168,9 +168,9 @@ def config_hash(spec: ExperimentSpec) -> str:
 
 @dataclass
 class ComparisonReport:
-    """Per-sample throughputs normalized by the GA solution on the same channel."""
+    """Each method's mean throughput normalized by the GA solution on the
+    same channel; results.csv holds the per-sample ratios."""
 
-    per_sample: dict                 # method -> list of ratios
     mean: dict                       # method -> mean ratio
     excluded: int                    # samples dropped for non-positive GA throughput
     metadata: dict = field(default_factory=dict)
@@ -186,29 +186,29 @@ def _finite_or_null(value):
     """`value` with every non-finite float inside it replaced by None."""
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def normalized_throughput(phase: dict) -> ComparisonReport:
-    """Per-sample ratios of a test phase, as `agent.test` returns it.
-    Without samples, or with every sample excluded, each mean is NaN."""
-    per_sample = {m: [] for m in METHODS}
-    excluded = 0
-    for i, ga in enumerate(phase["ga_bps"]):
-        if ga <= 0.0:
-            warnings.warn(f"sample with channel seed {phase['channel_seed'][i]} "
+def normalized_throughput(phase: dict) -> tuple[dict, ComparisonReport]:
+    """Each method's per-sample throughput over GA's in a test phase, as
+    `agent.test` returns it, and the means of those ratios. A sample with
+    non-positive GA throughput has NaN ratios and is left out of the means,
+    with a warning; without samples, or with every sample left out, each
+    mean is NaN."""
+    ga = phase["ga_bps"]
+    kept = [g > 0.0 for g in ga]
+    for seed, keep in zip(phase["channel_seed"], kept):
+        if not keep:
+            warnings.warn(f"sample with channel seed {seed} "
                           "has non-positive GA throughput; excluded")
-            excluded += 1
-            continue
-        for m in METHODS:
-            per_sample[m].append(phase[f"{m}_bps"][i] / ga)
-    mean = {m: float(np.mean(v)) if v else float("nan")
-            for m, v in per_sample.items()}
-    return ComparisonReport(per_sample, mean, excluded)
+    ratios = {m: [t / g if keep else float("nan")
+                  for t, g, keep in zip(phase[f"{m}_bps"], ga, kept, strict=True)]
+              for m in METHODS}
+    mean = {m: float(np.mean(np.compress(kept, r))) if any(kept) else float("nan")
+            for m, r in ratios.items()}
+    return ratios, ComparisonReport(mean, kept.count(False))
 
 
 def _write_text(path, text: str) -> None:
@@ -233,16 +233,17 @@ def csv_text(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def results_csv(phase: dict) -> str:
-    ga = phase["ga_bps"]
+def results_csv(phase: dict, ratios: dict) -> str:
+    """The test phase, one row per sample: its seed, the policy's action,
+    each method's throughput, every ratio to GA but GA's own, as
+    `normalized_throughput` forms them, and the solver diagnostics."""
     return csv_text({
-        "sample": range(len(ga)),
+        "sample": range(len(phase["ga_bps"])),
         "channel_seed": phase["channel_seed"],
         "dql_action": ["|".join(str(a) for a in action) for action in phase["dql_action"]],
         **{f"{m}_bps": phase[f"{m}_bps"] for m in METHODS},
-        **{f"{m}_norm": [t / g if g > 0 else float("nan")
-                         for t, g in zip(phase[f"{m}_bps"], ga, strict=True)]
-           for m in METHODS if m != "ga"},
+        **{f"{m}_norm": ratios[m] for m in METHODS if m != "ga"},
+        **{name: phase[name] for name in DIAGNOSTICS},
     })
 
 
@@ -313,7 +314,7 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
     test_seed = evaluation_seed(spec.master_seed)
     phase = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,
                            ga_config=spec.ga, max_power_level=spec.max_power_level)
-    report = normalized_throughput(phase)
+    ratios, report = normalized_throughput(phase)
     report.metadata = {
         "scenario": spec.scenario,
         "master_seed": spec.master_seed,
@@ -328,14 +329,13 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
         "gradient_steps": log["gradient_steps"][-1] if log else 0,
         "target_rows_evaluated": target_rows,
         "episodes": len(log["episode"]) if log else 0,
-        **{name: phase[name] for name in DIAGNOSTICS},
         # both nan when no sample ran (null in report.json)
         "dql_margin_over_random": report.mean["dql"] / report.mean["random"] - 1.0,
         "dql_margin_over_maxpower": report.mean["dql"] / report.mean["maxpower"] - 1.0,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
 
-    _write_text(os.path.join(spec.output_dir, "results.csv"), results_csv(phase))
+    _write_text(os.path.join(spec.output_dir, "results.csv"), results_csv(phase, ratios))
     _write_text(os.path.join(spec.output_dir, "report.json"), report.to_json())
     _write_text(os.path.join(spec.output_dir, "actions.csv"),
                 actions_to_csv(env.actions))

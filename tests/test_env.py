@@ -148,7 +148,8 @@ class TestReset:
             monkeypatch.undo()
             min_power = env.actions[np.zeros(config.num_cells, dtype=int)]
             assert ctx.previous_throughput == network_utility(min_power, ctx.channel)
-            assert state.tobytes() == env.encode_state(ctx).tobytes()
+            sinr = serving_sinr(ctx.current_power, ctx.channel)
+            assert state.tobytes() == env.encode_state(ctx, sinr).tobytes()
 
     def test_initial_action_is_feasible(self, rng):
         env = PowerControlEnv(tiny_config())
@@ -161,7 +162,8 @@ class TestEncodeState:
         env = PowerControlEnv(tiny_config())
         ctx, _ = env.reset(rng)
         ctx.current_power = np.zeros((2, 2))
-        state = env.encode_state(ctx).reshape(6, 3)
+        sinr = serving_sinr(ctx.current_power, ctx.channel)
+        state = env.encode_state(ctx, sinr).reshape(6, 3)
         assert np.all(state[:, :2] == 1.0 / 15.0)
 
     def test_cell_edge_bit_and_cqi_ceiling(self):
@@ -172,7 +174,8 @@ class TestEncodeState:
         channel = synthetic_channel(np.full((1, 1, 1), 1000.0), noise_power=1.0)
         ctx = EpisodeContext(netmodel.location_indicator(dist, 500.0), channel,
                              np.array([[1.0]]), np.array([0]), 0.0)
-        assert list(env.encode_state(ctx)) == [1.0, 1.0]
+        sinr = serving_sinr(ctx.current_power, ctx.channel)
+        assert list(env.encode_state(ctx, sinr)) == [1.0, 1.0]
 
     def test_entries_bounded(self, rng):
         env = PowerControlEnv(tiny_config())
@@ -261,7 +264,8 @@ class TestStep:
         state, _, _, throughput = env.step(ctx, [4, 0])
         assert len(calls) == 1
         monkeypatch.undo()
-        assert np.array_equal(state, env.encode_state(ctx))
+        sinr = serving_sinr(ctx.current_power, ctx.channel)
+        assert np.array_equal(state, env.encode_state(ctx, sinr))
         assert throughput == network_utility(ctx.current_power, ctx.channel)
 
     def test_one_location_indicator_per_episode(self, rng, monkeypatch):

@@ -15,7 +15,6 @@ from cellpower.cli import main as cli_main
 from cellpower.env import PowerControlEnv
 from cellpower.harness import (
     CONFIG_KEYS,
-    ComparisonReport,
     ExperimentSpec,
     build_env,
     config_hash,
@@ -37,14 +36,28 @@ from conftest import agent_optimizer, tiny_config
 
 
 def record(dql=1.0, ga=1.0, wm=1.0, mx=1.0, rnd=1.0, seed=0):
-    """One sample of a test phase: its seed, action and throughputs."""
+    """One sample of a test phase: its seed, action, throughputs and solver
+    diagnostics."""
     return {"channel_seed": seed, "dql_action": (0,),
-            **{f"{m}_bps": v for m, v in zip(ag.METHODS, (dql, ga, wm, mx, rnd))}}
+            **{f"{m}_bps": v for m, v in zip(ag.METHODS, (dql, ga, wm, mx, rnd))},
+            **dict(zip(DIAGNOSTICS, (3, 17, True)))}
 
 
 def phase(*records):
     """The records as the per-sample columns that agent.test returns."""
     return {key: [r[key] for r in records] for key in record()}
+
+
+def csv_columns(text):
+    """A CSV as its header's columns, each the list of its field strings."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def read_results(out_dir):
+    """The columns of the results.csv in `out_dir`."""
+    with open(os.path.join(out_dir, "results.csv")) as f:
+        return csv_columns(f.read())
 
 
 def small_spec(out_dir, train_steps=0, n_samples=3, seed=5) -> ExperimentSpec:
@@ -62,43 +75,49 @@ def small_spec(out_dir, train_steps=0, n_samples=3, seed=5) -> ExperimentSpec:
 
 class TestNormalizedThroughput:
     def test_identical_to_ga_gives_mean_one(self):
-        report = normalized_throughput(phase(*(record(dql=5.0, ga=5.0, seed=i)
-                                               for i in range(4))))
+        _, report = normalized_throughput(phase(*(record(dql=5.0, ga=5.0, seed=i)
+                                                  for i in range(4))))
         assert report.mean["dql"] == pytest.approx(1.0)
         assert report.mean["ga"] == 1.0
 
     def test_two_record_arithmetic(self):
-        report = normalized_throughput(phase(record(dql=0.9, ga=1.0, seed=0),
-                                             record(dql=1.1, ga=1.0, seed=1)))
+        _, report = normalized_throughput(phase(record(dql=0.9, ga=1.0, seed=0),
+                                                record(dql=1.1, ga=1.0, seed=1)))
         assert report.mean["dql"] == pytest.approx(1.0)
 
     def test_zero_ga_record_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="channel seed 1 "):
-            report = normalized_throughput(phase(record(seed=0), record(ga=0.0, seed=1)))
+            records = phase(record(seed=0), record(ga=0.0, seed=1))
+            ratios, report = normalized_throughput(records)
         assert report.excluded == 1
-        assert len(report.per_sample["dql"]) == 1
+        norm = csv_columns(results_csv(records, ratios))["dql_norm"]
+        assert [v for v in norm if v != "nan"] == ["1.0"]
 
     def test_empty_records_give_empty_report(self):
-        report = normalized_throughput(phase())
-        assert report.per_sample == {m: [] for m in METHODS}
+        ratios, report = normalized_throughput(phase())
+        assert ratios == {m: [] for m in METHODS}
+        assert len(results_csv(phase(), ratios).splitlines()) == 1
         assert all(np.isnan(report.mean[m]) for m in METHODS)
         assert report.excluded == 0
 
     def test_results_csv_columns(self):
-        text = results_csv(phase(record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9)))
+        records = phase(record(dql=2.0, ga=4.0, wm=3.0, mx=1.0, rnd=1.0, seed=9))
+        text = results_csv(records, normalized_throughput(records)[0])
         assert text.split("\n") == [
             "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
-            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm",
-            "0,9,0,2.0,4.0,3.0,1.0,1.0,0.5,0.75,0.25,0.25", ""]
+            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm,"
+            "ga_best_generation,wmmse_iterations,wmmse_converged",
+            "0,9,0,2.0,4.0,3.0,1.0,1.0,0.5,0.75,0.25,0.25,3,17,True", ""]
 
     def test_csv_text_needs_equal_length_columns(self):
         assert csv_text({"a": [], "b": []}) == "a,b\n"
         with pytest.raises(ValueError):
             csv_text({"a": [1, 2], "b": [3]})
         short = phase(record(seed=1), record(seed=2))
+        ratios, _ = normalized_throughput(short)
         short["channel_seed"].pop()
         with pytest.raises(ValueError):
-            results_csv(short)
+            results_csv(short, ratios)
 
 
 class TestPresets:
@@ -258,7 +277,7 @@ class TestRunExperiment:
         for name in ("results.csv", "report.json", "qnet.ckpt", "actions.csv"):
             assert os.path.exists(os.path.join(spec.output_dir, name))
         assert report.metadata["actions_per_cell"] == 9
-        assert len(report.per_sample["dql"]) == 3
+        assert len(read_results(spec.output_dir)["dql_norm"]) == 3
         on_disk = json.loads(
             open(os.path.join(spec.output_dir, "report.json")).read())
         assert on_disk["mean"]["ga"] == 1.0
@@ -268,12 +287,44 @@ class TestRunExperiment:
         run_experiment(spec)
         report = json.loads(
             open(os.path.join(spec.output_dir, "report.json")).read())
-        per_sample, meta = report["per_sample"], report["metadata"]
-        dql = np.mean(per_sample["dql"])
+        columns, meta = read_results(spec.output_dir), report["metadata"]
+        dql = np.mean([float(v) for v in columns["dql_norm"]])
         for other in ("random", "maxpower"):
             assert meta[f"dql_margin_over_{other}"] == pytest.approx(
-                dql / np.mean(per_sample[other]) - 1.0, rel=1e-12)
+                dql / np.mean([float(v) for v in columns[f"{other}_norm"]]) - 1.0,
+                rel=1e-12)
         assert "margin" not in (tmp_path / "run" / "results.csv").read_text()
+
+    def test_report_json_summarizes_results_csv(self, tmp_path, monkeypatch):
+        # each per-sample value is stored once, in results.csv; report.json's
+        # means and margins are those of its ratio columns over the samples
+        # with positive GA throughput
+        calls, ga_optimize_ = [], baselines.ga_optimize
+
+        def second_sample_zero(*args, **kwargs):
+            calls.append(1)
+            power, util, generation = ga_optimize_(*args, **kwargs)
+            return power, 0.0 if len(calls) == 2 else util, generation
+
+        monkeypatch.setattr(baselines, "ga_optimize", second_sample_zero)
+        spec = small_spec(tmp_path / "run", train_steps=40, n_samples=4)
+        with pytest.warns(UserWarning, match="non-positive GA"):
+            run_experiment(spec)
+        report = json.loads(
+            open(os.path.join(spec.output_dir, "report.json")).read())
+        assert "per_sample" not in report
+        assert not set(DIAGNOSTICS) & (set(report) | set(report["metadata"]))
+        columns = read_results(spec.output_dir)
+        kept = [float(g) > 0.0 for g in columns["ga_bps"]]
+        assert kept == [True, False, True, True]
+        assert report["excluded"] == 1
+        assert all(columns[f"{m}_norm"][1] == "nan" for m in METHODS if m != "ga")
+        mean = {m: np.mean([float(v) for v, keep in zip(columns[f"{m}_norm"], kept) if keep])
+                for m in METHODS if m != "ga"}
+        assert report["mean"] == pytest.approx({**mean, "ga": 1.0}, rel=1e-12)
+        for other in ("random", "maxpower"):
+            assert report["metadata"][f"dql_margin_over_{other}"] == pytest.approx(
+                mean["dql"] / mean[other] - 1.0, rel=1e-12)
 
     def test_policy_margins_nan_without_samples(self, tmp_path):
         report = run_experiment(small_spec(tmp_path / "run", n_samples=0))
@@ -303,11 +354,12 @@ class TestRunExperiment:
         run_experiment(spec)
         assert open(os.path.join(spec.output_dir, "results.csv")).read() == (
             "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
-            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm\n")
+            "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm,"
+            "ga_best_generation,wmmse_iterations,wmmse_converged\n")
         meta = json.loads(
             open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
         for name in ("ga_best_generation", "wmmse_iterations", "wmmse_converged"):
-            assert meta[name] == []
+            assert name not in meta
 
     def test_failed_test_phase_keeps_the_trained_network(self, tmp_path, monkeypatch):
         done = small_spec(tmp_path / "done", train_steps=120, n_samples=0)
@@ -342,20 +394,18 @@ class TestRunExperiment:
     def test_wmmse_diagnostics_per_sample(self, tmp_path):
         spec = small_spec(tmp_path / "run")
         run_experiment(spec)
-        meta = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
-        with open(os.path.join(spec.output_dir, "results.csv")) as f:
-            seeds = [int(line.split(",")[1]) for line in f.read().splitlines()[1:]]
+        columns = read_results(spec.output_dir)
         env = PowerControlEnv(spec.config)
-        assert all(len(meta[name]) == 3 for name in DIAGNOSTICS)
-        for i, seed in enumerate(seeds):
+        assert all(len(columns[name]) == 3 for name in DIAGNOSTICS)
+        for i, seed in enumerate(int(s) for s in columns["channel_seed"]):
             ctx, _ = env.reset(np.random.default_rng([seed, 0]))
             res = wmmse(ctx.channel, spec.config.max_power)
-            assert meta["wmmse_iterations"][i] == res.iterations
-            assert meta["wmmse_converged"][i] is res.converged
+            assert int(columns["wmmse_iterations"][i]) == res.iterations
+            assert type(res.converged) is bool
+            assert columns["wmmse_converged"][i] == str(res.converged)
             _, _, generation = ga_optimize(ctx.channel, spec.config, spec.ga,
                                            np.random.default_rng([seed, 1]))
-            assert meta["ga_best_generation"][i] == generation
+            assert int(columns["ga_best_generation"][i]) == generation
 
     def test_reference_scenario_dimensions_in_metadata(self, tmp_path):
         spec = small_spec(tmp_path / "run", n_samples=1)
@@ -487,10 +537,11 @@ class TestPerSampleFairness:
                 network_utility(rand, channel), rel=1e-12)
 
     def test_report_means_are_arithmetic_means(self):
-        report = normalized_throughput(phase(record(dql=0.5, seed=0), record(dql=0.7, seed=1),
-                                             record(dql=1.2, seed=2)))
-        assert report.mean["dql"] == pytest.approx(
-            sum(report.per_sample["dql"]) / 3)
+        records = phase(record(dql=0.5, seed=0), record(dql=0.7, seed=1),
+                        record(dql=1.2, seed=2))
+        ratios, report = normalized_throughput(records)
+        norm = csv_columns(results_csv(records, ratios))["dql_norm"]
+        assert report.mean["dql"] == pytest.approx(sum(float(v) for v in norm) / 3)
 
 
 class TestCheckpointing:

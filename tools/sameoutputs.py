@@ -16,11 +16,14 @@ training and the test phase, and prints one line per workload and
 artifact, plus any check the workload reported failed. An artifact that
 differs is sized where both copies line up: for a checkpoint with the
 same header and length, the number of values that differ, in the element
-type its magic names, and the largest absolute difference; for a CSV of
-the same shape, the number of fields that differ, their columns and the
-largest relative difference among those that are numbers; for
-report.json, the fields that differ. It exits 1 when an artifact differs
-or is missing on one side, or a run failed.
+type its magic names, and the largest absolute difference; for a CSV
+with the same number of rows, its columns matched by header name, the
+number of fields of the shared columns that differ, their columns and
+the largest relative difference among those that are numbers, then the
+columns that one side removed or added; for report.json, the fields
+that differ, added and removed ones included. A header change is a
+difference too. It exits 1 when an artifact differs or is missing on
+one side, or a run failed.
 """
 
 import argparse
@@ -130,17 +133,31 @@ def checkpoint_difference(parent, change):
             f"max abs {largest:.3g}")
 
 
-def csv_difference(parent, change):
-    """How two CSVs' fields differ, and in which of the parent's header
-    columns, or None when their shapes differ. Fields that are not numbers
-    are counted but not sized."""
-    tables = [[line.split(",") for line in data.decode().splitlines()]
-              for data in (parent, change)]
-    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+def csv_rows(data):
+    """A CSV's header and its rows, each a dict keyed by column name, or
+    None when a row's field count is not the header's."""
+    header, *rows = (line.split(",") for line in data.decode().splitlines())
+    if any(len(row) != len(header) for row in rows):
         return None
+    return header, [dict(zip(header, row)) for row in rows]
+
+
+def csv_difference(parent, change):
+    """How two CSVs differ, their columns matched by header name: the
+    number of fields of the shared columns that differ, those columns and
+    the largest relative difference among the fields that are numbers;
+    then the columns that only one side has, and whether the shared ones
+    are in another order. None when the row counts differ or a row does
+    not fit its header."""
+    tables = [csv_rows(data) for data in (parent, change)]
+    if None in tables or len(tables[0][1]) != len(tables[1][1]):
+        return None
+    (header_a, rows_a), (header_b, rows_b) = tables
+    shared = [column for column in header_a if column in header_b]
     count, largest, columns = 0, 0.0, set()
-    for row_a, row_b in zip(*tables):
-        for column, (field_a, field_b) in enumerate(zip(row_a, row_b)):
+    for row_a, row_b in zip(rows_a, rows_b):
+        for column in shared:
+            field_a, field_b = row_a[column], row_b[column]
             if field_a == field_b:
                 continue
             count += 1
@@ -151,8 +168,16 @@ def csv_difference(parent, change):
                 continue
             rel = abs(x - y) / max(abs(x), abs(y))
             largest = max(largest, rel if rel == rel else math.inf)   # nan or inf on one side
-    names = " ".join(tables[0][0][column] for column in sorted(columns))
-    return f"{count} fields in {names}, max rel {largest:.3g}"
+    names = " ".join(column for column in shared if column in columns)
+    parts = [f"{count} fields in {names}, max rel {largest:.3g}" if count
+             else "shared columns same"]
+    removed = [column for column in header_a if column not in header_b]
+    added = [column for column in header_b if column not in header_a]
+    parts += [f"{what} {' '.join(listed)}" for what, listed in
+              (("removed", removed), ("added", added)) if listed]
+    if shared != [column for column in header_b if column in header_a]:
+        parts.append("shared columns reordered")
+    return ", ".join(parts)
 
 
 def compare(out_dirs, artifact):
