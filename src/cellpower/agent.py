@@ -8,7 +8,7 @@ import numpy as np
 
 from . import baselines
 from .env import PowerControlEnv
-from .netmodel import ConfigError, check_intervals, network_utility
+from .netmodel import ConfigError, check_intervals
 from .qnet import MLP, RMSprop, train_batch
 from .replay import ReplayBuffer
 
@@ -151,7 +151,7 @@ def train(env: PowerControlEnv, mlp: MLP, config: AgentConfig,
         ep_greedy = []     # per step, each cell's greedy value max_a Q_k(s, a)
         while not ctx.terminal and step < config.train_steps:
             eps = config.epsilon_at(step)
-            q = mlp.forward(state)
+            q = mlp.forward(state / env.state_scale)
             ep_greedy.append(q.reshape(num_cells, -1).max(axis=1))
             action = select_joint_action(q, eps, num_cells, rng)
             next_state, reward, terminal, throughput = env.step(ctx, action)
@@ -202,9 +202,9 @@ def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
     throughput (the initial random allocation if the first action fails)."""
     ctx, state = env.reset(rng)
     best_action = tuple(int(a) for a in ctx.current_action)
-    best_throughput = network_utility(ctx.current_power, ctx.channel)
+    best_throughput = ctx.start_throughput
     while not ctx.terminal:
-        action = select_joint_action(mlp.forward(state), 0.0,
+        action = select_joint_action(mlp.forward(state / env.state_scale), 0.0,
                                      env.config.num_cells, None)
         state, _, terminal, throughput = env.step(ctx, action)
         if not terminal:

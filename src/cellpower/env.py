@@ -51,6 +51,7 @@ class EpisodeContext:
     current_power: np.ndarray          # (K, F) W
     current_action: np.ndarray         # (K,) action indices
     previous_throughput: float         # bits/s
+    start_throughput: float            # bits/s of the start allocation
     step_count: int = 0
     terminal: bool = False
 
@@ -69,7 +70,8 @@ class PowerControlEnv:
                                          config.max_power)
         self.terminal_reward = terminal_reward
         self.max_episode_steps = max_episode_steps
-        per_user = [float(CQI_LEVELS)] * config.num_subbands + [1.0]  # encode_state divisors
+        # a state is encode_state's uint8 codes; the network's input is state / state_scale
+        per_user = [float(CQI_LEVELS)] * config.num_subbands + [1.0]
         self.state_scale = np.array(per_user * (config.num_cells * config.users_per_cell))
 
     @property
@@ -92,18 +94,19 @@ class PowerControlEnv:
         channel = draw_channel(distance, self.config, rng)
         joint = rng.integers(0, len(self.actions), size=self.config.num_cells)
         # row 0 is the all-lowest-level combination, feasible by config invariant;
-        # one SINR pass over it and the start allocation gives the baseline and state
+        # one SINR pass over it and the start allocation gives both throughputs and the state
         power = self.actions[[np.zeros_like(joint), joint]]
         sinr = serving_sinr(power, channel)
+        baseline, start = utility_from_sinr(sinr, channel).tolist()
         ctx = EpisodeContext(location_indicator(distance, self.config.cell_radius),
-                             channel, power[1], joint, utility_from_sinr(sinr[0], channel))
+                             channel, power[1], joint, baseline, start)
         return ctx, self.encode_state(ctx, sinr[1])
 
     def encode_state(self, ctx: EpisodeContext, sinr: np.ndarray) -> np.ndarray:
-        """Per user: F CQI entries scaled to (0, 1] then one cell-edge bit;
-        `sinr` is the serving SINR at ctx.current_power."""
-        cqi = cqi_quantize_array(sinr) / float(CQI_LEVELS)     # (K*U, F)
-        return np.concatenate([cqi, ctx.edge[:, None]], axis=1).reshape(-1)
+        """The state's uint8 codes, per user: F CQI indices then one cell-edge
+        bit; `sinr` is the serving SINR at ctx.current_power."""
+        codes = np.concatenate([cqi_quantize_array(sinr), ctx.edge[:, None]], axis=1)
+        return codes.astype(np.uint8).reshape(-1)
 
     def step(self, ctx: EpisodeContext, joint_action):
         """Apply K action indices; returns (next_state, reward, terminal, throughput)."""

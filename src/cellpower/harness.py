@@ -157,8 +157,11 @@ def config_hash(spec: ExperimentSpec) -> str:
         # the checkpoint, by load_network)
         ignored |= {f"agent.{f.name}" for f in dataclasses.fields(spec.agent)
                     if f.name != "hidden_size"} | {"checkpoint_interval"}
+        digest = hashlib.sha256()
         with open(spec.checkpoint, "rb") as f:
-            parts.append(f"checkpoint={hashlib.file_digest(f, 'sha256').hexdigest()}")
+            for block in iter(lambda: f.read(1 << 16), b""):
+                digest.update(block)
+        parts.append(f"checkpoint={digest.hexdigest()}")
     parts += [f"{prefix}.{f.name}={getattr(cfg, f.name)!r}" for prefix, cfg in
               (("scenario", spec.config), ("agent", spec.agent), ("ga", spec.ga))
               for f in dataclasses.fields(cfg) if f"{prefix}.{f.name}" not in ignored]

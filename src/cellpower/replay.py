@@ -4,9 +4,9 @@ import numpy as np
 
 
 class ReplayBuffer:
-    """Ring of transitions that stores each state once, as uint8 codes that
-    decode bit for bit: entry j is code j / scale[j], with `scale` the env's
-    state_scale. Push p fills row p % capacity, records p in `push_no` and
+    """Ring of transitions that stores each state once, as the uint8 codes
+    the env gives: entry j decodes to code j / scale[j], with `scale` the
+    env's state_scale. Push p fills row p % capacity, records p in `push_no` and
     keeps its state in code slot p % (capacity + 1) and its next state in
     the following slot, which is push p + 1's state (unless row p is
     terminal: then push p + 1 overwrites it, and no target reads it).
@@ -25,17 +25,12 @@ class ReplayBuffer:
     def __len__(self):
         return min(self.pushes, self.capacity)
 
-    def _encode(self, s: np.ndarray, name: str) -> np.ndarray:
-        """The codes of float64 state `s`; a ValueError unless they decode to it."""
-        codes = (s * self.scale).astype(np.uint8)
-        decoded = codes / self.scale
-        if decoded.tobytes() != s.tobytes():    # bit for bit, and cheaper than .any()
-            j = np.flatnonzero(decoded.view(np.int64) != s.view(np.int64))[0]
-            raise ValueError(f"{name} column {j} is {s[j]!r}, not a code in 0..255 "
-                             f"over {self.scale[j]:g}")
-        return codes
-
     def push(self, state, action, reward, next_state, terminal) -> None:
+        for name, s in (("state", state), ("next_state", next_state)):
+            s = np.asarray(s)
+            if s.dtype != np.uint8 or s.shape != self.scale.shape:
+                raise ValueError(f"{name} is {s.dtype} of shape {s.shape}, not a uint8 row "
+                                 f"of {len(self.scale)} codes")
         c, k = self.capacity, len(action)
         if self.codes is None:
             self.codes = np.empty((c + 1, len(self.scale)), np.uint8)
@@ -43,14 +38,12 @@ class ReplayBuffer:
             self.action, self.target_max = np.empty((c, k), self.action_type), np.empty((c, k))
             self.terminal, self.fresh = np.empty(c, bool), np.empty(c, bool)
         p, i = self.pushes, self.pushes % c
-        s = np.asarray(state, dtype=np.float64)
-        if p and not self.terminal[(p - 1) % c]:       # then s is in its slot already
-            if s.tobytes() != self._next:
+        if p and not self.terminal[(p - 1) % c]:       # then state is in its slot already
+            if state.tobytes() != self.codes[p % (c + 1)].tobytes():
                 raise ValueError(f"push {p}'s state is not the next state of push {p - 1}")
         else:
-            self.codes[p % (c + 1)] = self._encode(s, "state")
-        s = np.asarray(next_state, dtype=np.float64)
-        self.codes[(p + 1) % (c + 1)], self._next = self._encode(s, "next_state"), s.tobytes()
+            self.codes[p % (c + 1)] = state
+        self.codes[(p + 1) % (c + 1)] = next_state
         self.push_no[i], self.action[i], self.reward[i] = p, action, reward
         self.terminal[i], self.fresh[i] = terminal, False
         self.pushes += 1

@@ -236,14 +236,14 @@ def test_criterion_10_replay_and_target():
     # its state and next state code i and i + 1 as base-16 digits
     scale = np.array([15.0, 1.0])       # a CQI column and a cell-edge column
 
-    def coded(ids):
-        return (np.asarray(ids)[..., None] // 16 ** np.arange(2) % 16) / scale
+    def codes(ids):
+        return (np.asarray(ids)[..., None] // 16 ** np.arange(2) % 16).astype(np.uint8)
 
     def push_numbers(rows):
         states, actions, rewards, next_states, terminals = rows
-        assert np.array_equal(states, coded(rewards.astype(int)))
+        assert np.array_equal(states, codes(rewards.astype(int)) / scale)
         assert np.array_equal(actions[:, 0], rewards)
-        assert np.array_equal(next_states, coded(rewards.astype(int) + 1))
+        assert np.array_equal(next_states, codes(rewards.astype(int) + 1) / scale)
         assert np.array_equal(terminals, rewards % 2 == 1)
         return [int(r) for r in rewards]
 
@@ -259,8 +259,8 @@ def test_criterion_10_replay_and_target():
     counter = 0
     for _ in range(100_000):
         if len(buf) == 0 or rng.random() < 0.6:
-            buf.push(coded(counter), (counter,), float(counter),
-                     coded(counter + 1), counter % 2 == 1)
+            buf.push(codes(counter), (counter,), float(counter),
+                     codes(counter + 1), counter % 2 == 1)
             mirror.append(counter)
             counter += 1
         else:

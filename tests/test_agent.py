@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cellpower import agent as ag
+from cellpower import env as env_module
+from cellpower import netmodel
 from cellpower.agent import AgentConfig, bellman_targets, select_joint_action
 from cellpower.baselines import GAConfig, exhaustive
 from cellpower.env import PowerControlEnv
@@ -127,19 +129,19 @@ class TestEpsilonSchedule:
 
 def filled_buffer(rng, net, n, terminals=None, exact=False):
     """A replay buffer holding n two-cell transitions with random rewards
-    and random code-grid next states for `net` (small integers if `exact`,
-    else CQI indices over 15), each push starting from the previous push's
-    next state, and about a third of them terminal unless `terminals` is
-    given."""
+    and random uint8 next states for `net` (small integers over scale 1 if
+    `exact`, else CQI indices over 15), each push starting from the
+    previous push's next state, and about a third of them terminal unless
+    `terminals` is given."""
     in_size = net.layer_sizes[0]
     if terminals is None:
         terminals = rng.random(n) < 1 / 3
     scale = np.full(in_size, 1.0 if exact else 15.0)
     buf = ReplayBuffer(n, scale, net.layer_sizes[2] // 2)
-    state = np.zeros(in_size)
+    state = np.zeros(in_size, np.uint8)
     for terminal in terminals:
         next_state = (rng.integers(0, 9, size=in_size) if exact
-                      else rng.integers(1, 16, size=in_size)) / scale
+                      else rng.integers(1, 16, size=in_size)).astype(np.uint8)
         buf.push(state, np.zeros(2, dtype=int),
                  rng.choice([-1.0, 1.0]), next_state, terminal)
         state = next_state
@@ -224,7 +226,8 @@ class TestTargetCache:
         rows = np.arange(4)
         assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 4
         assert bellman_targets(net, buf, rows, 0.9, 2)[1] == 0
-        buf.push(buf.states(3, offset=1), (0, 0), 1.0, np.full(6, 3.0), False)   # row 0
+        last = buf.states(3, offset=1).astype(np.uint8)     # scale 1: the codes
+        buf.push(last, (0, 0), 1.0, np.full(6, 3, np.uint8), False)      # row 0
         y, evaluated = bellman_targets(net, buf, rows, 0.9, 2)
         assert evaluated == 1
         np.testing.assert_array_equal(y, uncached_targets(net, buf, rows, 0.9))
@@ -275,7 +278,7 @@ class TestTraining:
         ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
         for seed in range(5):
             _, state = env.reset(np.random.default_rng(seed))
-            action = select_joint_action(mlp.forward(state), 0.0, 1, None)
+            action = select_joint_action(mlp.forward(state / env.state_scale), 0.0, 1, None)
             assert action[0] == 1
 
     def test_one_gradient_step_per_env_step_once_full(self, rng):
@@ -387,6 +390,65 @@ class TestTestProtocol:
             ctx, _ = env.reset(np.random.default_rng([seed, 0]))
             expected = network_utility(ctx.current_power, ctx.channel)
             assert dql == pytest.approx(expected, rel=1e-12)
+
+    def test_rollout_scores_each_allocation_with_one_serving_sinr(self, rng, monkeypatch):
+        # the start allocation's throughput comes from the reset's SINR
+        # pass: n steps make n + 1 serving_sinr calls and no network_utility call
+        env = PowerControlEnv(tiny_config())
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        sinr_calls, utility_calls = [], []
+
+        def counted(calls, fn):
+            return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+
+        sinr = counted(sinr_calls, netmodel.serving_sinr)
+        for module in (env_module, netmodel):     # direct and through network_utility
+            monkeypatch.setattr(module, "serving_sinr", sinr)
+        for module in (ag, netmodel):
+            monkeypatch.setattr(module, "network_utility",
+                                counted(utility_calls, netmodel.network_utility),
+                                raising=False)
+        steps = []
+        for seed in range(10):
+            sinr_calls.clear()
+            ctx, _, _ = ag.greedy_rollout(env, mlp, np.random.default_rng([seed, 0]))
+            assert len(sinr_calls) == ctx.step_count + 1
+            steps.append(ctx.step_count)
+        assert utility_calls == [] and max(steps) > 1
+
+    def test_network_input_is_the_decoded_state(self, rng):
+        # every single state the network sees, while training and in a
+        # greedy rollout, is the env's latest state over state_scale: a
+        # missed decode would feed it CQI indices
+        env = PowerControlEnv(tiny_config())
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        emitted, inputs = [], []
+
+        def record(fn, index):      # index: where the state is in fn's result
+            def run(*args):
+                out = fn(*args)
+                emitted.append(out[index])
+                return out
+            return run
+
+        env.reset, env.step = record(env.reset, 1), record(env.step, 0)
+        forward = mlp.forward
+
+        def seen(x):
+            if x.ndim == 1:
+                inputs.append(x)
+                assert x.tobytes() == (emitted[-1] / env.state_scale).tobytes()
+                assert 0.0 <= x.min() and x.max() <= 1.0
+            return forward(x)
+
+        mlp.forward = seen
+        cfg = AgentConfig(train_steps=100, batch_size=8, train_start=8,
+                          target_update_steps=20)
+        ag.train(env, mlp, cfg, rng, agent_optimizer(mlp, cfg))
+        assert len(inputs) == cfg.train_steps
+        for seed in range(5):
+            ag.greedy_rollout(env, mlp, np.random.default_rng([seed, 0]))
+        assert len(inputs) >= cfg.train_steps + 5
 
     def test_trained_single_cell_matches_ga_and_exhaustive(self):
         env = single_link_env()

@@ -16,6 +16,7 @@ from cellpower.harness import actions_to_csv
 from cellpower.netmodel import (
     ConfigError,
     ScenarioConfig,
+    cqi_quantize_array,
     network_utility,
     serving_sinr,
     snr_gap,
@@ -148,6 +149,9 @@ class TestReset:
             monkeypatch.undo()
             min_power = env.actions[np.zeros(config.num_cells, dtype=int)]
             assert ctx.previous_throughput == network_utility(min_power, ctx.channel)
+            assert ctx.start_throughput == network_utility(ctx.current_power, ctx.channel)
+            # Python floats, whose repr the CSVs write, not numpy scalars
+            assert type(ctx.previous_throughput) is type(ctx.start_throughput) is float
             sinr = serving_sinr(ctx.current_power, ctx.channel)
             assert state.tobytes() == env.encode_state(ctx, sinr).tobytes()
 
@@ -164,7 +168,7 @@ class TestEncodeState:
         ctx.current_power = np.zeros((2, 2))
         sinr = serving_sinr(ctx.current_power, ctx.channel)
         state = env.encode_state(ctx, sinr).reshape(6, 3)
-        assert np.all(state[:, :2] == 1.0 / 15.0)
+        assert np.all(state[:, :2] == 1)
 
     def test_cell_edge_bit_and_cqi_ceiling(self):
         env = PowerControlEnv(tiny_config(num_cells=1, users_per_cell=1,
@@ -173,9 +177,9 @@ class TestEncodeState:
         dist = synthetic_topology(1, 1, [300.0], cell_radius=500.0)
         channel = synthetic_channel(np.full((1, 1, 1), 1000.0), noise_power=1.0)
         ctx = EpisodeContext(netmodel.location_indicator(dist, 500.0), channel,
-                             np.array([[1.0]]), np.array([0]), 0.0)
+                             np.array([[1.0]]), np.array([0]), 0.0, 0.0)
         sinr = serving_sinr(ctx.current_power, ctx.channel)
-        assert list(env.encode_state(ctx, sinr)) == [1.0, 1.0]
+        assert list(env.encode_state(ctx, sinr)) == [15, 1]
 
     def test_entries_bounded(self, rng):
         env = PowerControlEnv(tiny_config())
@@ -185,7 +189,33 @@ class TestEncodeState:
                 ctx, state = env.reset(rng)
             action = rng.integers(0, len(env.actions), size=2)
             state, _, _, _ = env.step(ctx, action)
-            assert state.min() >= 0.0 and state.max() <= 1.0
+            decoded = state / env.state_scale       # the network's input
+            assert decoded.min() >= 0.0 and decoded.max() <= 1.0
+
+    @pytest.mark.parametrize("config", [tiny_config(), tiny_config(num_cells=3),
+                                        ScenarioConfig()], ids=["tiny", "desk", "scenario1"])
+    def test_states_are_codes_that_decode_to_the_scaled_cqi(self, config, rng):
+        # reset and step states are uint8 codes: CQI indices in 1..15 and an
+        # edge bit per user, and dividing by state_scale gives the CQI / 15
+        # beside the edge bit, byte for byte
+        env = PowerControlEnv(config)
+        states = 0
+        while states < 40:
+            ctx, state = env.reset(rng)
+            while True:
+                assert state.dtype == np.uint8 and state.shape == (env.state_size,)
+                per_user = state.reshape(-1, config.num_subbands + 1)
+                assert per_user[:, :-1].min() >= 1 and per_user[:, :-1].max() <= 15
+                assert set(per_user[:, -1].tolist()) <= {0, 1}
+                sinr = serving_sinr(ctx.current_power, ctx.channel)
+                want = np.concatenate([cqi_quantize_array(sinr) / 15.0, ctx.edge[:, None]],
+                                      axis=1).reshape(-1)
+                assert (state / env.state_scale).tobytes() == want.tobytes()
+                states += 1
+                if ctx.terminal:
+                    break
+                action = rng.integers(0, len(env.actions), size=config.num_cells)
+                state, _, _, _ = env.step(ctx, action)
 
 
 class TestStep:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import inspect
 import json
 import os
@@ -268,6 +269,29 @@ class TestConfigHash:
         other = copy.deepcopy(spec)
         other.agent.hidden_size = 7
         assert config_hash(other) != h0
+
+
+    def test_checkpoint_hashed_without_hashlib_file_digest(self, tmp_path, monkeypatch):
+        # Python 3.10 has no hashlib.file_digest: a checkpoint run hashes
+        # the file as before without it, and reads every block of a file
+        # larger than one
+        trained = small_spec(tmp_path / "train", train_steps=40, n_samples=0)
+        run_experiment(trained)
+        spec = small_spec(tmp_path / "eval", n_samples=2)
+        spec.checkpoint = os.path.join(trained.output_dir, "qnet.ckpt")
+        h0 = config_hash(spec)
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        assert config_hash(spec) == h0
+        run_experiment(spec)
+        with open(os.path.join(spec.output_dir, "report.json")) as f:
+            assert json.load(f)["metadata"]["config_hash"] == h0
+        big = bytearray(3 * 2 ** 20 + 7)
+        spec.checkpoint = str(tmp_path / "big.ckpt")
+        (tmp_path / "big.ckpt").write_bytes(big)
+        h1 = config_hash(spec)
+        big[-1] = 1
+        (tmp_path / "big.ckpt").write_bytes(big)
+        assert config_hash(spec) != h1
 
 
 class TestRunExperiment:

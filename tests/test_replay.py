@@ -15,18 +15,23 @@ NUM_CELLS = 2
 NUM_ACTIONS = 2 ** 16
 
 
-def coded(ids):
-    """The states whose codes are the base-16 digits of push numbers `ids`
-    (modulo 16^STATE_SIZE), least significant first."""
+def codes(ids):
+    """The uint8 states whose codes are the base-16 digits of push numbers
+    `ids` (modulo 16^STATE_SIZE), least significant first."""
     ids = np.asarray(ids)
-    return (ids[..., None] // 16 ** np.arange(STATE_SIZE) % 16) / STATE_SCALE
+    return (ids[..., None] // 16 ** np.arange(STATE_SIZE) % 16).astype(np.uint8)
+
+
+def coded(ids):
+    """The float64 states that codes(ids) decode to."""
+    return codes(ids) / STATE_SCALE
 
 
 def push(buf, i):
     """Push transition number i: i is written into its action and reward,
     its state codes i and its next state i + 1, so consecutive pushes
     chain, and odd pushes are terminal."""
-    buf.push(coded(i), np.full(NUM_CELLS, i), float(i), coded(i + 1), i % 2 == 1)
+    buf.push(codes(i), np.full(NUM_CELLS, i), float(i), codes(i + 1), i % 2 == 1)
 
 
 def push_numbers(rows):
@@ -146,7 +151,7 @@ def test_actions_take_the_smallest_unsigned_type(num_actions, dtype, rng):
     pushed = rng.integers(0, num_actions, size=(8, NUM_CELLS))
     pushed[0] = num_actions - 1, 0
     for i, action in enumerate(pushed):
-        buf.push(coded(i), action, float(i), coded(i + 1), False)
+        buf.push(codes(i), action, float(i), codes(i + 1), False)
     assert buf.action.dtype == dtype
     for _ in range(5):
         _, actions, rows = buf.sample(8, rng)
@@ -158,6 +163,25 @@ def test_bad_capacity_rejected():
         ReplayBuffer(0, STATE_SCALE, NUM_ACTIONS)
 
 
+def assert_rejected(field, bad):
+    """Push 2 with `bad` as its `field` raises ValueError and leaves the
+    ring's count and every array as pushes 0 and 1 left them."""
+    buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
+    push(buf, 0)
+    push(buf, 1)            # terminal, so push 2 may start anywhere
+    before = {name: a.copy() for name, a in vars(buf).items() if isinstance(a, np.ndarray)}
+    fields = {"state": codes(2), "next_state": codes(3), field: bad}
+    with pytest.raises(ValueError, match=f"^{field} is .*, not a uint8 row of 3 codes"):
+        buf.push(fields["state"], np.zeros(NUM_CELLS, dtype=int), 2.0,
+                 fields["next_state"], False)
+    assert buf.pushes == 2
+    for name, a in before.items():
+        assert np.array_equal(getattr(buf, name), a), name
+    assert stored(buf) == [0, 1]
+    push(buf, 2)
+    assert stored(buf) == [0, 1, 2]
+
+
 @pytest.mark.parametrize("field", ["state", "next_state"])
 @pytest.mark.parametrize("column, value", [
     (0, 0.5),            # between two CQI codes
@@ -167,28 +191,33 @@ def test_bad_capacity_rejected():
     (0, np.nextafter(1 / 15, 1)),   # one ulp above a CQI code
 ])
 def test_off_grid_state_rejected(field, column, value):
-    buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
-    push(buf, 0)
-    push(buf, 1)            # terminal, so push 2 may start anywhere
-    fields = {"state": coded(2), "next_state": coded(3)}
-    fields[field][column] = value
-    with pytest.raises(ValueError, match=f"^{field} column {column} is"):
-        buf.push(fields["state"], np.zeros(NUM_CELLS, dtype=int), 2.0,
-                 fields["next_state"], False)
-    assert buf.pushes == 2
-    assert stored(buf) == [0, 1]
-    push(buf, 2)
-    assert stored(buf) == [0, 1, 2]
+    # a float64 state off the code grid is not a row of codes
+    bad = coded(2 if field == "state" else 3)
+    bad[column] = value
+    assert_rejected(field, bad)
+
+
+@pytest.mark.parametrize("field", ["state", "next_state"])
+@pytest.mark.parametrize("bad", [
+    coded,                                    # the float64 values the codes decode to
+    lambda i: codes(i).astype(np.float64),    # the codes as float64
+    lambda i: codes(i).astype(np.int64),      # the codes as int64
+    lambda i: codes(i)[:-1],                  # a code short
+    lambda i: np.append(codes(i), 0),         # a code long
+    lambda i: codes([i, i]),                  # two rows
+], ids=["decoded", "float64", "int64", "short", "long", "two-rows"])
+def test_state_that_is_not_a_uint8_row_rejected(field, bad):
+    assert_rejected(field, bad(2 if field == "state" else 3))
 
 
 def test_state_after_non_terminal_row_must_be_its_next_state():
     buf = ReplayBuffer(4, STATE_SCALE, NUM_ACTIONS)
-    push(buf, 0)            # not terminal: push 1 must start at coded(1)
+    push(buf, 0)            # not terminal: push 1 must start at codes(1)
     with pytest.raises(ValueError, match="not the next state of push 0"):
-        buf.push(coded(5), np.zeros(NUM_CELLS, dtype=int), 1.0, coded(6), True)
+        buf.push(codes(5), np.zeros(NUM_CELLS, dtype=int), 1.0, codes(6), True)
     assert stored(buf) == [0]
     push(buf, 1)            # terminal: the next push may start anywhere
-    buf.push(coded(7), np.full(NUM_CELLS, 2), 2.0, coded(8), False)
+    buf.push(codes(7), np.full(NUM_CELLS, 2), 2.0, codes(8), False)
     # push 2 overwrote push 1's next state, which no target reads
     assert np.array_equal(buf.states(1, offset=1), coded(7))
     assert np.array_equal(buf.states(2, offset=0), coded(7))
@@ -204,14 +233,14 @@ def test_env_states_round_trip_bit_for_bit(config, rng):
     env = PowerControlEnv(config, max_episode_steps=4)
     capacity = 9
     buf = ReplayBuffer(capacity, env.state_scale, len(env.actions))
-    pushed = []                 # (state, next_state, terminal) of each push
+    pushed = []                 # decoded state and next state, and terminal, of each push
     while len(pushed) < 5 * capacity:
         ctx, state = env.reset(rng)
         while not ctx.terminal:
             action = rng.integers(0, len(env.actions), size=config.num_cells)
             next_state, reward, terminal, _ = env.step(ctx, action)
             buf.push(state, action, reward, next_state, terminal)
-            pushed.append((state, next_state, terminal))
+            pushed.append((state / env.state_scale, next_state / env.state_scale, terminal))
             state = next_state
             rows = np.arange(len(buf))
             held = buf.push_no[rows]
@@ -238,7 +267,7 @@ def test_states_take_one_byte_per_entry_and_slot():
 
     def held_bytes(width):
         buf = ReplayBuffer(capacity, np.full(width, 15.0), NUM_ACTIONS)
-        state = np.zeros(width)
+        state = np.zeros(width, np.uint8)
         for i in range(capacity + 3):
             buf.push(state, np.zeros(NUM_CELLS, dtype=int), 1.0, state, False)
         assert buf.codes.nbytes == (capacity + 1) * width
