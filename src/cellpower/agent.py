@@ -198,16 +198,18 @@ METHODS = ("dql", "ga", "wmmse", "maxpower", "random")
 
 
 def greedy_rollout(env: PowerControlEnv, mlp: MLP, rng: np.random.Generator):
-    """One greedy episode; returns the last improving action and its
-    throughput (the initial random allocation if the first action fails)."""
+    """One greedy episode; returns the last action that raised the throughput,
+    a step cut off by max_episode_steps included, and that throughput (the
+    initial random allocation's if the first action fails)."""
     ctx, state = env.reset(rng)
     best_action = tuple(int(a) for a in ctx.current_action)
     best_throughput = ctx.start_throughput
     while not ctx.terminal:
         action = select_joint_action(mlp.forward(state / env.state_scale), 0.0,
                                      env.config.num_cells, None)
-        state, _, terminal, throughput = env.step(ctx, action)
-        if not terminal:
+        previous = ctx.previous_throughput
+        state, _, _, throughput = env.step(ctx, action)
+        if throughput > previous:
             best_action = tuple(int(a) for a in action)
             best_throughput = throughput
     return ctx, best_action, best_throughput

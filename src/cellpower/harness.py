@@ -10,6 +10,7 @@ import time
 import types
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -214,16 +215,20 @@ def normalized_throughput(phase: dict) -> tuple[dict, ComparisonReport]:
     return ratios, ComparisonReport(mean, kept.count(False))
 
 
-def _write_text(path, text: str) -> None:
+def _replace(path, write) -> None:
+    """Run write(tmp), then rename tmp over `path`; a failed write leaves `path` as is."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as f:
-            f.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path, text: str) -> None:
+    _replace(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def csv_text(columns: dict) -> str:
@@ -305,14 +310,15 @@ def run_experiment(spec: ExperimentSpec) -> ComparisonReport:
             if spec.checkpoint_interval:
                 def on_step(step, gs, net, target):
                     if step % spec.checkpoint_interval == 0:
-                        save_checkpoint(os.path.join(
-                            spec.output_dir, f"qnet_step{step}.ckpt"), net, opt)
+                        _replace(os.path.join(spec.output_dir, f"qnet_step{step}.ckpt"),
+                                 lambda tmp: save_checkpoint(tmp, net, opt))
             log, target_rows = agent_mod.train(
                 env, mlp, spec.agent, np.random.default_rng([spec.master_seed, 11]),
                 opt=opt, on_step=on_step)
             _write_text(os.path.join(spec.output_dir, "training_log.csv"), csv_text(log))
     # saved before testing, so that a failed test phase keeps the network
-    save_checkpoint(os.path.join(spec.output_dir, "qnet.ckpt"), mlp, opt)
+    _replace(os.path.join(spec.output_dir, "qnet.ckpt"),
+             lambda tmp: save_checkpoint(tmp, mlp, opt))
 
     test_seed = evaluation_seed(spec.master_seed)
     phase = agent_mod.test(env, mlp, spec.n_test_samples, test_seed,

@@ -137,30 +137,20 @@ def build_topology(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
     distances in m. Users are cell-major: cell k serves users k*U .. (k+1)*U - 1.
 
     Each user takes a uniform u for its radius R sqrt(u), redrawn while
-    below min_user_distance, then one for its angle. All are drawn as one
-    array, radii at even slots: a rejected radius is removed, moving the
-    later values down a slot, and one more uniform is drawn. So the values,
-    and the generator's end state, are those of a per-user loop.
+    below min_user_distance, then one for its angle. The uniforms come in
+    blocks of as many as are still missing, each kept or dropped in turn:
+    the values and the generator's end state are those of a per-user loop.
     """
     pitch = 2.0 * config.cell_radius * math.cos(math.pi / 6.0)
     bs = _hex_spiral(config.num_cells, pitch)
 
-    draws = rng.uniform(size=2 * config.num_users)
-    rejected = []
-    start = checked = 0      # the slots from `start` on pair up as (radius, angle)
-    while True:
-        low = config.cell_radius * np.sqrt(draws[checked:]) < config.min_user_distance
-        for slot in (np.flatnonzero(low) + checked).tolist():
-            if (slot - start) % 2 == 0:
-                rejected.append(slot)
-                start = slot + 1
-        more = 2 * config.num_users + len(rejected) - len(draws)
-        if not more:
-            break
-        checked = len(draws)
-        draws = np.append(draws, rng.uniform(size=more))
-    if rejected:
-        draws = np.delete(draws, rejected)
+    need = 2 * config.num_users
+    kept = []                # (radius, angle) uniforms, radii at even positions
+    while len(kept) < need:
+        for u in rng.uniform(size=need - len(kept)).tolist():
+            if len(kept) % 2 or config.cell_radius * math.sqrt(u) >= config.min_user_distance:
+                kept.append(u)
+    draws = np.array(kept)
     radius = config.cell_radius * np.sqrt(draws[0::2])
     angle = 2.0 * math.pi * draws[1::2]
     x = bs[:, 0].repeat(config.users_per_cell) + radius * np.cos(angle)

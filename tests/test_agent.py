@@ -416,6 +416,28 @@ class TestTestProtocol:
             steps.append(ctx.step_count)
         assert utility_calls == [] and max(steps) > 1
 
+    def test_rollout_keeps_an_improving_step_at_the_step_cap(self, rng):
+        # with one step per episode every step is terminal; the rollout
+        # keeps it exactly when it beats the all-minimum baseline
+        env = PowerControlEnv(tiny_config(), max_episode_steps=1)
+        mlp = MLP.init((env.state_size, 6, env.num_actions), rng)
+        stepped = 0
+        for seed in range(40):
+            ctx, action, throughput = ag.greedy_rollout(
+                env, mlp, np.random.default_rng([seed, 0]))
+            assert ctx.step_count == 1
+            start, state = env.reset(np.random.default_rng([seed, 0]))
+            greedy = select_joint_action(mlp.forward(state / env.state_scale), 0.0,
+                                         env.config.num_cells, None)
+            after = network_utility(env.actions[greedy], start.channel)
+            if after > start.previous_throughput:
+                stepped += 1
+                assert (action, throughput) == (tuple(greedy.tolist()), after)
+            else:
+                assert (action, throughput) == (tuple(start.current_action.tolist()),
+                                                start.start_throughput)
+        assert 0 < stepped < 40
+
     def test_network_input_is_the_decoded_state(self, rng):
         # every single state the network sees, while training and in a
         # greedy rollout, is the env's latest state over state_scale: a

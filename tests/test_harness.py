@@ -4,12 +4,13 @@ import inspect
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellpower import agent as ag
-from cellpower import baselines
+from cellpower import baselines, harness
 from cellpower.agent import METHODS, AgentConfig
 from cellpower.baselines import DIAGNOSTICS, GAConfig, ga_optimize, max_power_baseline, wmmse
 from cellpower.cli import main as cli_main
@@ -303,14 +304,14 @@ class TestRunExperiment:
         assert report.metadata["actions_per_cell"] == 9
         assert len(read_results(spec.output_dir)["dql_norm"]) == 3
         on_disk = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())
+            Path(spec.output_dir, "report.json").read_text())
         assert on_disk["mean"]["ga"] == 1.0
 
     def test_policy_margins_recomputed_from_per_sample(self, tmp_path):
         spec = small_spec(tmp_path / "run", train_steps=40)
         run_experiment(spec)
         report = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())
+            Path(spec.output_dir, "report.json").read_text())
         columns, meta = read_results(spec.output_dir), report["metadata"]
         dql = np.mean([float(v) for v in columns["dql_norm"]])
         for other in ("random", "maxpower"):
@@ -335,7 +336,7 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="non-positive GA"):
             run_experiment(spec)
         report = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())
+            Path(spec.output_dir, "report.json").read_text())
         assert "per_sample" not in report
         assert not set(DIAGNOSTICS) & (set(report) | set(report["metadata"]))
         columns = read_results(spec.output_dir)
@@ -364,7 +365,7 @@ class TestRunExperiment:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        text = open(os.path.join(spec.output_dir, "report.json")).read()
+        text = Path(spec.output_dir, "report.json").read_text()
         on_disk = json.loads(text, parse_constant=reject)
         assert all(np.isnan(v) for v in report.mean.values())
         assert on_disk["mean"] == {m: None for m in report.mean}
@@ -376,12 +377,12 @@ class TestRunExperiment:
         # the test phase of every `cellpower train` run
         spec = small_spec(tmp_path / "run", train_steps=40, n_samples=0)
         run_experiment(spec)
-        assert open(os.path.join(spec.output_dir, "results.csv")).read() == (
+        assert Path(spec.output_dir, "results.csv").read_text() == (
             "sample,channel_seed,dql_action,dql_bps,ga_bps,wmmse_bps,maxpower_bps,"
             "random_bps,dql_norm,wmmse_norm,maxpower_norm,random_norm,"
             "ga_best_generation,wmmse_iterations,wmmse_converged\n")
         meta = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
+            Path(spec.output_dir, "report.json").read_text())["metadata"]
         for name in ("ga_best_generation", "wmmse_iterations", "wmmse_converged"):
             assert name not in meta
 
@@ -403,6 +404,45 @@ class TestRunExperiment:
         initial = MLP.init(kept.layer_sizes, np.random.default_rng([spec.master_seed, 10]))
         assert not np.array_equal(kept.flat, initial.flat)
 
+    def test_checkpoint_replaced_atomically(self, tmp_path, monkeypatch):
+        # a checkpoint run into its own checkpoint's directory rewrites the
+        # file it read; a save that fails midway leaves the old bytes
+        done = small_spec(tmp_path / "run", train_steps=40, n_samples=0)
+        run_experiment(done)
+        path = Path(done.output_dir, "qnet.ckpt")
+        trained = path.read_bytes()
+        spec = small_spec(tmp_path / "run", n_samples=1)
+        spec.checkpoint = str(path)
+
+        def fail_midway(target, mlp, opt):
+            with open(target, "wb") as f:
+                f.write(trained[:8])
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "save_checkpoint", fail_midway)
+            with pytest.raises(OSError, match="disk full"):
+                run_experiment(spec)
+        assert path.read_bytes() == trained
+        assert not list(Path(spec.output_dir).glob("*.tmp"))
+        run_experiment(spec)
+        assert path.read_bytes() == trained
+
+    def test_every_checkpoint_written_through_a_temporary_file(self, tmp_path, monkeypatch):
+        saved = []
+
+        def recorded(target, mlp, opt):
+            saved.append(os.path.basename(target))
+            save_checkpoint(target, mlp, opt)
+
+        monkeypatch.setattr(harness, "save_checkpoint", recorded)
+        spec = small_spec(tmp_path / "run", train_steps=40, n_samples=0)
+        spec.checkpoint_interval = 20
+        run_experiment(spec)
+        names = ["qnet_step20.ckpt", "qnet_step40.ckpt", "qnet.ckpt"]
+        assert saved == [f"{name}.tmp" for name in names]
+        assert sorted(p.name for p in Path(spec.output_dir).glob("*.ckpt*")) == sorted(names)
+
     def test_target_rows_evaluated_in_metadata_only(self, tmp_path):
         spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
         report = run_experiment(spec)
@@ -410,10 +450,10 @@ class TestRunExperiment:
         # the cache is hit: fewer rows than the batches drew, but some
         assert 0 < rows < report.metadata["gradient_steps"] * spec.agent.batch_size
         on_disk = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())
+            Path(spec.output_dir, "report.json").read_text())
         assert on_disk["metadata"]["target_rows_evaluated"] == rows
         for name in ("results.csv", "training_log.csv"):
-            assert "target" not in open(os.path.join(spec.output_dir, name)).read()
+            assert "target" not in Path(spec.output_dir, name).read_text()
 
     def test_wmmse_diagnostics_per_sample(self, tmp_path):
         spec = small_spec(tmp_path / "run")
@@ -449,14 +489,14 @@ class TestRunExperiment:
         assert (report_a.metadata["target_rows_evaluated"]
                 == report_b.metadata["target_rows_evaluated"] > 0)
         for name in ("results.csv", "training_log.csv", "qnet.ckpt"):
-            a = open(os.path.join(spec_a.output_dir, name), "rb").read()
-            b = open(os.path.join(spec_b.output_dir, name), "rb").read()
+            a = Path(spec_a.output_dir, name).read_bytes()
+            b = Path(spec_b.output_dir, name).read_bytes()
             assert a == b, name
 
     def test_training_writes_log(self, tmp_path):
         spec = small_spec(tmp_path / "run", train_steps=120)
         run_experiment(spec)
-        log = open(os.path.join(spec.output_dir, "training_log.csv")).read()
+        log = Path(spec.output_dir, "training_log.csv").read_text()
         header, *rows = log.strip().split("\n")
         assert header == ("step,episode,epsilon,loss,length,throughput_bps,"
                           "q_mean,q_max,gradient_steps,buffer_fill")
@@ -467,7 +507,7 @@ class TestRunExperiment:
         spec = small_spec(tmp_path / "run", train_steps=120, n_samples=0)
         run_experiment(spec)
         path = os.path.join(spec.output_dir, "qnet.ckpt")
-        assert open(path, "rb").read(8) == b"CPQNET2\n"
+        assert Path(path).read_bytes()[:8] == b"CPQNET2\n"
         mlp, opt = load_checkpoint(path)
         assert mlp.flat.dtype == opt.acc.dtype == np.float32
         assert np.any(opt.acc > 0.0)
@@ -487,7 +527,7 @@ class TestRunExperiment:
         assert list(log) == list(ag.TRAINING_LOG)
         assert all(len(log[name]) == episodes for name in ag.TRAINING_LOG)
         meta = json.loads(
-            open(os.path.join(spec.output_dir, "report.json")).read())["metadata"]
+            Path(spec.output_dir, "report.json").read_text())["metadata"]
         assert meta["gradient_steps"] == log["gradient_steps"][-1]
         assert meta["episodes"] == episodes
         # the columns that perfbench/checks.py reads from training_log.csv

@@ -135,10 +135,13 @@ class TestDropOracle:
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(num_cells=3, users_per_cell=3),              # desk
         ScenarioConfig(num_cells=5),                                # scenario1
+        ScenarioConfig(num_cells=10),                               # scenario2
         ScenarioConfig(num_cells=15),                               # scenario3
         ScenarioConfig(num_cells=2, users_per_cell=40),             # many rejections
         ScenarioConfig(num_cells=5, min_user_distance=0.9 * 500.0),  # mostly rejections
-    ], ids=["desk", "scenario1", "scenario3", "u40", "min0.9R"])
+        # about 98% of radii redrawn: nearly every user takes several blocks
+        ScenarioConfig(num_cells=5, users_per_cell=1, min_user_distance=0.99 * 500.0),
+    ], ids=["desk", "scenario1", "scenario2", "scenario3", "u40", "min0.9R", "u1min0.99R"])
     def test_bitwise_equal_to_loop(self, cfg):
         users = np.arange(cfg.num_users)
         cells = users // cfg.users_per_cell
