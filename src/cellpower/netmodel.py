@@ -266,8 +266,10 @@ def utility_from_sinr(sinr: np.ndarray, channel: ChannelRealization):
     for u in range(1, channel.users_per_cell):
         best = np.maximum(best, rates[..., u, :])
     # sum each allocation's K*F best rates as one flat row, so that a batch
-    # adds in the same order as a single allocation
-    total = np.add.reduce(best.reshape(*best.shape[:-2], -1), axis=-1)
+    # adds in the same order as a single allocation; the explicit width
+    # lets an empty batch through
+    flat = best.reshape(*best.shape[:-2], channel.num_cells * channel.num_subbands)
+    total = np.add.reduce(flat, axis=-1)
     return float(total) if sinr.ndim == 2 else total
 
 

@@ -53,6 +53,60 @@ def brute_force_best(channel, actions):
     return best_joint, best
 
 
+def reference_ga(channel, config, ga_config, rng):
+    """GA that scores every individual of every generation: ga_optimize's
+    loop before it kept the elites' and unchanged children's fitness."""
+    levels = np.asarray(config.power_levels)
+    n_levels = len(levels)
+    num_cells, num_subbands = config.num_cells, config.num_subbands
+    length = num_cells * num_subbands
+    pop_size = ga_config.population_size
+    n_children = pop_size - ga_config.elite_count
+    table = _repair_table(levels, num_subbands, config.max_power)
+    radix = n_levels ** np.arange(num_subbands - 1, -1, -1)
+
+    def repair(genes):
+        cells = genes.reshape(len(genes), num_cells, num_subbands)
+        return table[cells @ radix].reshape(len(genes), length)
+
+    best = [None, -math.inf, 0]
+
+    def evaluate(population, generation):
+        fits = network_utility(
+            levels[population.reshape(pop_size, num_cells, num_subbands)], channel)
+        top = int(np.argmax(fits))
+        if fits[top] > best[1]:
+            best[:] = population[top].copy(), float(fits[top]), generation
+        return fits
+
+    pop = repair(rng.integers(0, n_levels, size=(pop_size, length)))
+    fits = evaluate(pop, 0)
+    positions = np.arange(length)
+    for generation in range(1, ga_config.generations + 1):
+        elites = pop[np.argsort(-fits, kind="stable")[:ga_config.elite_count]]
+        entrants = rng.integers(0, pop_size, size=(2, n_children, ga_config.tournament_size))
+        winners = np.take_along_axis(entrants, fits[entrants].argmax(axis=2)[..., None],
+                                     axis=2)[..., 0]
+        parents, donors = pop[winners[0]], pop[winners[1]]
+        cross = rng.random(n_children) < ga_config.crossover_prob
+        cut = rng.integers(1, max(length, 2), size=n_children)
+        tail = cross[:, None] & (positions >= cut[:, None])
+        children = np.where(tail, donors, parents)
+        mutate = rng.random((n_children, length)) < ga_config.mutation_prob
+        fresh = rng.integers(0, n_levels, size=(n_children, length))
+        pop = np.concatenate([elites, repair(np.where(mutate, fresh, children))])
+        fits = evaluate(pop, generation)
+    return levels[best[0].reshape(num_cells, num_subbands)], best[1], best[2]
+
+
+# The test-phase networks and GA settings of perfbench's workloads
+GA_WORKLOADS = {
+    "desk": (tiny_config(num_cells=3), GAConfig(population_size=50, generations=60)),
+    "scenario1": (scenario_preset("scenario1"), GAConfig()),
+    "scenario3": (scenario_preset("scenario3"), GAConfig()),
+}
+
+
 class TestGa:
     def test_single_feasible_action(self):
         cfg = tiny_config(power_levels=(1.0,), max_power=3.0)
@@ -149,6 +203,49 @@ class TestGa:
             assert again[1:] == (util, generation)
             found_late += generation > 0
         assert found_late
+
+    @pytest.mark.parametrize("workload", GA_WORKLOADS)
+    def test_matches_the_score_everything_reference(self, workload):
+        cfg, ga_cfg = GA_WORKLOADS[workload]
+        for seed in range(2):
+            rng = np.random.default_rng([seed, 0])
+            channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+            got = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng([seed, 1]))
+            want = reference_ga(channel, cfg, ga_cfg, np.random.default_rng([seed, 1]))
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("overrides", [
+        {"elite_count": 0}, {"generations": 0}, {"mutation_prob": 0.0},
+        {"mutation_prob": 0.0, "crossover_prob": 0.0}])
+    def test_edge_configs_match_the_reference(self, overrides):
+        # with neither crossover nor mutation no child changes, and a
+        # generation scores an empty batch
+        cfg = GA_WORKLOADS["desk"][0]
+        ga_cfg = GAConfig(**{"population_size": 30, "generations": 25, **overrides})
+        for seed in range(3):
+            rng = np.random.default_rng([seed, 0])
+            channel = draw_channel(build_topology(cfg, rng), cfg, rng)
+            got = ga_optimize(channel, cfg, ga_cfg, np.random.default_rng([seed, 1]))
+            want = reference_ga(channel, cfg, ga_cfg, np.random.default_rng([seed, 1]))
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+    def test_scores_only_the_changed_children(self, monkeypatch):
+        cfg, ga_cfg = GA_WORKLOADS["desk"]
+        rows = []
+
+        def counted(power, channel):
+            rows.append(len(power))
+            return network_utility(power, channel)
+
+        monkeypatch.setattr(baselines_module, "network_utility", counted)
+        ga_optimize(desk_test_channel(0), cfg, ga_cfg, np.random.default_rng(5))
+        pop_size, generations = ga_cfg.population_size, ga_cfg.generations
+        assert len(rows) == generations + 1         # one call per generation
+        assert rows[0] == pop_size
+        assert max(rows[1:]) <= pop_size - ga_cfg.elite_count
+        assert sum(rows) < pop_size * (generations + 1)
 
     def test_bad_ga_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -343,6 +440,32 @@ class TestWmmse:
                 assert res.iterations == 500
             outcomes.add(res.converged)
         assert outcomes == ({True, False} if tol == 1e-8 else {True})
+
+    @pytest.mark.parametrize("max_iters", [500, 5, 4])
+    def test_one_scoring_call_per_cycle(self, max_iters, monkeypatch):
+        # one call at the start, one per SQUAREM cycle on the stacked
+        # (v2, v3) pair, one per plain map and one on the real channel
+        calls = []
+
+        def counted(power, channel):
+            calls.append((power.shape, channel))
+            return network_utility(power, channel)
+
+        monkeypatch.setattr(baselines_module, "network_utility", counted)
+        for index in range(3):
+            channel = desk_test_channel(index)
+            calls.clear()
+            res = wmmse(channel, DESK_CONFIG.max_power, max_iters=max_iters)
+            steps = len(res.objective_history) - 1
+            cycles = (res.iterations - steps) // 2          # 3 maps against 1
+            assert 3 * cycles + (steps - cycles) == res.iterations
+            assert len(calls) == 1 + steps + 1
+            shapes = [shape for shape, _ in calls]
+            assert shapes[1:-1].count((2, 3, 2)) == cycles
+            assert shapes.count((3, 2)) == 2 + steps - cycles
+            assert calls[-1][1] is channel
+            assert all(ch is not channel and ch.users_per_cell == 1
+                       for _, ch in calls[:-1])
 
     @pytest.mark.parametrize("index, cell", [(2, 2), (46, 0)])
     def test_extrapolation_keeps_a_cell_that_plain_wmmse_keeps(self, index, cell):

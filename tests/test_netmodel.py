@@ -370,6 +370,11 @@ class TestNetworkUtility:
         assert all(type(u) is float for u in loop)
         assert got.tolist() == loop
 
+    def test_empty_batch_gives_an_empty_result(self):
+        cfg, channel, _ = tiny_instance(seed=14, num_cells=3)
+        assert network_utility(np.empty((0, 3, 2)), channel).shape == (0,)
+        assert network_utility(np.empty((2, 0, 3, 2)), channel).shape == (2, 0)
+
     def test_invariant_to_user_relabeling_within_cell(self, rng):
         cfg, channel, alpha = tiny_instance(seed=13)
         power = rng.uniform(1.0, 20.0, size=(2, 2))
@@ -400,6 +405,9 @@ class TestBestUserKernel:
         cfg, channel, alpha = tiny_instance(seed=21, num_cells=3, users_per_cell=1)
         assert channel.users_per_cell == 1
         self._check(rng.uniform(0.0, 20.0, size=(8, 3, 2)), channel, alpha)
+        # WMMSE scores its two candidate amplitudes as one squared pair
+        pair = rng.uniform(0.0, 4.5, size=(2, 3, 2))
+        self._check(pair * pair, channel, alpha)
 
     def test_tied_users_at_scenario3_size(self, rng):
         cfg = ScenarioConfig(num_cells=15)
